@@ -5,9 +5,6 @@ bounds, coefficient-product circle integrals, torus integrals for s = 3,
 and the modified Bessel reduction I0 -- plus numerical verification of the
 identities tying the routes together (including the Stirling-coefficient
 differential equation alpha satisfies).
-
-Hot kernels run on a compiled extension when available; see
-``backend_name()`` and the ALPHAFN_BACKEND environment variable.
 """
 
 from .backend import backend_name

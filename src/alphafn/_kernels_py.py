@@ -1,20 +1,20 @@
-"""Pure-Python numerical kernels.
+"""Numerical kernels, bound for the package as `alphafn.backend.kernels`.
 
-Fallback twin of the compiled extension ``_kernels_cy``; both expose the
-same functions with identical semantics, and `alphafn.backend` picks one
-at import time.  Everything here is scalar double-precision arithmetic;
-``math.pow`` is used for integer powers so that both backends round the
-same way.
+Everything here is scalar double-precision Python arithmetic.
 
 Series kernels return ``(value, terms_used, tail_bound, converged)`` and
 never raise; the callers own the error contract.  Mean kernels return the
 equal-weight average of an integrand over ``n`` uniformly spaced circle
 (or torus) nodes ``theta_j = 2*pi*j/n``, accumulated in ascending node
-order for reproducibility.
+order for reproducibility.  With ``fresh=True`` they average over only the
+nodes that level ``n/2`` lacks, for the nested ladder of
+`alphafn.quadrature.nested_node_mean`.
 """
 
 import cmath
 import math
+
+from .quadrature import circle_nodes, torus_rows
 
 TWO_PI = 6.283185307179586
 
@@ -70,25 +70,27 @@ def alpha_deriv_sum(x, s, k, tol, max_terms):
     return total, max_terms, math.inf, False
 
 
-def alpha2_mean(x, n):
+def alpha2_mean(x, n, fresh=False):
     """Circle mean of exp((x+1)cos t)*cos((x-1)sin t) over n nodes."""
+    js = circle_nodes(n, fresh)
     total = 0.0
-    for j in range(n):
+    for j in js:
         t = (TWO_PI * j) / n
         total += math.exp((x + 1.0) * math.cos(t)) * math.cos((x - 1.0) * math.sin(t))
-    return total / n
+    return total / len(js)
 
 
-def bessel_mean(a, b, n):
+def bessel_mean(a, b, n, fresh=False):
     """Circle mean of exp(a*cos t + b*sin t) over n nodes."""
+    js = circle_nodes(n, fresh)
     total = 0.0
-    for j in range(n):
+    for j in js:
         t = (TWO_PI * j) / n
         total += math.exp(a * math.cos(t) + b * math.sin(t))
-    return total / n
+    return total / len(js)
 
 
-def alpha3_real_mean(x, n):
+def alpha3_real_mean(x, n, fresh=False):
     """Torus mean of the expanded real integrand for the s=3 identity.
 
     Integrand: exp(x cos th + cos th cos t + cos t) *
@@ -96,11 +98,12 @@ def alpha3_real_mean(x, n):
        - sin(x sin th - sin th cos t) sin(cos th sin t - sin t) sinh(sin th sin t)]
     """
     total = 0.0
-    for j in range(n):
+    count = 0
+    for j, ks in torus_rows(n, fresh):
         th = (TWO_PI * j) / n
         cth = math.cos(th)
         sth = math.sin(th)
-        for kk in range(n):
+        for kk in ks:
             t = (TWO_PI * kk) / n
             ct = math.cos(t)
             st = math.sin(t)
@@ -112,37 +115,41 @@ def alpha3_real_mean(x, n):
                 math.cos(a1) * math.cos(a2) * math.cosh(a3)
                 - math.sin(a1) * math.sin(a2) * math.sinh(a3)
             )
-    return total / (n * n)
+        count += len(ks)
+    return total / count
 
 
-def alpha3_complex_mean(x, n):
+def alpha3_complex_mean(x, n, fresh=False):
     """Torus mean of exp(x e^{i th}) exp((e^{-i th}+1)cos t) cos((e^{-i th}-1)sin t)."""
     total = 0j
-    for j in range(n):
+    count = 0
+    for j, ks in torus_rows(n, fresh):
         th = (TWO_PI * j) / n
         eith = complex(math.cos(th), math.sin(th))
         emith = eith.conjugate()
         f1 = cmath.exp(x * eith)
-        for kk in range(n):
+        for kk in ks:
             t = (TWO_PI * kk) / n
             ct = math.cos(t)
             st = math.sin(t)
             total += f1 * cmath.exp((emith + 1.0) * ct) * cmath.cos((emith - 1.0) * st)
-    return total / (n * n)
+        count += len(ks)
+    return total / count
 
 
-def exp_alpha_mean(x, s, n, tol, max_terms):
+def exp_alpha_mean(x, s, n, tol, max_terms, fresh=False):
     """Circle mean of exp(x e^{i th}) * alpha(e^{-i th}, s-1) over n nodes.
 
     Returns (mean, converged); converged is False if any inner series
     evaluation ran out of terms.
     """
+    js = circle_nodes(n, fresh)
     total = 0j
-    for j in range(n):
+    for j in js:
         th = (TWO_PI * j) / n
         eith = complex(math.cos(th), math.sin(th))
         inner, _, _, ok = alpha_sum(eith.conjugate(), s - 1, tol, max_terms)
         if not ok:
             return 0j, False
         total += cmath.exp(x * eith) * inner
-    return total / n, True
+    return total / len(js), True

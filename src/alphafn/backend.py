@@ -1,27 +1,12 @@
-"""Kernel backend selection.
+"""The binding of the numerical kernels as `kernels`.
 
-The compiled extension is preferred when importable; set
-``ALPHAFN_BACKEND=python`` to force the pure-Python kernels.  Both
-backends expose the same functions with identical semantics.
+The package reaches every kernel through this module's `kernels`, so that
+one binding serves the series, quadrature and report layers alike.
 """
 
-import os
-
-if os.environ.get("ALPHAFN_BACKEND", "").lower() == "python":
-    from . import _kernels_py as kernels
-
-    _BACKEND_NAME = "python"
-else:
-    try:
-        from . import _kernels_cy as kernels  # type: ignore[no-redef]
-
-        _BACKEND_NAME = "cython"
-    except ImportError:
-        from . import _kernels_py as kernels  # type: ignore[no-redef]
-
-        _BACKEND_NAME = "python"
+from . import _kernels_py as kernels
 
 
 def backend_name() -> str:
-    """Name of the kernel backend in use: 'cython' or 'python'."""
-    return _BACKEND_NAME
+    """Name of the kernel backend in use; the kernels are pure Python."""
+    return "python"

@@ -26,6 +26,7 @@ from .quadrature import (
     QuadratureConfig,
     QuadratureResult,
     converge,
+    nested_node_mean,
     trapezoid_periodic_1d,
 )
 from .series import bessel_i0
@@ -36,8 +37,8 @@ _INNER_TOL = 1e-15
 _INNER_MAX_TERMS = 500
 
 # exp overflows doubles just above 709; the closed-form integrands peak at
-# exp of the values guarded here, so reject inputs past this point instead
-# of letting the two backends diverge (Python raises, C produces inf)
+# exp of the values guarded here, so reject inputs past this point with a
+# message that names the route instead of an OverflowError from a kernel
 _EXP_PEAK_LIMIT = 700.0
 
 
@@ -130,7 +131,7 @@ def hadamard_eval(
             f"|v|={abs(v)!r} is not inside the second factor's radius "
             f"{product.g.radius!r}"
         )
-    f, g = product.f, product.g
+    f, g = product.f.evaluator, product.g.evaluator
 
     def integrand(theta: float) -> complex:
         point = cmath.exp(1j * theta)
@@ -154,7 +155,10 @@ def alpha2_quadrature(
     if cfg is None:
         cfg = DEFAULT_CONFIG_1D
     _guard_exp_peak(abs(x) + 1.0, "alpha2_quadrature")
-    return converge(lambda n: kernels.alpha2_mean(float(x), n), cfg)
+    x = float(x)
+    return converge(
+        nested_node_mean(lambda n, fresh: kernels.alpha2_mean(x, n, fresh=fresh)), cfg
+    )
 
 
 def bessel_identity_check(
@@ -170,7 +174,10 @@ def bessel_identity_check(
     if cfg is None:
         cfg = DEFAULT_CONFIG_1D
     _guard_exp_peak(math.hypot(a, b), "bessel_identity_check")
-    lhs = converge(lambda n: kernels.bessel_mean(float(a), float(b), n), cfg)
+    a, b = float(a), float(b)
+    lhs = converge(
+        nested_node_mean(lambda n, fresh: kernels.bessel_mean(a, b, n, fresh=fresh)), cfg
+    )
     rhs = bessel_i0(math.hypot(a, b))
     return lhs.value.real, rhs.value.real
 
@@ -218,7 +225,13 @@ def alpha3_quadrature_real(
     if cfg is None:
         cfg = DEFAULT_CONFIG_2D
     _guard_exp_peak(abs(x) + 2.0, "alpha3_quadrature_real")
-    return converge(lambda n: kernels.alpha3_real_mean(float(x), n), cfg)
+    x = float(x)
+    return converge(
+        nested_node_mean(
+            lambda n, fresh: kernels.alpha3_real_mean(x, n, fresh=fresh), torus=True
+        ),
+        cfg,
+    )
 
 
 def alpha3_quadrature_complex(
@@ -232,7 +245,13 @@ def alpha3_quadrature_complex(
     if cfg is None:
         cfg = DEFAULT_CONFIG_2D
     _guard_exp_peak(abs(x) + 2.0, "alpha3_quadrature_complex")
-    return converge(lambda n: kernels.alpha3_complex_mean(float(x), n), cfg)
+    x = float(x)
+    return converge(
+        nested_node_mean(
+            lambda n, fresh: kernels.alpha3_complex_mean(x, n, fresh=fresh), torus=True
+        ),
+        cfg,
+    )
 
 
 def alpha_via_hadamard(
@@ -256,13 +275,15 @@ def alpha_via_hadamard(
         raise InvalidQueryError(f"x must be finite, got {x!r}")
     _guard_exp_peak(abs(x), "alpha_via_hadamard")
 
-    def node_mean(n: int) -> complex:
-        value, ok = kernels.exp_alpha_mean(x, s, n, _INNER_TOL, _INNER_MAX_TERMS)
+    def mean(n: int, fresh: bool) -> complex:
+        value, ok = kernels.exp_alpha_mean(
+            x, s, n, _INNER_TOL, _INNER_MAX_TERMS, fresh=fresh
+        )
         if not ok:
             # unreachable for |z| = 1 circle points; guards kernel misuse
             raise InvalidQueryError("inner series failed to converge")
         return value
 
-    result = converge(node_mean, cfg)
+    result = converge(nested_node_mean(mean), cfg)
     _check_imag(result.value, max(_IMAG_LIMIT_LIFT, 10.0 * cfg.tol), "alpha_via_hadamard")
     return result

@@ -4,6 +4,14 @@ The node average (1/N) sum_j f(2*pi*j/N) equals the normalized integral
 (1/2pi) int_0^{2pi} f, and converges geometrically for integrands analytic
 in a strip around the real axis, so plain node doubling with an empirical
 error estimate is all the control needed.
+
+The levels are nested: the nodes of level N are the even nodes of level 2N.
+Level 2N therefore evaluates only the nodes level N lacks (the odd j on the
+circle; the (j, k) with j or k odd on the torus) and combines their mean
+with the level-N mean, (prev + fresh)/2 on the circle and (prev + 3*fresh)/4
+on the torus.  This halves the integrand calls of a 1D ladder and saves a
+quarter of each torus level.  The error estimate is unchanged: est_error is
+still |value_N - value_{N/2}| between the last two levels.
 """
 
 from __future__ import annotations
@@ -79,24 +87,64 @@ def converge(node_mean: Callable[[int], complex], cfg: QuadratureConfig) -> Quad
         n, value = n2, value2
 
 
+def circle_nodes(n: int, fresh: bool = False) -> range:
+    """Indices j of the level-n nodes 2*pi*j/n; with fresh, only the odd j,
+    the nodes that level n/2 lacks."""
+    return range(1, n, 2) if fresh else range(n)
+
+
+def torus_rows(n: int, fresh: bool = False) -> list[tuple[int, range]]:
+    """Rows (j, ks) of the level-n torus grid, ascending in j; with fresh,
+    only the nodes with j or k odd, which level n/2 lacks."""
+    every = range(n)
+    odd = range(1, n, 2) if fresh else every
+    return [(j, every if j % 2 else odd) for j in every]
+
+
+def nested_node_mean(
+    mean: Callable[[int, bool], complex], torus: bool = False
+) -> Callable[[int], complex]:
+    """The node_mean for converge, reusing the previous level's mean.
+
+    mean(n, fresh) is the mean over the level-n nodes, or with fresh=True
+    over only the nodes level n/2 lacks.  When n is twice the previous
+    level, only those fresh nodes are evaluated.
+    """
+    last_n, last = 0, 0j
+
+    def node_mean(n: int) -> complex:
+        nonlocal last_n, last
+        if n == 2 * last_n:
+            fresh = mean(n, True)
+            value = (last + 3.0 * fresh) / 4.0 if torus else (last + fresh) / 2.0
+        else:
+            value = mean(n, False)
+        last_n, last = n, value
+        return value
+
+    return node_mean
+
+
 def trapezoid_periodic_1d(
     f: Callable[[float], complex],
     cfg: QuadratureConfig | None = None,
 ) -> QuadratureResult:
     """Normalized circle integral (1/2pi) int_0^{2pi} f(theta) dtheta.
 
-    Equal weights 1/N at theta_j = 2*pi*j/N; summed in ascending j.
+    Equal weights 1/N at theta_j = 2*pi*j/N; summed in ascending j, and
+    each level calls f only at the nodes the previous level lacks.
     """
     if cfg is None:
         cfg = DEFAULT_CONFIG_1D
 
-    def node_mean(n: int) -> complex:
+    def mean(n: int, fresh: bool) -> complex:
+        js = circle_nodes(n, fresh)
         total = 0j
-        for j in range(n):
+        for j in js:
             total += f((TWO_PI * j) / n)
-        return total / n
+        return total / len(js)
 
-    return converge(node_mean, cfg)
+    return converge(nested_node_mean(mean), cfg)
 
 
 def trapezoid_periodic_2d(
@@ -106,17 +154,20 @@ def trapezoid_periodic_2d(
     """Normalized torus integral (1/4pi^2) over [0,2pi)^2, tensor-product rule.
 
     Both dimensions share the same N and double together; nodes in the
-    result is the per-dimension count.  Summed ascending j then k.
+    result is the per-dimension count.  Summed ascending j then k, and each
+    level calls f only at the nodes the previous level lacks.
     """
     if cfg is None:
         cfg = DEFAULT_CONFIG_2D
 
-    def node_mean(n: int) -> complex:
+    def mean(n: int, fresh: bool) -> complex:
         total = 0j
-        for j in range(n):
+        count = 0
+        for j, ks in torus_rows(n, fresh):
             theta = (TWO_PI * j) / n
-            for k in range(n):
+            for k in ks:
                 total += f(theta, (TWO_PI * k) / n)
-        return total / (n * n)
+            count += len(ks)
+        return total / count
 
-    return converge(node_mean, cfg)
+    return converge(nested_node_mean(mean, torus=True), cfg)

@@ -92,32 +92,37 @@ def suite_ode(seed: int = 0) -> list[CaseResult]:
     return cases
 
 
-def _set_partitions_by_blocks(n: int) -> list[int]:
-    """Count set partitions of {0..n-1} by block count, via restricted
-    growth strings (exhaustive enumeration, the independent oracle)."""
-    counts = [0] * (n + 1)
-    if n == 0:
-        counts[0] = 1
-        return counts
-    rgs = [0] * n
+def _set_partitions_by_blocks(max_n: int) -> list[list[int]]:
+    """Count set partitions of {0..n-1} by block count for every n <= max_n.
 
-    def walk(i: int, max_used: int) -> None:
-        if i == n:
-            counts[max_used + 1] += 1
+    Row n, entry k counts the partitions with k blocks.  One exhaustive walk
+    over restricted growth strings (the independent oracle): every prefix
+    of a string is itself a complete string of its own length, so each node
+    of the walk is counted in the row of its length.
+    """
+    rows = [[0] * (n + 1) for n in range(max_n + 1)]
+    rows[0][0] = 1
+    if max_n == 0:
+        return rows
+
+    def walk(length: int, blocks: int) -> None:
+        rows[length][blocks] += 1
+        if length == max_n:
             return
-        for value in range(max_used + 2):
-            rgs[i] = value
-            walk(i + 1, max(max_used, value))
+        for _ in range(blocks):  # the next element joins an existing block
+            walk(length + 1, blocks)
+        walk(length + 1, blocks + 1)  # or opens a new one
 
-    walk(1, 0)
-    return counts
+    walk(1, 1)
+    return rows
 
 
 def suite_stirling_gf(seed: int = 0) -> list[CaseResult]:
     """Exhaustive partition counts plus the generating-function residual."""
     cases = []
+    table = _set_partitions_by_blocks(9)
     for n in range(1, 10):
-        enumerated = _set_partitions_by_blocks(n)
+        enumerated = table[n]
         worst = max(
             abs(stirling2(n, k) - enumerated[k]) for k in range(0, n + 1)
         )

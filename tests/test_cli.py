@@ -3,11 +3,13 @@
 from __future__ import annotations
 
 import json
+import os
 import subprocess
 import sys
 
 import pytest
 
+import alphafn
 from alphafn.cli import main
 
 I0_OF_2 = 2.2795853023360673
@@ -22,6 +24,19 @@ def run_cli(capsys, *argv):
 
 def printed_value(out: str) -> float:
     return float(out.splitlines()[0].split(" = ")[1])
+
+
+def run_module(*argv):
+    """`python -m alphafn.cli` in a child process that imports the same
+    alphafn package as these tests, installed or not."""
+    src = os.path.dirname(os.path.dirname(alphafn.__file__))
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    return subprocess.run(
+        [sys.executable, "-m", "alphafn.cli", *argv],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=path),
+    )
 
 
 class TestEval:
@@ -103,6 +118,15 @@ class TestCompare:
         code, out, _ = run_cli(capsys, "compare", "--x", "1", "--s", "3", "--tol", "1e-16")
         assert code == 1
         assert "passed = False" in out
+
+    def test_large_agreeing_values_pass(self, capsys):
+        # series and exp agree to ~1e-16 relative; the delta is judged
+        # against tolerance * max(1, max |value|), not absolutely
+        code, out, _ = run_cli(capsys, "compare", "--x", "20", "--s", "1", "--format", "json")
+        assert code == 0
+        report = json.loads(out)
+        assert report["passed"] is True
+        assert report["max_pairwise_delta"] > report["tolerance"]
 
     def test_flag_overrides_env(self, capsys, monkeypatch):
         monkeypatch.setenv("ALPHA_TOL", "1e-16")
@@ -227,18 +251,10 @@ class TestTable:
 
 class TestEntryPoint:
     def test_module_invocation(self):
-        proc = subprocess.run(
-            [sys.executable, "-m", "alphafn.cli", "verify", "--suite", "bessel_eq1"],
-            capture_output=True,
-            text=True,
-        )
+        proc = run_module("verify", "--suite", "bessel_eq1")
         assert proc.returncode == 0
         assert "failures=0" in proc.stdout
 
     def test_module_invocation_invalid(self):
-        proc = subprocess.run(
-            [sys.executable, "-m", "alphafn.cli", "eval", "--x", "1", "--s", "0"],
-            capture_output=True,
-            text=True,
-        )
+        proc = run_module("eval", "--x", "1", "--s", "0")
         assert proc.returncode == 2

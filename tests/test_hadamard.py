@@ -266,8 +266,8 @@ class TestIteratedLift:
 
 
 class TestExpRangeGuards:
-    """Inputs whose integrand would overflow doubles are rejected up front,
-    identically on both backends (C would silently produce inf)."""
+    """Inputs whose integrand would overflow doubles are rejected up front
+    with InvalidQueryError, not left to overflow inside a kernel."""
 
     def test_lift(self):
         with pytest.raises(InvalidQueryError):

@@ -1,4 +1,4 @@
-"""Backend parity: the compiled kernels must match the pure-Python twins."""
+"""The kernels against per-node compositions, and their nested levels."""
 
 from __future__ import annotations
 
@@ -8,22 +8,9 @@ import math
 import pytest
 
 from alphafn import _kernels_py
-
-try:
-    from alphafn import _kernels_cy
-except ImportError:
-    _kernels_cy = None
-
-requires_cython = pytest.mark.skipif(
-    _kernels_cy is None, reason="compiled kernels not built"
-)
+from alphafn.quadrature import nested_node_mean
 
 TWO_PI = 2.0 * math.pi
-
-SERIES_ARGS = [
-    (0j, 3), (1 + 0j, 1), (1 + 0j, 3), (-2 + 0j, 2),
-    (0.5 + 0.25j, 2), (-1.5 + 2j, 4), (3 + 0j, 1),
-]
 
 
 def close(a: complex, b: complex, tol: float = 1e-13) -> bool:
@@ -68,50 +55,30 @@ class TestPythonKernelsAgainstCompositions:
         assert math.isinf(tail)
 
 
-@requires_cython
-class TestBackendParity:
-    def test_alpha_sum(self):
-        for x, s in SERIES_ARGS:
-            py = _kernels_py.alpha_sum(x, s, 1e-13, 500)
-            cy = _kernels_cy.alpha_sum(x, s, 1e-13, 500)
-            assert close(py[0], cy[0], 1e-14), (x, s)
-            assert py[1] == cy[1]
-            assert math.isclose(py[2], cy[2], rel_tol=1e-12, abs_tol=1e-300)
-            assert py[3] == cy[3]
+# (name, mean(x, n, fresh), torus): the five mean kernels as node means of x
+MEAN_KERNELS = [
+    ("alpha2_mean", lambda x, n, fresh: _kernels_py.alpha2_mean(x, n, fresh=fresh), False),
+    ("bessel_mean", lambda x, n, fresh: _kernels_py.bessel_mean(x, 0.5, n, fresh=fresh), False),
+    ("alpha3_real_mean",
+     lambda x, n, fresh: _kernels_py.alpha3_real_mean(x, n, fresh=fresh), True),
+    ("alpha3_complex_mean",
+     lambda x, n, fresh: _kernels_py.alpha3_complex_mean(x, n, fresh=fresh), True),
+    ("exp_alpha_mean",
+     lambda x, n, fresh: _kernels_py.exp_alpha_mean(x, 3, n, 1e-15, 500, fresh=fresh)[0],
+     False),
+]
 
-    def test_alpha_deriv_sum(self):
-        for x, s in SERIES_ARGS:
-            for k in (0, 1, 2, 4):
-                py = _kernels_py.alpha_deriv_sum(x, s, k, 1e-13, 500)
-                cy = _kernels_cy.alpha_deriv_sum(x, s, k, 1e-13, 500)
-                assert close(py[0], cy[0], 1e-14), (x, s, k)
-                assert py[1] == cy[1]
 
-    def test_means(self):
-        for n in (16, 32):
-            for x in (-1.0, 0.5, 2.0):
-                assert close(
-                    _kernels_py.alpha2_mean(x, n), _kernels_cy.alpha2_mean(x, n), 1e-14
-                )
-                assert close(
-                    _kernels_py.alpha3_real_mean(x, n),
-                    _kernels_cy.alpha3_real_mean(x, n),
-                    1e-14,
-                )
-                assert close(
-                    _kernels_py.alpha3_complex_mean(x, n),
-                    _kernels_cy.alpha3_complex_mean(x, n),
-                    1e-14,
-                )
-        assert close(
-            _kernels_py.bessel_mean(3.0, 4.0, 64),
-            _kernels_cy.bessel_mean(3.0, 4.0, 64),
-            1e-14,
-        )
+class TestNestedLevels:
+    """Level n built from level n/2 plus the fresh nodes equals the plain
+    mean over all n nodes."""
 
-    def test_exp_alpha_mean(self):
-        for s in (2, 3, 4):
-            py, ok_py = _kernels_py.exp_alpha_mean(1.0, s, 32, 1e-15, 500)
-            cy, ok_cy = _kernels_cy.exp_alpha_mean(1.0, s, 32, 1e-15, 500)
-            assert ok_py and ok_cy
-            assert close(py, cy, 1e-14)
+    @pytest.mark.parametrize("name, mean, torus", MEAN_KERNELS, ids=[k[0] for k in MEAN_KERNELS])
+    def test_nested_level_equals_full_sum(self, name, mean, torus):
+        for n in (16, 32, 64):
+            for x in (-2.0, -0.5, 0.75, 1.0, 3.0):
+                node_mean = nested_node_mean(lambda m, fresh: mean(x, m, fresh), torus)
+                node_mean(n // 2)
+                nested = node_mean(n)
+                full = mean(x, n, False)
+                assert abs(nested - full) <= 1e-14 * abs(full), (name, n, x, nested, full)

@@ -13,6 +13,7 @@ from alphafn import (
     stirling2,
     stirling_genfunc_residual,
 )
+from alphafn.verify import _set_partitions_by_blocks
 
 BELL = [1, 1, 2, 5, 15, 52, 203, 877, 4140, 21147, 115975, 678570, 4213597]
 
@@ -149,3 +150,9 @@ class TestOdeResidual:
             for x in (-2.0, -0.5, 0.0, 0.5, 1.0, 2.0):
                 bound = 100.0 * tol * alpha_series(abs(x), 1).value.real
                 assert abs(ode_residual(x, s, tol)) <= bound, (s, x)
+
+
+class TestPartitionWalk:
+    def test_row_sums_are_bell_numbers(self):
+        rows = _set_partitions_by_blocks(9)
+        assert [sum(row) for row in rows] == BELL[:10]
