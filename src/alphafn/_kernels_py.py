@@ -9,6 +9,13 @@ equal-weight average of an integrand over ``n`` uniformly spaced circle
 order for reproducibility.  With ``fresh=True`` they average over only the
 nodes that level ``n/2`` lacks, for the nested ladder of
 `alphafn.quadrature.nested_node_mean`.
+
+The torus kernels build one trig table per call, ``cos`` and ``sin`` of
+``(TWO_PI * k) / n`` for k < n, and read both the row angle and the node
+angle from it; the row constants are formed once per row.  Each expression
+keeps its order of operations and the sum its order, so the results are
+the same doubles as evaluating the integrand node by node.  The table lives
+only for the call: no state is kept between calls.
 """
 
 import cmath
@@ -73,10 +80,12 @@ def alpha_deriv_sum(x, s, k, tol, max_terms):
 def alpha2_mean(x, n, fresh=False):
     """Circle mean of exp((x+1)cos t)*cos((x-1)sin t) over n nodes."""
     js = circle_nodes(n, fresh)
+    xp1 = x + 1.0
+    xm1 = x - 1.0
     total = 0.0
     for j in js:
         t = (TWO_PI * j) / n
-        total += math.exp((x + 1.0) * math.cos(t)) * math.cos((x - 1.0) * math.sin(t))
+        total += math.exp(xp1 * math.cos(t)) * math.cos(xm1 * math.sin(t))
     return total / len(js)
 
 
@@ -90,6 +99,12 @@ def bessel_mean(a, b, n, fresh=False):
     return total / len(js)
 
 
+def _trig_table(n):
+    """cos and sin of the level-n angles (TWO_PI * k) / n, k < n."""
+    angles = [(TWO_PI * k) / n for k in range(n)]
+    return [math.cos(t) for t in angles], [math.sin(t) for t in angles]
+
+
 def alpha3_real_mean(x, n, fresh=False):
     """Torus mean of the expanded real integrand for the s=3 identity.
 
@@ -97,18 +112,19 @@ def alpha3_real_mean(x, n, fresh=False):
       [cos(x sin th - sin th cos t) cos(cos th sin t - sin t) cosh(sin th sin t)
        - sin(x sin th - sin th cos t) sin(cos th sin t - sin t) sinh(sin th sin t)]
     """
+    cos_t, sin_t = _trig_table(n)
     total = 0.0
     count = 0
     for j, ks in torus_rows(n, fresh):
-        th = (TWO_PI * j) / n
-        cth = math.cos(th)
-        sth = math.sin(th)
+        cth = cos_t[j]
+        sth = sin_t[j]
+        x_cth = x * cth
+        x_sth = x * sth
         for kk in ks:
-            t = (TWO_PI * kk) / n
-            ct = math.cos(t)
-            st = math.sin(t)
-            common = math.exp(x * cth + cth * ct + ct)
-            a1 = x * sth - sth * ct
+            ct = cos_t[kk]
+            st = sin_t[kk]
+            common = math.exp(x_cth + cth * ct + ct)
+            a1 = x_sth - sth * ct
             a2 = cth * st - st
             a3 = sth * st
             total += common * (
@@ -121,18 +137,17 @@ def alpha3_real_mean(x, n, fresh=False):
 
 def alpha3_complex_mean(x, n, fresh=False):
     """Torus mean of exp(x e^{i th}) exp((e^{-i th}+1)cos t) cos((e^{-i th}-1)sin t)."""
+    cos_t, sin_t = _trig_table(n)
     total = 0j
     count = 0
     for j, ks in torus_rows(n, fresh):
-        th = (TWO_PI * j) / n
-        eith = complex(math.cos(th), math.sin(th))
+        eith = complex(cos_t[j], sin_t[j])
         emith = eith.conjugate()
         f1 = cmath.exp(x * eith)
+        emith_p1 = emith + 1.0
+        emith_m1 = emith - 1.0
         for kk in ks:
-            t = (TWO_PI * kk) / n
-            ct = math.cos(t)
-            st = math.sin(t)
-            total += f1 * cmath.exp((emith + 1.0) * ct) * cmath.cos((emith - 1.0) * st)
+            total += f1 * cmath.exp(emith_p1 * cos_t[kk]) * cmath.cos(emith_m1 * sin_t[kk])
         count += len(ks)
     return total / count
 

@@ -21,7 +21,7 @@ from .errors import (
     NonConvergenceError,
     ToleranceNotReachedError,
 )
-from .report import compare_methods, evaluate_method
+from .report import _cfg_1d, compare_methods, evaluate_method
 from .verify import run_suite
 
 EXIT_OK = 0
@@ -110,7 +110,6 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 def cmd_table(args: argparse.Namespace) -> int:
     from .hadamard import alpha_via_hadamard
-    from .quadrature import DEFAULT_CONFIG_1D, QuadratureConfig
     from .series import alpha_series
 
     if args.steps < 1:
@@ -119,10 +118,7 @@ def cmd_table(args: argparse.Namespace) -> int:
         raise InvalidQueryError(
             f"--x-min ({args.x_min!r}) must not exceed --x-max ({args.x_max!r})"
         )
-    tol = _resolve_tol(args.tol)
-    cfg = DEFAULT_CONFIG_1D
-    if tol is not None:
-        cfg = QuadratureConfig(cfg.initial_nodes, cfg.max_nodes, tol)
+    cfg = _cfg_1d(_resolve_tol(args.tol))
     if args.steps == 1:
         grid = [args.x_min]
     else:

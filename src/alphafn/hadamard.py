@@ -43,6 +43,11 @@ _EXP_PEAK_LIMIT = 700.0
 
 
 def _guard_exp_peak(peak: float, route: str) -> None:
+    if not math.isfinite(peak):
+        raise InvalidQueryError(
+            f"{route}: integrand peak exp({peak!r}) is not finite; "
+            "the arguments must be finite"
+        )
     if peak > _EXP_PEAK_LIMIT:
         raise InvalidQueryError(
             f"{route}: integrand peak exp({peak:.1f}) exceeds the "
@@ -78,11 +83,13 @@ class AnalyticFunction:
     @classmethod
     def from_coefficients(cls, coefficients: list[float]) -> "AnalyticFunction":
         """Polynomial with the given real coefficients (radius infinite)."""
-        coeffs = [float(c) for c in coefficients]
+        # leading coefficient first; no coefficients is the zero polynomial
+        leading_first = [float(c) for c in coefficients][::-1] or [0.0]
+        lead, rest = complex(leading_first[0]), leading_first[1:]
 
         def evaluate(z: complex) -> complex:
-            acc = 0j
-            for c in reversed(coeffs):
+            acc = lead
+            for c in rest:
                 acc = acc * z + c
             return acc
 

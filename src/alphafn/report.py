@@ -7,6 +7,7 @@ from dataclasses import dataclass
 
 from .errors import InvalidQueryError
 from .hadamard import (
+    _guard_exp_peak,
     alpha2_quadrature,
     alpha3_quadrature_complex,
     alpha3_quadrature_real,
@@ -91,6 +92,7 @@ def evaluate_method(
             )
         cfg = _cfg_1d(tol)
         a = 2.0 * math.sqrt(x)
+        _guard_exp_peak(a, "bessel")
         q = converge(
             nested_node_mean(lambda n, fresh: kernels.bessel_mean(a, 0.0, n, fresh=fresh)),
             cfg,

@@ -95,25 +95,27 @@ def suite_ode(seed: int = 0) -> list[CaseResult]:
 def _set_partitions_by_blocks(max_n: int) -> list[list[int]]:
     """Count set partitions of {0..n-1} by block count for every n <= max_n.
 
-    Row n, entry k counts the partitions with k blocks.  One exhaustive walk
-    over restricted growth strings (the independent oracle): every prefix
-    of a string is itself a complete string of its own length, so each node
-    of the walk is counted in the row of its length.
+    Row n, entry k counts the partitions with k blocks.  The independent
+    oracle is an exhaustive walk over restricted growth strings, one length
+    at a time: each string of the current length is kept as one list entry,
+    its block count b, and is counted in row[b] of its length.  A string with
+    b blocks has b + 1 extensions (the next element joins one of its b
+    blocks or opens a new one), so the next level holds [b] * b + [b + 1]
+    for each entry.
     """
     rows = [[0] * (n + 1) for n in range(max_n + 1)]
     rows[0][0] = 1
-    if max_n == 0:
-        return rows
-
-    def walk(length: int, blocks: int) -> None:
-        rows[length][blocks] += 1
-        if length == max_n:
-            return
-        for _ in range(blocks):  # the next element joins an existing block
-            walk(length + 1, blocks)
-        walk(length + 1, blocks + 1)  # or opens a new one
-
-    walk(1, 1)
+    level = [1]  # the one string of length 1
+    for length in range(1, max_n + 1):
+        row = rows[length]
+        for blocks in level:
+            row[blocks] += 1
+        if length < max_n:
+            longer = []
+            for blocks in level:
+                longer += [blocks] * blocks
+                longer.append(blocks + 1)
+            level = longer
     return rows
 
 

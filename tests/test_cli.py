@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import math
 import os
 import subprocess
 import sys
@@ -11,6 +12,8 @@ import pytest
 
 import alphafn
 from alphafn.cli import main
+from alphafn.errors import InvalidQueryError
+from alphafn.report import evaluate_method
 
 I0_OF_2 = 2.2795853023360673
 ALPHA_1_3 = 2.1297025489833064
@@ -74,6 +77,19 @@ class TestEval:
     def test_bessel_needs_nonnegative_x(self, capsys):
         code, _, _ = run_cli(capsys, "eval", "--x", "-1", "--s", "2", "--method", "bessel")
         assert code == 2
+
+    @pytest.mark.parametrize("x", ["nan", "inf", "1e6"])
+    def test_bessel_rejects_unrepresentable_x(self, capsys, x):
+        # rejected up front: no ladder run (exit 3) and no OverflowError traceback
+        code, _, err = run_cli(capsys, "eval", "--x", x, "--s", "2", "--method", "bessel")
+        assert code == 2
+        assert err.startswith("error: bessel: ")
+        assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("x", [math.nan, math.inf, 1e6])
+    def test_bessel_library_rejects_unrepresentable_x(self, x):
+        with pytest.raises(InvalidQueryError):
+            evaluate_method(x, 2, "bessel")
 
     def test_nonconvergence_exits_3(self, capsys):
         code, _, err = run_cli(capsys, "eval", "--x", "300", "--s", "1")

@@ -52,6 +52,13 @@ class TestAnalyticFunction:
         direct = sum(c * z**n for n, c in enumerate(coeffs))
         assert abs(poly(z) - direct) < 1e-14
 
+    def test_empty_and_constant_polynomials(self):
+        empty = AnalyticFunction.from_coefficients([])
+        constant = AnalyticFunction.from_coefficients([-2.5])
+        for z in (0j, 0.3 - 0.7j, -4.0 + 0j):
+            assert empty(z) == 0j
+            assert constant(z) == -2.5
+
     def test_real_coefficient_contract(self):
         rng = random.Random(5)
         poly = AnalyticFunction.from_coefficients(
@@ -286,3 +293,11 @@ class TestExpRangeGuards:
     def test_bessel(self):
         with pytest.raises(InvalidQueryError):
             bessel_identity_check(800.0, 0.0)
+
+    @pytest.mark.parametrize("x", [math.nan, math.inf, -math.inf])
+    def test_non_finite_x(self, x):
+        for route in (alpha2_quadrature, alpha3_quadrature_real, alpha3_quadrature_complex):
+            with pytest.raises(InvalidQueryError, match="not finite"):
+                route(x)
+        with pytest.raises(InvalidQueryError, match="not finite"):
+            bessel_identity_check(x, 0.0)

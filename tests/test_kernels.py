@@ -8,7 +8,8 @@ import math
 import pytest
 
 from alphafn import _kernels_py
-from alphafn.quadrature import nested_node_mean
+from alphafn.hadamard import alpha3_integrand_complex, alpha3_integrand_real
+from alphafn.quadrature import nested_node_mean, torus_rows
 
 TWO_PI = 2.0 * math.pi
 
@@ -82,3 +83,24 @@ class TestNestedLevels:
                 nested = node_mean(n)
                 full = mean(x, n, False)
                 assert abs(nested - full) <= 1e-14 * abs(full), (name, n, x, nested, full)
+
+
+class TestTorusKernelsExact:
+    """The torus kernels equal the ascending-order node sum of the scalar
+    integrand exactly: the per-call trig table and the per-row constants
+    change no double."""
+
+    @pytest.mark.parametrize("kernel, integrand, zero", [
+        (_kernels_py.alpha3_real_mean, alpha3_integrand_real, 0.0),
+        (_kernels_py.alpha3_complex_mean, alpha3_integrand_complex, 0j),
+    ], ids=["real", "complex"])
+    def test_mean_equals_integrand_node_sum(self, kernel, integrand, zero):
+        for n in (16, 32, 64):
+            for fresh in (False, True):
+                for x in (-7.5, -2.0, -0.5, 0.0, 0.75, 1.0, 3.0, 7.25):
+                    total, count = zero, 0
+                    for j, ks in torus_rows(n, fresh):
+                        for k in ks:
+                            total += integrand(x, (TWO_PI * j) / n, (TWO_PI * k) / n)
+                        count += len(ks)
+                    assert kernel(x, n, fresh) == total / count, (n, fresh, x)
