@@ -2,8 +2,9 @@
 
 Everything here is scalar double-precision Python arithmetic.
 
-Series kernels return ``(value, terms_used, tail_bound, converged)`` and
-never raise; the callers own the error contract.  Mean kernels return the
+Series kernels return ``(value, terms_used, tail_bound, abs_sum,
+converged)``, abs_sum being the sum of the magnitudes of the added terms,
+and never raise; the callers own the error contract.  Mean kernels return the
 equal-weight average of an integrand over ``n`` uniformly spaced circle
 (or torus) nodes ``theta_j = 2*pi*j/n``, accumulated in ascending node
 order for reproducibility.  With ``fresh=True`` they average over only the
@@ -38,16 +39,18 @@ def alpha_sum(x, s, tol, max_terms):
     x = complex(x)
     ax = abs(x)
     total = 0j
+    abs_sum = 0.0
     term = 1 + 0j
     for n in range(max_terms):
         total += term
         t_mag = abs(term)
+        abs_sum += t_mag
         den = math.pow(n + 1, s)
         r = ax / den
         if r <= 0.5 and t_mag * r <= tol:
-            return total, n + 1, t_mag * r / (1.0 - r), True
+            return total, n + 1, t_mag * r / (1.0 - r), abs_sum, True
         term = term * x / den
-    return total, max_terms, math.inf, False
+    return total, max_terms, math.inf, abs_sum, False
 
 
 def alpha_deriv_sum(x, s, k, tol, max_terms):
@@ -63,18 +66,20 @@ def alpha_deriv_sum(x, s, k, tol, max_terms):
     for i in range(1, k + 1):
         c *= math.pow(i, 1 - s)
     total = 0j
+    abs_sum = 0.0
     term = complex(c, 0.0)
     n = k
     for _ in range(max_terms):
         total += term
         t_mag = abs(term)
+        abs_sum += t_mag
         factor = (n + 1) / ((n + 1 - k) * math.pow(n + 1, s))
         r = ax * factor
         if r <= 0.5 and t_mag * r <= tol:
-            return total, n - k + 1, t_mag * r / (1.0 - r), True
+            return total, n - k + 1, t_mag * r / (1.0 - r), abs_sum, True
         term = term * x * factor
         n += 1
-    return total, max_terms, math.inf, False
+    return total, max_terms, math.inf, abs_sum, False
 
 
 def alpha2_mean(x, n, fresh=False):
@@ -163,7 +168,7 @@ def exp_alpha_mean(x, s, n, tol, max_terms, fresh=False):
     for j in js:
         th = (TWO_PI * j) / n
         eith = complex(math.cos(th), math.sin(th))
-        inner, _, _, ok = alpha_sum(eith.conjugate(), s - 1, tol, max_terms)
+        inner, _, _, _, ok = alpha_sum(eith.conjugate(), s - 1, tol, max_terms)
         if not ok:
             return 0j, False
         total += cmath.exp(x * eith) * inner

@@ -1,7 +1,8 @@
 """Command-line frontend: evaluate, cross-compare, verify, and tabulate.
 
 Exit codes: 0 success, 1 a comparison or verification failed, 2 invalid
-query or domain violation, 3 a series or quadrature failed to converge.
+query, domain violation or unwritable --output, 3 a series or quadrature
+failed to converge.
 Tolerance precedence: --tol flag, then the ALPHA_TOL environment variable,
 then built-in defaults.  All output is deterministic for fixed flags and
 seed; floats are printed with repr (shortest lossless form).
@@ -21,7 +22,7 @@ from .errors import (
     NonConvergenceError,
     ToleranceNotReachedError,
 )
-from .report import _cfg_1d, compare_methods, evaluate_method
+from .report import METHODS, compare_methods, evaluate_method
 from .verify import run_suite
 
 EXIT_OK = 0
@@ -51,18 +52,21 @@ def _resolve_tol(flag_value: float | None) -> float | None:
 def _emit(text: str, output: str | None) -> None:
     if output is None:
         sys.stdout.write(text)
-    else:
+        return
+    try:
         with open(output, "w", encoding="utf-8", newline="") as handle:
             handle.write(text)
+    except OSError as exc:
+        raise InvalidQueryError(
+            f"cannot write --output {output!r}: {exc.strerror or exc}"
+        ) from exc
 
 
 def cmd_eval(args: argparse.Namespace) -> int:
     tol = _resolve_tol(args.tol)
-    value, info = evaluate_method(args.x, args.s, args.method, tol)
-    lines = [f"alpha(x={args.x!r}, s={args.s}) [{args.method}] = {value!r}"]
-    for key in ("terms_used", "tail_bound", "nodes", "est_error"):
-        if key in info:
-            lines.append(f"{key} = {info[key]!r}")
+    result = evaluate_method(args.x, args.s, args.method, tol)
+    lines = [f"alpha(x={args.x!r}, s={args.s}) [{args.method}] = {result.value!r}"]
+    lines += [f"{key} = {value!r}" for key, value in result.info.items()]
     _emit("\n".join(lines) + "\n", args.output)
     return EXIT_OK
 
@@ -109,16 +113,13 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 def cmd_table(args: argparse.Namespace) -> int:
-    from .hadamard import alpha_via_hadamard
-    from .series import alpha_series
-
     if args.steps < 1:
         raise InvalidQueryError(f"--steps must be >= 1, got {args.steps}")
     if args.x_min > args.x_max:
         raise InvalidQueryError(
             f"--x-min ({args.x_min!r}) must not exceed --x-max ({args.x_max!r})"
         )
-    cfg = _cfg_1d(_resolve_tol(args.tol))
+    tol = _resolve_tol(args.tol)
     if args.steps == 1:
         grid = [args.x_min]
     else:
@@ -126,9 +127,9 @@ def cmd_table(args: argparse.Namespace) -> int:
         grid = [args.x_min + i * span / (args.steps - 1) for i in range(args.steps)]
 
     rows = []
-    for x in grid:
-        a = alpha_series(x, args.s).value.real
-        h = alpha_via_hadamard(x, args.s, cfg).value.real
+    for x in grid:  # --tol is the lift's ladder tolerance; the series keeps its default
+        a = evaluate_method(x, args.s, "series").value
+        h = evaluate_method(x, args.s, "hadamard", tol).value
         rows.append((x, a, h, abs(a - h)))
 
     if args.format == "csv":
@@ -167,9 +168,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval = sub.add_parser("eval", help="evaluate alpha(x, s) by one method")
     p_eval.add_argument("--x", type=float, required=True)
     p_eval.add_argument("--s", type=int, required=True)
-    p_eval.add_argument(
-        "--method", choices=("series", "hadamard", "bessel"), default="series"
-    )
+    p_eval.add_argument("--method", choices=tuple(METHODS), default="series")
     p_eval.add_argument("--tol", type=float, default=None)
     p_eval.add_argument("--output", default=None)
     p_eval.set_defaults(func=cmd_eval)

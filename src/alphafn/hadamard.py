@@ -54,6 +54,21 @@ def _guard_exp_peak(peak: float, route: str) -> None:
             "double-precision range; use alpha_series instead"
         )
 
+
+def _ladder(
+    route: str, peak: float, cfg: QuadratureConfig | None,
+    kernel: Callable[..., complex], *args: float, torus: bool = False,
+) -> QuadratureResult:
+    """Guard the integrand's exp peak, then run the nested ladder on the
+    means kernel(*args, n, fresh=fresh); cfg None means the circle or torus
+    default.  The callers look kernel up on `kernels` at call time."""
+    _guard_exp_peak(peak, route)
+    if cfg is None:
+        cfg = DEFAULT_CONFIG_2D if torus else DEFAULT_CONFIG_1D
+    return converge(
+        nested_node_mean(lambda n, fresh: kernel(*args, n, fresh=fresh), torus), cfg
+    )
+
 # Promised ceilings for the imaginary residue of results that are real in
 # exact arithmetic.  Scaled up for user configs looser than the defaults:
 # the residue cannot be certified below the quadrature tolerance itself.
@@ -159,13 +174,8 @@ def alpha2_quadrature(
     x: float, cfg: QuadratureConfig | None = None
 ) -> QuadratureResult:
     """alpha(x, 2) as the circle mean of alpha2_integrand."""
-    if cfg is None:
-        cfg = DEFAULT_CONFIG_1D
-    _guard_exp_peak(abs(x) + 1.0, "alpha2_quadrature")
     x = float(x)
-    return converge(
-        nested_node_mean(lambda n, fresh: kernels.alpha2_mean(x, n, fresh=fresh)), cfg
-    )
+    return _ladder("alpha2_quadrature", abs(x) + 1.0, cfg, kernels.alpha2_mean, x)
 
 
 def bessel_identity_check(
@@ -178,13 +188,9 @@ def bessel_identity_check(
     Returns (quadrature lhs, series rhs); the window [0, 2pi) replaces the
     symmetric one by periodicity.
     """
-    if cfg is None:
-        cfg = DEFAULT_CONFIG_1D
-    _guard_exp_peak(math.hypot(a, b), "bessel_identity_check")
     a, b = float(a), float(b)
-    lhs = converge(
-        nested_node_mean(lambda n, fresh: kernels.bessel_mean(a, b, n, fresh=fresh)), cfg
-    )
+    lhs = _ladder("bessel_identity_check", math.hypot(a, b), cfg,
+                  kernels.bessel_mean, a, b)
     rhs = bessel_i0(math.hypot(a, b))
     return lhs.value.real, rhs.value.real
 
@@ -229,16 +235,9 @@ def alpha3_quadrature_real(
     x: float, cfg: QuadratureConfig | None = None
 ) -> QuadratureResult:
     """alpha(x, 3) as the torus mean of the expanded real integrand."""
-    if cfg is None:
-        cfg = DEFAULT_CONFIG_2D
-    _guard_exp_peak(abs(x) + 2.0, "alpha3_quadrature_real")
     x = float(x)
-    return converge(
-        nested_node_mean(
-            lambda n, fresh: kernels.alpha3_real_mean(x, n, fresh=fresh), torus=True
-        ),
-        cfg,
-    )
+    return _ladder("alpha3_quadrature_real", abs(x) + 2.0, cfg,
+                   kernels.alpha3_real_mean, x, torus=True)
 
 
 def alpha3_quadrature_complex(
@@ -249,16 +248,9 @@ def alpha3_quadrature_complex(
     The imaginary part of the returned value is the torus average of the
     integrand's imaginary component and is reported, not dropped.
     """
-    if cfg is None:
-        cfg = DEFAULT_CONFIG_2D
-    _guard_exp_peak(abs(x) + 2.0, "alpha3_quadrature_complex")
     x = float(x)
-    return converge(
-        nested_node_mean(
-            lambda n, fresh: kernels.alpha3_complex_mean(x, n, fresh=fresh), torus=True
-        ),
-        cfg,
-    )
+    return _ladder("alpha3_quadrature_complex", abs(x) + 2.0, cfg,
+                   kernels.alpha3_complex_mean, x, torus=True)
 
 
 def alpha_via_hadamard(
@@ -280,7 +272,6 @@ def alpha_via_hadamard(
     x = float(x)
     if not math.isfinite(x):
         raise InvalidQueryError(f"x must be finite, got {x!r}")
-    _guard_exp_peak(abs(x), "alpha_via_hadamard")
 
     def mean(n: int, fresh: bool) -> complex:
         value, ok = kernels.exp_alpha_mean(
@@ -291,6 +282,6 @@ def alpha_via_hadamard(
             raise InvalidQueryError("inner series failed to converge")
         return value
 
-    result = converge(nested_node_mean(mean), cfg)
+    result = _ladder("alpha_via_hadamard", abs(x), cfg, mean)
     _check_imag(result.value, max(_IMAG_LIMIT_LIFT, 10.0 * cfg.tol), "alpha_via_hadamard")
     return result

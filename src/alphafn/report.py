@@ -1,19 +1,21 @@
-"""Cross-method evaluation reports backing the CLI `eval` and `compare` commands."""
+"""Cross-method evaluation reports backing the CLI `eval`, `compare` and
+`table` commands, all three read from one table of routes."""
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
+from typing import Callable, NamedTuple
 
 from .errors import InvalidQueryError
 from .hadamard import (
-    _guard_exp_peak,
+    _ladder,
     alpha2_quadrature,
     alpha3_quadrature_complex,
     alpha3_quadrature_real,
     alpha_via_hadamard,
 )
-from .quadrature import DEFAULT_CONFIG_1D, QuadratureConfig, converge, nested_node_mean
+from .quadrature import DEFAULT_CONFIG_1D, QuadratureConfig
 from .series import DEFAULT_TOL, AlphaQuery, alpha_series
 from .backend import kernels
 
@@ -24,11 +26,18 @@ QUOTED_0F2_VALUE = 1.1297
 
 @dataclass(frozen=True)
 class MethodValue:
-    """One evaluation route: its value and an error bound or estimate."""
+    """One evaluation route: its value and an error bound or estimate.
+
+    info is the route's cost and error metadata that `eval` prints:
+    terms_used/tail_bound/rounding_bound for the series (its error is the
+    sum of the two bounds), nodes/est_error for the quadrature-backed
+    routes.  It stays out of equality and the JSON.
+    """
 
     name: str
     value: float
     error: float
+    info: dict = field(default_factory=dict, compare=False)
 
 
 @dataclass(frozen=True)
@@ -56,53 +65,16 @@ class ComparisonReport:
         }
 
 
-def evaluate_method(
-    x: float,
-    s: int,
-    method: str,
-    tol: float | None = None,
-) -> tuple[float, dict]:
-    """Evaluate alpha(x, s) by one named route.
+class Route(NamedTuple):
+    """One route: refuse(x, s) is the InvalidQueryError message where it
+    does not apply (None where it does); run(x, s, tol) returns (value,
+    error, info), tol None meaning the route's defaults.  method is its
+    `eval --method` name, None for a route only `compare` runs."""
 
-    Returns (value, info) where info carries the route's cost and error
-    metadata: terms_used/tail_bound for the series, nodes/est_error for
-    the quadrature-backed routes.
-    """
-    if method == "series":
-        res = alpha_series(x, s, tol if tol is not None else DEFAULT_TOL)
-        return res.value.real, {
-            "method": "series",
-            "terms_used": res.terms_used,
-            "tail_bound": res.tail_bound,
-        }
-    if method == "hadamard":
-        cfg = _cfg_1d(tol)
-        q = alpha_via_hadamard(x, s, cfg)
-        return q.value.real, {
-            "method": "hadamard",
-            "nodes": q.nodes,
-            "est_error": q.est_error,
-        }
-    if method == "bessel":
-        if s != 2:
-            raise InvalidQueryError("method 'bessel' is only valid for s = 2")
-        if x < 0:
-            raise InvalidQueryError(
-                "method 'bessel' needs x >= 0 (argument of I0 is 2*sqrt(x))"
-            )
-        cfg = _cfg_1d(tol)
-        a = 2.0 * math.sqrt(x)
-        _guard_exp_peak(a, "bessel")
-        q = converge(
-            nested_node_mean(lambda n, fresh: kernels.bessel_mean(a, 0.0, n, fresh=fresh)),
-            cfg,
-        )
-        return q.value.real, {
-            "method": "bessel",
-            "nodes": q.nodes,
-            "est_error": q.est_error,
-        }
-    raise InvalidQueryError(f"unknown method {method!r}")
+    name: str
+    method: str | None
+    refuse: Callable[[float, int], str | None]
+    run: Callable[[float, int, float | None], tuple[float, float, dict]]
 
 
 def _cfg_1d(tol: float | None) -> QuadratureConfig:
@@ -110,19 +82,82 @@ def _cfg_1d(tol: float | None) -> QuadratureConfig:
         return DEFAULT_CONFIG_1D
     if not tol > 0:
         raise InvalidQueryError(f"tolerance must be positive, got {tol!r}")
-    return QuadratureConfig(
-        initial_nodes=DEFAULT_CONFIG_1D.initial_nodes,
-        max_nodes=DEFAULT_CONFIG_1D.max_nodes,
-        tol=tol,
-    )
+    return replace(DEFAULT_CONFIG_1D, tol=tol)
+
+
+def _only_s(k: int) -> Callable[[float, int], str | None]:
+    return lambda x, s: None if s == k else f"route only valid for s = {k}"
+
+
+def _refuse_bessel(x: float, s: int) -> str | None:
+    if s != 2:
+        return "method 'bessel' is only valid for s = 2"
+    if x < 0:
+        return "method 'bessel' needs x >= 0 (argument of I0 is 2*sqrt(x))"
+    return None
+
+
+def _refuse_lift(x: float, s: int) -> str | None:
+    if isinstance(s, int) and s >= 2:
+        return None
+    return f"the lift needs integer s >= 2, got {s!r}"
+
+
+def _series(x, s, tol):
+    res = alpha_series(x, s, DEFAULT_TOL if tol is None else tol)
+    info = {"terms_used": res.terms_used, "tail_bound": res.tail_bound,
+            "rounding_bound": res.rounding_bound}
+    return res.value.real, res.tail_bound + res.rounding_bound, info
+
+
+def _quadrature(q, **info):
+    return q.value.real, q.est_error, dict(nodes=q.nodes, est_error=q.est_error, **info)
+
+
+def _torus_complex(x, s, tol):
+    q = alpha3_quadrature_complex(x)
+    return _quadrature(q, imag=q.value.imag)
+
+
+def _bessel(x, s, tol):
+    a = 2.0 * math.sqrt(x)  # alpha(x, 2) = I0(a), the circle mean of exp(a cos t)
+    return _quadrature(_ladder("bessel", a, _cfg_1d(tol), kernels.bessel_mean, a, 0.0))
+
+
+# Every route, in the order compare lists them.  The entries hold only the
+# helpers above and lambdas, which look the public routes and `kernels` up
+# by name at call time: rebinding such a name (as a tracer does) reaches
+# every caller of the table.
+ROUTES = (
+    Route("series", "series", lambda x, s: None, _series),
+    Route("exp-closed-form", None, _only_s(1), lambda x, s, tol: (math.exp(x), 0.0, {})),
+    Route("alpha2-closed-form", None, _only_s(2),
+          lambda x, s, tol: _quadrature(alpha2_quadrature(x))),
+    Route("bessel", "bessel", _refuse_bessel, _bessel),
+    Route("hadamard-2d-complex", None, _only_s(3), _torus_complex),
+    Route("hadamard-2d-real", None, _only_s(3),
+          lambda x, s, tol: _quadrature(alpha3_quadrature_real(x))),
+    Route("hadamard-iterated", "hadamard", _refuse_lift,
+          lambda x, s, tol: _quadrature(alpha_via_hadamard(x, s, _cfg_1d(tol)))),
+)
+METHODS = {route.method: route for route in ROUTES if route.method is not None}
+
+
+def evaluate_method(x: float, s: int, method: str, tol: float | None = None) -> MethodValue:
+    """Evaluate alpha(x, s) by the route named method in `eval`."""
+    route = METHODS.get(method)
+    if route is None:
+        raise InvalidQueryError(f"unknown method {method!r}")
+    reason = route.refuse(x, s)
+    if reason is not None:
+        raise InvalidQueryError(reason)
+    return MethodValue(route.name, *route.run(x, s, tol))
 
 
 def compare_methods(x: float, s: int, tolerance: float = 1e-8) -> ComparisonReport:
-    """Run every route applicable to (x, s) and report pairwise agreement.
+    """Run every route of ROUTES that applies to (x, s), in table order,
+    and report pairwise agreement.
 
-    Routes: direct series always; for s=2 the explicit circle integrand,
-    the I0 reduction (x >= 0), and the lift; for s=3 both torus forms and
-    the lift; for s>=4 the lift; for s=1 the exponential closed form.
     The routes agree when the largest pairwise delta is at most
     tolerance * max(1, max |value|): absolute near zero, relative for
     large values.
@@ -131,34 +166,14 @@ def compare_methods(x: float, s: int, tolerance: float = 1e-8) -> ComparisonRepo
     if not tolerance > 0:
         raise InvalidQueryError(f"tolerance must be positive, got {tolerance!r}")
     x = float(x)
-    methods: list[MethodValue] = []
-    notes: list[str] = []
-
-    res = alpha_series(x, s)
-    methods.append(MethodValue("series", res.value.real, res.tail_bound))
-
-    if s == 1:
-        methods.append(MethodValue("exp-closed-form", math.exp(x), 0.0))
-    if s == 2:
-        q = alpha2_quadrature(x)
-        methods.append(MethodValue("alpha2-closed-form", q.value.real, q.est_error))
-        if x >= 0:
-            value, info = evaluate_method(x, 2, "bessel")
-            methods.append(MethodValue("bessel", value, info["est_error"]))
-    if s == 3:
-        qc = alpha3_quadrature_complex(x)
-        methods.append(MethodValue("hadamard-2d-complex", qc.value.real, qc.est_error))
-        if abs(qc.value.imag) > 1e-10:
-            notes.append(
-                f"torus-averaged imaginary residue {qc.value.imag:.3e} "
-                "exceeds 1e-10"
-            )
-        qr = alpha3_quadrature_real(x)
-        methods.append(MethodValue("hadamard-2d-real", qr.value.real, qr.est_error))
-    if s >= 2:
-        qh = alpha_via_hadamard(x, s)
-        methods.append(MethodValue("hadamard-iterated", qh.value.real, qh.est_error))
-
+    methods = [
+        MethodValue(r.name, *r.run(x, s, None)) for r in ROUTES if r.refuse(x, s) is None
+    ]
+    notes = [
+        f"torus-averaged imaginary residue {m.info['imag']:.3e} exceeds 1e-10"
+        for m in methods
+        if abs(m.info.get("imag", 0.0)) > 1e-10
+    ]
     if x == 1.0 and s == 3:
         notes.append(
             f"sum 1/(n!)^3 = 0F2(;1,1;1) computed as {methods[0].value!r}; "

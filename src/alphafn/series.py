@@ -2,7 +2,8 @@
 
 Covers real and complex arguments, term-wise derivatives, and the
 modified Bessel function I0 through the reduction I0(z) = alpha(z^2/4, 2).
-Every result carries a rigorous geometric tail bound for the truncation.
+Every result carries a rigorous geometric tail bound for the truncation
+and a running bound for the rounding of the summation.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ from .errors import InvalidQueryError, NonConvergenceError
 
 DEFAULT_TOL = 1e-13
 DEFAULT_MAX_TERMS = 500
+_UNIT_ROUNDOFF = 2.0**-53
 
 
 def _check_query(x: complex, s: int) -> complex:
@@ -48,15 +50,24 @@ class AlphaQuery:
 
 @dataclass(frozen=True)
 class SeriesResult:
-    """Truncated-series value with the number of summed terms and a tail bound.
+    """Truncated-series value with the number of summed terms and two bounds.
 
-    ``tail_bound`` majorizes |exact - value|: it is the geometric bound
+    ``tail_bound`` majorizes the truncation error: it is the geometric bound
     t*r/(1-r) from the last added term t and the next-term ratio r <= 1/2.
+    ``rounding_bound`` is the running rounding bound
+    2 * terms_used * 2^-53 * sum|t_n| over the added terms t_n; it dominates
+    the truncation bound where the terms cancel (large negative x).
+    |exact - value| <= tail_bound + rounding_bound.
     """
 
     value: complex
     terms_used: int
     tail_bound: float
+    rounding_bound: float
+
+
+def _series_result(value, terms, tail, abs_sum) -> SeriesResult:
+    return SeriesResult(value, terms, tail, 2 * terms * _UNIT_ROUNDOFF * abs_sum)
 
 
 def alpha_series(
@@ -75,12 +86,12 @@ def alpha_series(
     """
     x = _check_query(x, s)
     _check_budget(tol, max_terms)
-    value, terms, tail, ok = kernels.alpha_sum(x, s, tol, max_terms)
+    value, terms, tail, abs_sum, ok = kernels.alpha_sum(x, s, tol, max_terms)
     if not ok:
         raise NonConvergenceError(
             f"alpha({x!r}, {s}) did not reach tol={tol:g} within {max_terms} terms"
         )
-    return SeriesResult(value, terms, tail)
+    return _series_result(value, terms, tail, abs_sum)
 
 
 def alpha_derivative_series(
@@ -100,13 +111,13 @@ def alpha_derivative_series(
     _check_budget(tol, max_terms)
     if not isinstance(k, int) or k < 0:
         raise InvalidQueryError(f"k must be an integer >= 0, got {k!r}")
-    value, terms, tail, ok = kernels.alpha_deriv_sum(x, s, k, tol, max_terms)
+    value, terms, tail, abs_sum, ok = kernels.alpha_deriv_sum(x, s, k, tol, max_terms)
     if not ok:
         raise NonConvergenceError(
             f"alpha^({k})({x!r}, {s}) did not reach tol={tol:g} "
             f"within {max_terms} terms"
         )
-    return SeriesResult(value, terms, tail)
+    return _series_result(value, terms, tail, abs_sum)
 
 
 def bessel_i0(

@@ -265,6 +265,26 @@ class TestTable:
         assert "\r" not in content
 
 
+class TestUnwritableOutput:
+    @pytest.mark.parametrize("where", ["missing-dir", "directory"])
+    def test_exits_2_with_one_error_line(self, capsys, tmp_path, where):
+        target = tmp_path / "missing" / "o.txt" if where == "missing-dir" else tmp_path
+        code, out, err = run_cli(capsys, "eval", "--x", "1", "--s", "3", "--output", str(target))
+        assert code == 2
+        assert out == ""
+        assert err.startswith(f"error: cannot write --output {str(target)!r}: ")
+        assert err.count("\n") == 1
+
+    def test_module_invocation_has_no_traceback(self, tmp_path):
+        proc = run_module(
+            "compare", "--x", "1", "--s", "2", "--output", str(tmp_path / "missing" / "o.txt")
+        )
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert proc.stderr.startswith("error: cannot write --output ")
+        assert "Traceback" not in proc.stderr
+
+
 class TestEntryPoint:
     def test_module_invocation(self):
         proc = run_module("verify", "--suite", "bessel_eq1")

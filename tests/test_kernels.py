@@ -50,7 +50,7 @@ class TestPythonKernelsAgainstCompositions:
         assert close(mean, total / n, 1e-14)
 
     def test_alpha_sum_flags_budget_exhaustion(self):
-        value, terms, tail, ok = _kernels_py.alpha_sum(300 + 0j, 1, 1e-13, 100)
+        value, terms, tail, abs_sum, ok = _kernels_py.alpha_sum(300 + 0j, 1, 1e-13, 100)
         assert not ok
         assert terms == 100
         assert math.isinf(tail)

@@ -149,6 +149,39 @@ class TestAlphaSeries:
         assert abs(loose.value - tight.value) <= loose.tail_bound + rounding
 
 
+def alpha_mpmath(x: float, s: int) -> mpmath.mpf:
+    """alpha(x, s) = 0F_{s-1}(;1,...,1;x) in 50-digit arithmetic."""
+    with mpmath.workdps(50):
+        return mpmath.exp(x) if s == 1 else mpmath.hyper([], [1] * (s - 1), x)
+
+
+class TestReportedErrorBound:
+    """|value - exact| <= tail_bound + rounding_bound, against mpmath."""
+
+    # each breaks the tail bound alone: at (2, 1) by rounding at the last
+    # digit, at negative x by cancellation in the alternating sum
+    @pytest.mark.parametrize("s, x", [(2, 1.0), (3, 10.0), (1, -30.0), (1, -20.0)])
+    def test_bound_holds_where_tail_bound_alone_fails(self, s, x):
+        res = alpha_series(x, s)
+        error = float(abs(mpmath.mpf(res.value.real) - alpha_mpmath(x, s)))
+        assert error > res.tail_bound
+        assert error <= res.tail_bound + res.rounding_bound
+
+    @pytest.mark.parametrize("s", [1, 2, 3, 4])
+    def test_bound_holds_on_real_grid(self, s):
+        for i in range(61):
+            x = -30.0 + i
+            res = alpha_series(x, s)
+            error = float(abs(mpmath.mpf(res.value.real) - alpha_mpmath(x, s)))
+            assert error <= res.tail_bound + res.rounding_bound, x
+
+    def test_rounding_bound_formula(self):
+        res = alpha_series(-3.0, 1)
+        abs_sum = sum(3.0**n / math.factorial(n) for n in range(res.terms_used))
+        expected = 2 * res.terms_used * 2.0**-53 * abs_sum
+        assert math.isclose(res.rounding_bound, expected, rel_tol=1e-12)
+
+
 class TestDerivativeSeries:
     def test_zero_argument_first_derivative(self):
         res = alpha_derivative_series(0.0, 2, k=1)
