@@ -54,7 +54,8 @@ DEFAULT_CONFIG_2D = QuadratureConfig(initial_nodes=16, max_nodes=512, tol=1e-10)
 @dataclass(frozen=True)
 class QuadratureResult:
     """Converged node average; est_error is |value_N - value_{N/2}| of the
-    final doubling (0.0 when only one level fit inside the node budget)."""
+    final doubling (0.0 when only one level fit inside the node budget, as
+    with initial_nodes == max_nodes for a level known to be exact)."""
 
     value: complex
     nodes: int

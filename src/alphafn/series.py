@@ -55,8 +55,11 @@ class SeriesResult:
     ``tail_bound`` majorizes the truncation error: it is the geometric bound
     t*r/(1-r) from the last added term t and the next-term ratio r <= 1/2.
     ``rounding_bound`` is the running rounding bound
-    2 * terms_used * 2^-53 * sum|t_n| over the added terms t_n; it dominates
-    the truncation bound where the terms cancel (large negative x).
+    2 * terms_used * 2^-53 * sum|t_n| over the added terms t_n; for s >= 2
+    it dominates the truncation bound where the terms cancel (large
+    negative x).  At s = 1 and real x < 0 the value is 1/S for the
+    all-positive sum S = e^{-x}, and both bounds are those of that
+    reciprocal (see _reciprocal_result).
     |exact - value| <= tail_bound + rounding_bound.
     """
 
@@ -68,6 +71,23 @@ class SeriesResult:
 
 def _series_result(value, terms, tail, abs_sum) -> SeriesResult:
     return SeriesResult(value, terms, tail, 2 * terms * _UNIT_ROUNDOFF * abs_sum)
+
+
+def _reciprocal_result(positive: SeriesResult) -> SeriesResult:
+    """1/S from the result for the all-positive sum S = e^{-x}, x < 0.
+
+    With E = tail + rounding of S, |1/S - 1/(S + d)| <= |d|/(S(S - E)) for
+    |d| <= E, split between the two bounds; the division adds 2^-53/S.
+    """
+    total = positive.value.real
+    tail, rounding = positive.tail_bound, positive.rounding_bound
+    scale = total * (total - tail - rounding)
+    if not scale > 0:  # only with a tol so loose that S itself is unknown
+        return SeriesResult(complex(1.0 / total), positive.terms_used, math.inf, math.inf)
+    return SeriesResult(
+        complex(1.0 / total), positive.terms_used, tail / scale,
+        rounding / scale + _UNIT_ROUNDOFF / total,
+    )
 
 
 def alpha_series(
@@ -83,15 +103,23 @@ def alpha_series(
     ratio has fallen to 1/2 or below, which makes the attached tail bound
     rigorous.  Raises NonConvergenceError when ``max_terms`` is exhausted
     first (|x| too large for the budget).
+
+    At s = 1 and real x < 0 the alternating terms would cancel, so the
+    all-positive series S = e^{-x} is summed instead and 1/S returned, with
+    both bounds carried through the reciprocal.
     """
     x = _check_query(x, s)
     _check_budget(tol, max_terms)
-    value, terms, tail, abs_sum, ok = kernels.alpha_sum(x, s, tol, max_terms)
+    reciprocal = s == 1 and x.imag == 0 and x.real < 0
+    value, terms, tail, abs_sum, ok = kernels.alpha_sum(
+        -x if reciprocal else x, s, tol, max_terms
+    )
     if not ok:
         raise NonConvergenceError(
             f"alpha({x!r}, {s}) did not reach tol={tol:g} within {max_terms} terms"
         )
-    return _series_result(value, terms, tail, abs_sum)
+    result = _series_result(value, terms, tail, abs_sum)
+    return _reciprocal_result(result) if reciprocal else result
 
 
 def alpha_derivative_series(

@@ -17,6 +17,9 @@ from alphafn.report import evaluate_method
 
 I0_OF_2 = 2.2795853023360673
 ALPHA_1_3 = 2.1297025489833064
+# e^-30 and e^-20 from mpmath at 40 digits
+EXP_MINUS_30 = 9.357622968840175e-14
+EXP_MINUS_20 = 2.061153622438558e-09
 
 
 def run_cli(capsys, *argv):
@@ -91,6 +94,12 @@ class TestEval:
         with pytest.raises(InvalidQueryError):
             evaluate_method(x, 2, "bessel")
 
+    def test_series_exp_at_large_negative_x(self, capsys):
+        # 1/e^30 from the all-positive sum; the alternating sum printed -3.07e-05
+        code, out, _ = run_cli(capsys, "eval", "--x", "-30", "--s", "1")
+        assert code == 0
+        assert math.isclose(printed_value(out), EXP_MINUS_30, rel_tol=1e-14)
+
     def test_nonconvergence_exits_3(self, capsys):
         code, _, err = run_cli(capsys, "eval", "--x", "300", "--s", "1")
         assert code == 3
@@ -143,6 +152,15 @@ class TestCompare:
         report = json.loads(out)
         assert report["passed"] is True
         assert report["max_pairwise_delta"] > report["tolerance"]
+
+    def test_small_exp_value_matches_closed_form(self, capsys):
+        code, out, _ = run_cli(capsys, "compare", "--x", "-20", "--s", "1", "--format", "json")
+        assert code == 0
+        report = json.loads(out)
+        values = {m["name"]: m["value"] for m in report["methods"]}
+        assert report["passed"] is True
+        assert math.isclose(values["series"], EXP_MINUS_20, rel_tol=1e-14)
+        assert math.isclose(values["series"], values["exp-closed-form"], rel_tol=1e-14)
 
     def test_flag_overrides_env(self, capsys, monkeypatch):
         monkeypatch.setenv("ALPHA_TOL", "1e-16")

@@ -5,9 +5,12 @@ from __future__ import annotations
 import cmath
 import math
 import random
+import sys
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from alphafn import (
     EXP,
@@ -30,6 +33,7 @@ from alphafn import (
     trapezoid_periodic_1d,
     trapezoid_periodic_2d,
 )
+from alphafn import verify
 
 TWO_PI = 2.0 * math.pi
 I0_OF_2 = 2.2795853023360673
@@ -120,6 +124,113 @@ class TestHadamardEval:
         twisted = AnalyticFunction(lambda z: cmath.exp(1j * z), math.inf)
         with pytest.raises(ImaginaryResidueError):
             hadamard_eval(HadamardProduct(twisted, EXP), 1.0, 1.0)
+
+
+def convolution(ca, cb, u, v):
+    return sum(a * b * (u * v) ** n for n, (a, b) in enumerate(zip(ca, cb)))
+
+
+def one_level(*coefficient_lists):
+    """One trapezoid level of more nodes than any of the degrees."""
+    n = max(4, *map(len, coefficient_lists))
+    return QuadratureConfig(n, n, 1e-12)
+
+
+def counted_polynomial(coefficients, calls):
+    """from_coefficients' polynomial, appending each argument to calls."""
+    poly = AnalyticFunction.from_coefficients(coefficients)
+
+    def evaluate(z):
+        calls.append(z)
+        return poly(z)
+
+    return AnalyticFunction(evaluate, math.inf)
+
+
+class TestExactPolynomialLevel:
+    """f(u e^{it}) g(v e^{-it}) has frequencies in [-deg g, deg f], so for a
+    pair of polynomials one level of max(4, deg f + 1, deg g + 1) nodes is
+    exact; suite_theorem1 runs that level instead of the doubling ladder."""
+
+    def test_degree_8_pair_is_one_level_of_9_nodes(self):
+        rng = random.Random(11)
+        ca = [rng.uniform(-1, 1) for _ in range(9)]
+        cb = [rng.uniform(-1, 1) for _ in range(9)]
+        f_calls, g_calls = [], []
+        product = HadamardProduct(
+            counted_polynomial(ca, f_calls), counted_polynomial(cb, g_calls)
+        )
+        res = hadamard_eval(product, 0.8, -0.9, one_level(ca, cb))
+        assert res.nodes == 9
+        assert res.est_error == 0.0
+        assert len(f_calls) == 9
+        assert len(g_calls) == 9
+        assert abs(res.value - convolution(ca, cb, 0.8, -0.9)) <= 1e-14
+
+    def test_constant_pair_uses_the_minimum_of_4_nodes(self):
+        product = HadamardProduct(
+            AnalyticFunction.from_coefficients([2.0]),
+            AnalyticFunction.from_coefficients([-1.5]),
+        )
+        res = hadamard_eval(product, 0.3, 0.4, one_level([2.0], [-1.5]))
+        assert res.nodes == 4
+        assert res.value == -3.0
+
+    def test_degree_many_nodes_alias(self):
+        # 1 + z^8 against itself: at 8 nodes e^{+-8it} fold onto the mean
+        ca = [1.0] + [0.0] * 7 + [1.0]
+        product = HadamardProduct(
+            AnalyticFunction.from_coefficients(ca),
+            AnalyticFunction.from_coefficients(ca),
+        )
+        u, v = 0.9, 0.8
+        exact = 1.0 + (u * v) ** 8
+        aliased = hadamard_eval(product, u, v, QuadratureConfig(8, 8, 1e-12))
+        assert math.isclose(aliased.value.real, exact + u**8 + v**8, rel_tol=1e-14)
+        exact_level = hadamard_eval(product, u, v, one_level(ca, ca))
+        assert math.isclose(exact_level.value.real, exact, rel_tol=1e-14)
+
+    def test_theorem1_runs_one_level_per_pair(self, monkeypatch):
+        seen = []
+
+        def recording(product, u, v, cfg=None):
+            res = hadamard_eval(product, u, v, cfg)
+            seen.append(res)
+            return res
+
+        monkeypatch.setattr(verify, "hadamard_eval", recording)
+        cases = verify.suite_theorem1(seed=4, trials=50)
+        assert all(case.passed for case in cases)
+        assert len(seen) == 50
+        # degrees <= 8, so at most 9 nodes; the ladder would report 32
+        assert all(4 <= res.nodes <= 9 and res.est_error == 0.0 for res in seen)
+
+    # the tolerance is fixed from the rounding of two Horner evaluations
+    # and a 25-node mean, each a few ulps of the absolute-value sums; below
+    # the smallest normal double rounding is absolute, hence that floor
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.lists(st.floats(-1.0, 1.0), min_size=1, max_size=25),
+        st.lists(st.floats(-1.0, 1.0), min_size=1, max_size=25),
+        st.floats(-1.5, 1.5, exclude_min=True, exclude_max=True),
+        st.floats(-1.5, 1.5, exclude_min=True, exclude_max=True),
+    )
+    def test_exact_up_to_rounding(self, ca, cb, u, v):
+        scale = sum(abs(a) * abs(u) ** n for n, a in enumerate(ca)) * sum(
+            abs(b) * abs(v) ** n for n, b in enumerate(cb)
+        )
+        product = HadamardProduct(
+            AnalyticFunction.from_coefficients(ca),
+            AnalyticFunction.from_coefficients(cb),
+        )
+        # the imaginary-residue limit is max(1e-10, 10 * tol), absolute; at
+        # |u|, |v| near 1.5 and degree 24 the integrand reaches 1e8, so ask
+        # for the same relative accuracy the assertion grants
+        n = one_level(ca, cb).max_nodes
+        cfg = QuadratureConfig(n, n, max(1e-12, 1e-14 * scale))
+        res = hadamard_eval(product, u, v, cfg)
+        error = abs(res.value - convolution(ca, cb, u, v))
+        assert error <= 1e-13 * scale + sys.float_info.min
 
 
 class TestAlpha2Route:

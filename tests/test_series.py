@@ -23,6 +23,7 @@ from alphafn import (
     alpha_derivative_series,
     alpha_series,
     bessel_i0,
+    compare_methods,
 )
 
 # sum x^n/(n!)^s at x=1 from exact rationals (n <= 30)
@@ -159,7 +160,7 @@ class TestReportedErrorBound:
     """|value - exact| <= tail_bound + rounding_bound, against mpmath."""
 
     # each breaks the tail bound alone: at (2, 1) by rounding at the last
-    # digit, at negative x by cancellation in the alternating sum
+    # digit, at s = 1, x < 0 by rounding in the sum behind the reciprocal
     @pytest.mark.parametrize("s, x", [(2, 1.0), (3, 10.0), (1, -30.0), (1, -20.0)])
     def test_bound_holds_where_tail_bound_alone_fails(self, s, x):
         res = alpha_series(x, s)
@@ -176,10 +177,51 @@ class TestReportedErrorBound:
             assert error <= res.tail_bound + res.rounding_bound, x
 
     def test_rounding_bound_formula(self):
-        res = alpha_series(-3.0, 1)
+        # the direct sum's formula; s = 1, x < 0 goes through the reciprocal
+        res = alpha_series(3.0, 1)
         abs_sum = sum(3.0**n / math.factorial(n) for n in range(res.terms_used))
         expected = 2 * res.terms_used * 2.0**-53 * abs_sum
         assert math.isclose(res.rounding_bound, expected, rel_tol=1e-12)
+
+    def test_reciprocal_bound_formulas(self):
+        res = alpha_series(-3.0, 1)
+        direct = alpha_series(3.0, 1)
+        total = direct.value.real
+        scale = total * (total - direct.tail_bound - direct.rounding_bound)
+        assert res.terms_used == direct.terms_used
+        assert res.value == 1.0 / total
+        assert math.isclose(res.tail_bound, direct.tail_bound / scale, rel_tol=1e-12)
+        expected = direct.rounding_bound / scale + 2.0**-53 / total
+        assert math.isclose(res.rounding_bound, expected, rel_tol=1e-12)
+
+    def test_reciprocal_of_an_unknown_sum_is_unbounded(self):
+        # tol = 1 stops S = e^{0.5} at its first term with E > S
+        res = alpha_series(-0.5, 1, tol=1.0)
+        assert res.value == 1.0
+        assert res.tail_bound == math.inf
+        assert res.rounding_bound == math.inf
+
+
+class TestExpAtNegativeX:
+    """alpha(x, 1) = e^x at x < 0 is 1/e^{-x}: no alternating sum cancels."""
+
+    @pytest.mark.parametrize("x", [-30.0, -20.0, -8.0, -0.5])
+    def test_matches_mpmath(self, x):
+        res = alpha_series(x, 1)
+        exact = alpha_mpmath(x, 1)
+        error = abs(mpmath.mpf(res.value.real) - exact)
+        # the absolute series tol leaves 1e-14 relative at x = -0.5
+        assert float(error / exact) <= (1e-14 if x <= -8 else 2e-14)
+        assert float(error) <= res.tail_bound + res.rounding_bound
+        assert res.value.imag == 0.0
+
+    @pytest.mark.parametrize("x", [-30.0, -20.0])
+    def test_compare_passes_with_series_matching_exp(self, x):
+        report = compare_methods(x, 1)
+        values = {m.name: m.value for m in report.method_values}
+        assert report.passed
+        assert math.isclose(values["series"], values["exp-closed-form"], rel_tol=1e-14)
+        assert math.isclose(values["series"], float(alpha_mpmath(x, 1)), rel_tol=1e-14)
 
 
 class TestDerivativeSeries:
