@@ -26,6 +26,7 @@ from .hadamard import (
     alpha3_integrand_real,
     alpha3_quadrature_complex,
     alpha3_quadrature_real,
+    alpha3_torus_level,
     alpha_via_hadamard,
     bessel_identity_check,
     hadamard_eval,
@@ -89,6 +90,7 @@ __all__ = [
     "alpha3_integrand_real",
     "alpha3_quadrature_complex",
     "alpha3_quadrature_real",
+    "alpha3_torus_level",
     "alpha_derivative_series",
     "alpha_series",
     "alpha_via_hadamard",

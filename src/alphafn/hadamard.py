@@ -19,7 +19,12 @@ from dataclasses import dataclass
 from typing import Callable
 
 from .backend import kernels
-from .errors import DomainViolationError, ImaginaryResidueError, InvalidQueryError
+from .errors import (
+    DomainViolationError,
+    ImaginaryResidueError,
+    InvalidQueryError,
+    ToleranceNotReachedError,
+)
 from .quadrature import (
     DEFAULT_CONFIG_1D,
     DEFAULT_CONFIG_2D,
@@ -29,7 +34,7 @@ from .quadrature import (
     nested_node_mean,
     trapezoid_periodic_1d,
 )
-from .series import bessel_i0
+from .series import _UNIT_ROUNDOFF, bessel_i0
 
 # Inner series budget for evaluating alpha at circle points |z| = 1; the
 # tail bound lands near the double-precision floor well before 500 terms.
@@ -139,7 +144,9 @@ def hadamard_eval(
 
     u and v must lie strictly inside the respective radii.  The value is
     returned as complex: its imaginary part is a consistency diagnostic
-    and must stay below max(1e-10, 10*cfg.tol) for real-coefficient input.
+    and must stay below max(1e-10, 10*cfg.tol) * max(1, max_j |F(t_j)|)
+    for real-coefficient input, F being the integrand at the nodes the
+    ladder evaluated: rounding in the node sum scales with them.
     """
     if cfg is None:
         cfg = DEFAULT_CONFIG_1D
@@ -154,13 +161,19 @@ def hadamard_eval(
             f"{product.g.radius!r}"
         )
     f, g = product.f.evaluator, product.g.evaluator
+    peak = 1.0
 
     def integrand(theta: float) -> complex:
+        nonlocal peak
         point = cmath.exp(1j * theta)
-        return f(u * point) * g(v * point.conjugate())
+        value = f(u * point) * g(v * point.conjugate())
+        size = abs(value)
+        if size > peak:
+            peak = size
+        return value
 
     result = trapezoid_periodic_1d(integrand, cfg)
-    _check_imag(result.value, max(_IMAG_LIMIT_EVAL, 10.0 * cfg.tol), "hadamard_eval")
+    _check_imag(result.value, max(_IMAG_LIMIT_EVAL, 10.0 * cfg.tol) * peak, "hadamard_eval")
     return result
 
 
@@ -234,7 +247,13 @@ def alpha3_integrand_real(x: float, theta: float, t: float) -> float:
 def alpha3_quadrature_real(
     x: float, cfg: QuadratureConfig | None = None
 ) -> QuadratureResult:
-    """alpha(x, 3) as the torus mean of the expanded real integrand."""
+    """alpha(x, 3) as the torus mean of the expanded real integrand.
+
+    cfg None runs the doubling ladder of DEFAULT_CONFIG_2D.  For one
+    certified level, pass QuadratureConfig(n, n, tol) with n from
+    alpha3_torus_level(x, tol): the error is then at most its
+    alias_bound + rounding_bound.
+    """
     x = float(x)
     return _ladder("alpha3_quadrature_real", abs(x) + 2.0, cfg,
                    kernels.alpha3_real_mean, x, torus=True)
@@ -246,11 +265,89 @@ def alpha3_quadrature_complex(
     """alpha(x, 3) as the torus mean of the complex-product integrand.
 
     The imaginary part of the returned value is the torus average of the
-    integrand's imaginary component and is reported, not dropped.
+    integrand's imaginary component and is reported, not dropped.  cfg is
+    read as by alpha3_quadrature_real, and alpha3_torus_level's level and
+    bounds hold for this integrand too.
     """
     x = float(x)
     return _ladder("alpha3_quadrature_complex", abs(x) + 2.0, cfg,
                    kernels.alpha3_complex_mean, x, torus=True)
+
+
+def _torus_alias_sum(wx: list[float], w1: list[float], n: int) -> float:
+    """Sum of wx[a] w1[b] w1[c] over a = b = c (mod n), a, b, c not all equal.
+
+    Per residue class this is SX SY^2 - sum wx[a] w1[a]^2; it is summed as
+    wx[a] (SY - w1[a]) (SY + w1[a]) with SY - w1[a] added up from the other
+    members, so that no difference of nearly equal sums is formed.
+    """
+    total = 0.0
+    for rho in range(n):
+        xs, ys = wx[rho::n], w1[rho::n]
+        sy = sum(ys)
+        for i, wa in enumerate(xs):
+            total += wa * (sum(ys[:i]) + sum(ys[i + 1:])) * (sy + ys[i])
+    return total
+
+
+def alpha3_torus_level(
+    x: float, tol: float = DEFAULT_CONFIG_2D.tol
+) -> tuple[int, float, float]:
+    """The smallest one-level torus grid for either alpha3_quadrature route.
+
+    Returns (n, alias_bound, rounding_bound).  The n x n trapezoid mean of
+    either paper integrand is the mean of
+    E = exp(x e^{i th} + e^{-i th} e^{it} + e^{-it}), which is
+    sum x^a/(a! b! c!) over a = b = c (mod n); alpha(x, 3) keeps only
+    a = b = c.  So |mean - alpha(x, 3)| <= alias_bound, the sum of
+    |x|^a/(a! b! c!) over the other triples (Trefethen & Weideman, "The
+    exponentially convergent trapezoidal rule", SIAM Rev. 2014), and n is
+    the smallest n >= 4 with alias_bound <= tol.  rounding_bound =
+    2 n^2 2^-53 e^{|x|+2} covers the rounding of n^2 node values of modulus
+    at most e^{|x|+2} and of their sum; more nodes cannot lower it, so it is
+    left out of the search.
+    Pass QuadratureConfig(n, n, tol) to run that one level.  Raises
+    ToleranceNotReachedError (best None) when n would pass
+    DEFAULT_CONFIG_2D.max_nodes.
+    """
+    x = float(x)
+    if not tol > 0:
+        raise InvalidQueryError(f"tol must be positive, got {tol!r}")
+    ax = abs(x)
+    _guard_exp_peak(ax + 2.0, "alpha3_torus_level")
+    # wx[k] = |x|^k/k! and w1[k] = 1/k! for k <= K, the first K >= 2|x| - 1 at
+    # which the triples with an index past K weigh at most tol/1024 in all:
+    # by the union bound tail(wx) e^2 + 2 e^{|x|+1} tail(w1), with the
+    # geometric tails tail(wx) <= wx[K] r/(1-r), r = |x|/(K+1) <= 1/2, and
+    # tail(w1) <= 2 w1[K]/(K+1)
+    wx, w1 = [1.0], [1.0]
+    while True:
+        k = len(wx)
+        r = ax / k
+        if r <= 0.5:
+            omitted = (math.e**2 * wx[-1] * r / (1.0 - r)
+                       + 4.0 * math.exp(ax + 1.0) * w1[-1] / k)
+            if omitted <= tol / 1024.0:
+                break
+        wx.append(wx[-1] * r)
+        w1.append(w1[-1] / k)
+    # the aliasing sum at n holds (n, 0, 0), (0, n, 0) and (0, 0, n), of weight
+    # (|x|^n + 2)/n!, so no n below the first with that weight <= tol can pass
+    n = 4
+    while n < len(wx) and wx[n] + 2.0 * w1[n] > tol:
+        n += 1
+    while True:
+        if n > DEFAULT_CONFIG_2D.max_nodes:
+            raise ToleranceNotReachedError(
+                f"alpha3_torus_level: no grid of at most "
+                f"{DEFAULT_CONFIG_2D.max_nodes}^2 nodes reaches tol={tol:g} "
+                f"at x={x!r}",
+                best=None,
+            )
+        alias = _torus_alias_sum(wx, w1, n) + omitted
+        if alias <= tol:
+            return n, alias, 2.0 * n * n * _UNIT_ROUNDOFF * math.exp(ax + 2.0)
+        n += 1
 
 
 def alpha_via_hadamard(

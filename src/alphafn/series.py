@@ -134,11 +134,16 @@ def alpha_derivative_series(
     The summand is n(n-1)...(n-k+1) x^(n-k)/(n!)^s for n >= k, with
     successive-term ratio r_n = |x|(n+1)/((n+1-k)(n+1)**s); the ratio is
     nonincreasing, so the geometric tail bound carries over unchanged.
+
+    At s = 1 and real x < 0 every derivative of e^x is e^x, so this returns
+    alpha_series' reciprocal result for every k instead of an alternating sum.
     """
     x = _check_query(x, s)
     _check_budget(tol, max_terms)
     if not isinstance(k, int) or k < 0:
         raise InvalidQueryError(f"k must be an integer >= 0, got {k!r}")
+    if s == 1 and x.imag == 0 and x.real < 0:
+        return alpha_series(x, 1, tol, max_terms)
     value, terms, tail, abs_sum, ok = kernels.alpha_deriv_sum(x, s, k, tol, max_terms)
     if not ok:
         raise NonConvergenceError(

@@ -18,6 +18,7 @@ from .hadamard import (
     alpha3_integrand_real,
     alpha3_quadrature_complex,
     alpha3_quadrature_real,
+    alpha3_torus_level,
     bessel_identity_check,
     hadamard_eval,
 )
@@ -141,7 +142,12 @@ def suite_stirling_gf(seed: int = 0) -> list[CaseResult]:
 
 
 def suite_expansion_s3(seed: int = 0) -> list[CaseResult]:
-    """Real expansion vs complex product for the s=3 torus integrand."""
+    """Real expansion vs complex product for the s=3 torus integrand.
+
+    Pointwise on a 16 x 16 grid, then both torus routes against the series.
+    Each x runs one trapezoid level, the n x n grid alpha3_torus_level
+    certifies to alias by at most 1e-10, not the doubling ladder.
+    """
     cases = []
     xs = (-1.0, 0.0, 0.5, 1.0, 2.0)
     for x in xs:
@@ -157,8 +163,9 @@ def suite_expansion_s3(seed: int = 0) -> list[CaseResult]:
                 worst = max(worst, diff)
         bound = 1e-12 * (1.0 + math.exp(abs(x) + 2.0))
         cases.append(_case("expansion_s3", f"pointwise-x={x:g}", worst, bound))
-    cfg = QuadratureConfig(initial_nodes=16, max_nodes=128, tol=1e-10)
     for x in xs:
+        n, _, _ = alpha3_torus_level(x, 1e-10)
+        cfg = QuadratureConfig(n, n, 1e-10)
         reference = alpha_series(x, 3).value.real
         qc = alpha3_quadrature_complex(x, cfg)
         qr = alpha3_quadrature_real(x, cfg)

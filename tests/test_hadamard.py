@@ -8,6 +8,7 @@ import random
 import sys
 from fractions import Fraction
 
+import mpmath
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -20,12 +21,14 @@ from alphafn import (
     ImaginaryResidueError,
     InvalidQueryError,
     QuadratureConfig,
+    ToleranceNotReachedError,
     alpha2_integrand,
     alpha2_quadrature,
     alpha3_integrand_complex,
     alpha3_integrand_real,
     alpha3_quadrature_complex,
     alpha3_quadrature_real,
+    alpha3_torus_level,
     alpha_series,
     alpha_via_hadamard,
     bessel_identity_check,
@@ -33,7 +36,7 @@ from alphafn import (
     trapezoid_periodic_1d,
     trapezoid_periodic_2d,
 )
-from alphafn import verify
+from alphafn import _kernels_py, verify
 
 TWO_PI = 2.0 * math.pi
 I0_OF_2 = 2.2795853023360673
@@ -124,6 +127,18 @@ class TestHadamardEval:
         twisted = AnalyticFunction(lambda z: cmath.exp(1j * z), math.inf)
         with pytest.raises(ImaginaryResidueError):
             hadamard_eval(HadamardProduct(twisted, EXP), 1.0, 1.0)
+
+    def test_imag_limit_scales_with_the_integrand(self):
+        # the integrand reaches 2.5e9 at the nodes, so rounding leaves an
+        # imaginary residue near 6e-8 on a real value of 2e8; an absolute
+        # 1e-10 limit refused it
+        ones = AnalyticFunction.from_coefficients([1.0] * 25)
+        u, v = 1.4999, -1.4999
+        res = hadamard_eval(
+            HadamardProduct(ones, ones), u, v, QuadratureConfig(25, 25, 1e-12)
+        )
+        expected = sum((u * v) ** n for n in range(25))
+        assert math.isclose(res.value.real, expected, rel_tol=1e-13)
 
 
 def convolution(ca, cb, u, v):
@@ -223,9 +238,8 @@ class TestExactPolynomialLevel:
             AnalyticFunction.from_coefficients(ca),
             AnalyticFunction.from_coefficients(cb),
         )
-        # the imaginary-residue limit is max(1e-10, 10 * tol), absolute; at
-        # |u|, |v| near 1.5 and degree 24 the integrand reaches 1e8, so ask
-        # for the same relative accuracy the assertion grants
+        # at |u|, |v| near 1.5 and degree 24 the integrand reaches 1e9, so
+        # ask for the same relative accuracy the assertion grants
         n = one_level(ca, cb).max_nodes
         cfg = QuadratureConfig(n, n, max(1e-12, 1e-14 * scale))
         res = hadamard_eval(product, u, v, cfg)
@@ -346,6 +360,70 @@ class TestAlpha3Quadrature:
             lambda a, b: alpha3_integrand_complex(x, a, b), cfg
         )
         assert abs(fused_c.value - generic_c.value) < 1e-13
+
+
+def alpha3_mpmath(x):
+    with mpmath.workdps(40):
+        return mpmath.hyper([], [1, 1], x)
+
+
+class TestAlpha3TorusLevel:
+    """alpha3_torus_level's n x n grid is within alias_bound + rounding_bound
+    of alpha(x, 3) on both torus kernels, and is the smallest such grid."""
+
+    @pytest.mark.parametrize("tol", [1e-4, 1e-10])
+    @pytest.mark.parametrize(
+        "kernel", [_kernels_py.alpha3_real_mean, _kernels_py.alpha3_complex_mean]
+    )
+    def test_bound_holds_on_both_kernels(self, kernel, tol):
+        for i in range(-16, 17):
+            x = i / 2.0
+            n, alias_bound, rounding_bound = alpha3_torus_level(x, tol)
+            assert alias_bound <= tol
+            error = abs(mpmath.mpc(kernel(x, n)) - alpha3_mpmath(x))
+            assert float(error) <= alias_bound + rounding_bound, (x, n)
+
+    def test_level_is_the_smallest_at_nonnegative_x(self):
+        # for x >= 0 every aliased term is positive, so the grid's error is
+        # the aliasing sum itself, and one node fewer must exceed tol
+        tol = 1e-4
+        for x in (0.0, 0.5, 1.0, 2.0, 4.0, 8.0):
+            n, _, _ = alpha3_torus_level(x, tol)
+            coarser = _kernels_py.alpha3_real_mean(x, n - 1)
+            assert float(abs(coarser - alpha3_mpmath(x))) > tol, x
+
+    def test_levels_at_the_verify_points(self):
+        levels = [alpha3_torus_level(x, 1e-10)[0] for x in (-1.0, 0.0, 0.5, 1.0, 2.0)]
+        assert levels == [14, 14, 14, 14, 18]
+
+    def test_expansion_s3_runs_one_level_per_x(self, monkeypatch):
+        seen = []
+
+        def recording(route):
+            def run(x, cfg=None):
+                res = route(x, cfg)
+                seen.append(res.nodes)
+                return res
+            return run
+
+        for name in ("alpha3_quadrature_real", "alpha3_quadrature_complex"):
+            monkeypatch.setattr(verify, name, recording(getattr(verify, name)))
+        cases = verify.suite_expansion_s3()
+        assert all(case.passed for case in cases)
+        # the ladder would end at 32 for each of the ten calls
+        assert sorted(seen) == [14] * 8 + [18] * 2
+
+    def test_raises_past_the_node_cap(self):
+        with pytest.raises(ToleranceNotReachedError):
+            alpha3_torus_level(200.0, 1e-10)
+
+    def test_rejects_bad_arguments(self):
+        with pytest.raises(InvalidQueryError):
+            alpha3_torus_level(1.0, 0.0)
+        with pytest.raises(InvalidQueryError, match="not finite"):
+            alpha3_torus_level(math.nan)
+        with pytest.raises(InvalidQueryError):
+            alpha3_torus_level(720.0)
 
 
 class TestIteratedLift:

@@ -234,6 +234,13 @@ class TestDerivativeSeries:
         res = alpha_derivative_series(1.0, 1, k=3, tol=1e-15)
         assert abs(res.value - math.e) < 1e-13
 
+    @pytest.mark.parametrize("k", [0, 1, 2, 3])
+    def test_exp_derivatives_at_negative_x(self, k):
+        # every derivative of e^x is e^x: the reciprocal, not an alternating sum
+        res = alpha_derivative_series(-30.0, 1, k)
+        exact = mpmath.exp(-30)
+        assert float(abs(mpmath.mpf(res.value.real) - exact) / exact) <= 1e-15
+
     def test_k0_matches_alpha_series(self):
         deriv = alpha_derivative_series(0.7, 3, k=0)
         plain = alpha_series(0.7, 3)

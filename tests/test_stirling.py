@@ -138,6 +138,11 @@ class TestOdeResidual:
         # y' - y = 0 at y = e^x
         assert abs(ode_residual(0.7, 1, 1e-13)) < 1e-12
 
+    def test_s1_at_negative_x_is_exact(self):
+        # y and y' are the same reciprocal 1/e^{-x}, so y' - y cancels exactly
+        for x in (-2.0, -0.5, -30.0):
+            assert ode_residual(x, 1, 1e-13) == 0.0
+
     def test_s2(self):
         assert abs(ode_residual(0.5, 2, 1e-13)) < 1e-11
 
