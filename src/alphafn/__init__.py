@@ -7,7 +7,6 @@ identities tying the routes together (including the Stirling-coefficient
 differential equation alpha satisfies).
 """
 
-from .backend import backend_name
 from .errors import (
     AlphaFnError,
     DomainViolationError,
@@ -19,7 +18,6 @@ from .errors import (
 from .hadamard import (
     EXP,
     AnalyticFunction,
-    HadamardProduct,
     alpha2_integrand,
     alpha2_quadrature,
     alpha3_integrand_complex,
@@ -52,7 +50,6 @@ from .series import (
 )
 from .stirling import (
     MAX_N,
-    StirlingTable,
     ode_residual,
     stirling2,
     stirling_genfunc_residual,
@@ -73,7 +70,6 @@ __all__ = [
     "DEFAULT_TOL",
     "DomainViolationError",
     "EXP",
-    "HadamardProduct",
     "ImaginaryResidueError",
     "InvalidQueryError",
     "MAX_N",
@@ -82,7 +78,6 @@ __all__ = [
     "QuadratureConfig",
     "QuadratureResult",
     "SeriesResult",
-    "StirlingTable",
     "ToleranceNotReachedError",
     "alpha2_integrand",
     "alpha2_quadrature",
@@ -94,7 +89,6 @@ __all__ = [
     "alpha_derivative_series",
     "alpha_series",
     "alpha_via_hadamard",
-    "backend_name",
     "bessel_i0",
     "bessel_identity_check",
     "compare_methods",

@@ -21,10 +21,26 @@ only for the call: no state is kept between calls.
 
 import cmath
 import math
+import sys
 
 from .quadrature import circle_nodes, torus_rows
 
 TWO_PI = 6.283185307179586
+_DBL_MAX = sys.float_info.max
+
+
+def _stop_past_range(total, terms, t_mag, r, abs_sum, tol):
+    """The series result once (n+1)**s has passed DBL_MAX.
+
+    r bounds the true next-term ratio, and the ratios only fall from there,
+    so the stopping rule and the geometric tail bound hold with it.  Where
+    they do not, the terms cannot be followed in doubles: not converged.
+    The callers pass only an s that converts to a double, so the pow's
+    OverflowError means its result passed DBL_MAX.
+    """
+    if r <= 0.5 and t_mag * r <= tol:
+        return total, terms, t_mag * r / (1.0 - r), abs_sum, True
+    return total, terms, math.inf, abs_sum, False
 
 
 def alpha_sum(x, s, tol, max_terms):
@@ -45,7 +61,10 @@ def alpha_sum(x, s, tol, max_terms):
         total += term
         t_mag = abs(term)
         abs_sum += t_mag
-        den = math.pow(n + 1, s)
+        try:
+            den = math.pow(n + 1, s)
+        except OverflowError:  # (n+1)^s > DBL_MAX
+            return _stop_past_range(total, n + 1, t_mag, ax / _DBL_MAX, abs_sum, tol)
         r = ax / den
         if r <= 0.5 and t_mag * r <= tol:
             return total, n + 1, t_mag * r / (1.0 - r), abs_sum, True
@@ -73,7 +92,11 @@ def alpha_deriv_sum(x, s, k, tol, max_terms):
         total += term
         t_mag = abs(term)
         abs_sum += t_mag
-        factor = (n + 1) / ((n + 1 - k) * math.pow(n + 1, s))
+        try:
+            factor = (n + 1) / ((n + 1 - k) * math.pow(n + 1, s))
+        except OverflowError:  # (n+1)^s > DBL_MAX
+            r = ax * ((n + 1) / (n + 1 - k)) / _DBL_MAX
+            return _stop_past_range(total, n - k + 1, t_mag, r, abs_sum, tol)
         r = ax * factor
         if r <= 0.5 and t_mag * r <= tol:
             return total, n - k + 1, t_mag * r / (1.0 - r), abs_sum, True

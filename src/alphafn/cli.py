@@ -23,7 +23,7 @@ from .errors import (
     ToleranceNotReachedError,
 )
 from .report import METHODS, compare_methods, evaluate_method
-from .verify import run_suite
+from .verify import SUITE_NAMES, run_suite
 
 EXIT_OK = 0
 EXIT_FAILED = 1
@@ -182,11 +182,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_cmp.set_defaults(func=cmd_compare)
 
     p_ver = sub.add_parser("verify", help="run a named property suite")
-    p_ver.add_argument(
-        "--suite",
-        choices=("theorem1", "bessel_eq1", "ode", "stirling_gf", "expansion_s3", "all"),
-        default="all",
-    )
+    p_ver.add_argument("--suite", choices=(*SUITE_NAMES, "all"), default="all")
     p_ver.add_argument("--seed", type=int, default=0)
     p_ver.add_argument("--output", default=None)
     p_ver.set_defaults(func=cmd_verify)

@@ -34,7 +34,7 @@ from .quadrature import (
     nested_node_mean,
     trapezoid_periodic_1d,
 )
-from .series import _UNIT_ROUNDOFF, bessel_i0
+from .series import _UNIT_ROUNDOFF, _check_s_fits, bessel_i0
 
 # Inner series budget for evaluating alpha at circle points |z| = 1; the
 # tail bound lands near the double-precision floor well before 500 terms.
@@ -119,14 +119,6 @@ class AnalyticFunction:
 EXP = AnalyticFunction(cmath.exp, math.inf)
 
 
-@dataclass(frozen=True)
-class HadamardProduct:
-    """The pair (f, g) whose coefficient-wise product is to be evaluated."""
-
-    f: AnalyticFunction
-    g: AnalyticFunction
-
-
 def _check_imag(value: complex, limit: float, what: str) -> None:
     if abs(value.imag) > limit:
         raise ImaginaryResidueError(
@@ -135,12 +127,14 @@ def _check_imag(value: complex, limit: float, what: str) -> None:
 
 
 def hadamard_eval(
-    product: HadamardProduct,
+    f: AnalyticFunction,
+    g: AnalyticFunction,
     u: float,
     v: float,
     cfg: QuadratureConfig | None = None,
 ) -> QuadratureResult:
-    """Evaluate h(u v) = (1/2pi) int f(u e^{i t}) g(v e^{-i t}) dt.
+    """Evaluate h(u v) = (1/2pi) int f(u e^{i t}) g(v e^{-i t}) dt, h being
+    the coefficient-wise product of f and g.
 
     u and v must lie strictly inside the respective radii.  The value is
     returned as complex: its imaginary part is a consistency diagnostic
@@ -150,17 +144,15 @@ def hadamard_eval(
     """
     if cfg is None:
         cfg = DEFAULT_CONFIG_1D
-    if not abs(u) < product.f.radius:
+    if not abs(u) < f.radius:
         raise DomainViolationError(
-            f"|u|={abs(u)!r} is not inside the first factor's radius "
-            f"{product.f.radius!r}"
+            f"|u|={abs(u)!r} is not inside the first factor's radius {f.radius!r}"
         )
-    if not abs(v) < product.g.radius:
+    if not abs(v) < g.radius:
         raise DomainViolationError(
-            f"|v|={abs(v)!r} is not inside the second factor's radius "
-            f"{product.g.radius!r}"
+            f"|v|={abs(v)!r} is not inside the second factor's radius {g.radius!r}"
         )
-    f, g = product.f.evaluator, product.g.evaluator
+    f, g = f.evaluator, g.evaluator  # no __call__ layer per node
     peak = 1.0
 
     def integrand(theta: float) -> complex:
@@ -366,6 +358,7 @@ def alpha_via_hadamard(
         cfg = DEFAULT_CONFIG_1D
     if not isinstance(s, int) or s < 2:
         raise InvalidQueryError(f"the lift needs integer s >= 2, got {s!r}")
+    _check_s_fits(s)
     x = float(x)
     if not math.isfinite(x):
         raise InvalidQueryError(f"x must be finite, got {x!r}")

@@ -9,6 +9,7 @@ and a running bound for the rounding of the summation.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 from .backend import kernels
@@ -19,11 +20,20 @@ DEFAULT_MAX_TERMS = 500
 _UNIT_ROUNDOFF = 2.0**-53
 
 
+def _check_s_fits(s: int) -> None:
+    """The kernels take (n+1)**s with math.pow, which needs s as a double."""
+    if s > sys.float_info.max:
+        raise InvalidQueryError(
+            f"s must fit a double, got an integer of {s.bit_length()} bits"
+        )
+
+
 def _check_query(x: complex, s: int) -> complex:
     if not isinstance(s, int):
         raise InvalidQueryError(f"s must be an integer >= 1, got {s!r}")
     if s < 1:
         raise InvalidQueryError(f"s must be >= 1, got {s}")
+    _check_s_fits(s)
     x = complex(x)
     if not (math.isfinite(x.real) and math.isfinite(x.imag)):
         raise InvalidQueryError(f"x must be finite, got {x!r}")
@@ -67,6 +77,17 @@ class SeriesResult:
     terms_used: int
     tail_bound: float
     rounding_bound: float
+
+
+def _no_convergence(what: str, tol: float, terms: int, max_terms: int):
+    if terms < max_terms:  # the kernel stopped once (n+1)**s passed DBL_MAX
+        return NonConvergenceError(
+            f"{what} did not reach tol={tol:g}: after {terms} terms (n+1)**s "
+            "passed the double range and the term ratio could not be followed"
+        )
+    return NonConvergenceError(
+        f"{what} did not reach tol={tol:g} within {max_terms} terms"
+    )
 
 
 def _series_result(value, terms, tail, abs_sum) -> SeriesResult:
@@ -115,9 +136,7 @@ def alpha_series(
         -x if reciprocal else x, s, tol, max_terms
     )
     if not ok:
-        raise NonConvergenceError(
-            f"alpha({x!r}, {s}) did not reach tol={tol:g} within {max_terms} terms"
-        )
+        raise _no_convergence(f"alpha({x!r}, {s})", tol, terms, max_terms)
     result = _series_result(value, terms, tail, abs_sum)
     return _reciprocal_result(result) if reciprocal else result
 
@@ -146,10 +165,7 @@ def alpha_derivative_series(
         return alpha_series(x, 1, tol, max_terms)
     value, terms, tail, abs_sum, ok = kernels.alpha_deriv_sum(x, s, k, tol, max_terms)
     if not ok:
-        raise NonConvergenceError(
-            f"alpha^({k})({x!r}, {s}) did not reach tol={tol:g} "
-            f"within {max_terms} terms"
-        )
+        raise _no_convergence(f"alpha^({k})({x!r}, {s})", tol, terms, max_terms)
     return _series_result(value, terms, tail, abs_sum)
 
 

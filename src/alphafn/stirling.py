@@ -12,7 +12,6 @@ Both statements are verified numerically here as residuals.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 
 from .series import alpha_derivative_series, alpha_series
 
@@ -33,42 +32,19 @@ def _build_rows(max_n: int) -> list[list[int]]:
     return rows
 
 
-@dataclass(frozen=True)
-class StirlingTable:
-    """Triangular table of exact S(n, k) for 0 <= k <= n <= max_n."""
-
-    max_n: int
-    entries: list[list[int]] = field(repr=False)
-
-    def __init__(self, max_n: int):
-        if max_n < 0:
-            raise ValueError(f"max_n must be >= 0, got {max_n}")
-        if max_n > MAX_N:
-            raise OverflowError(f"max_n must be <= {MAX_N}, got {max_n}")
-        object.__setattr__(self, "max_n", max_n)
-        object.__setattr__(self, "entries", _build_rows(max_n))
-
-    def value(self, n: int, k: int) -> int:
-        if k > n:
-            raise ValueError(f"require k <= n, got n={n}, k={k}")
-        return self.entries[n][k]
-
-
-_CACHED = StirlingTable(32)
+# rows 0..MAX_N of exact S(n, k), 0 <= k <= n, built once at import
+_ROWS = _build_rows(MAX_N)
 
 
 def stirling2(n: int, k: int) -> int:
     """Exact S(n, k) via the recurrence S(n,k) = k S(n-1,k) + S(n-1,k-1)."""
-    global _CACHED
     if n < 0 or k < 0:
         raise ValueError(f"require n, k >= 0, got n={n}, k={k}")
     if n > MAX_N:
         raise OverflowError(f"stirling2 is limited to n <= {MAX_N}, got n={n}")
     if k > n:
         raise ValueError(f"require k <= n, got n={n}, k={k}")
-    if n > _CACHED.max_n:
-        _CACHED = StirlingTable(MAX_N)
-    return _CACHED.value(n, k)
+    return _ROWS[n][k]
 
 
 def stirling_genfunc_residual(k: int, x: float, order: int) -> float:

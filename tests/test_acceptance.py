@@ -14,7 +14,6 @@ from fractions import Fraction
 
 from alphafn import (
     AnalyticFunction,
-    HadamardProduct,
     QuadratureConfig,
     alpha2_integrand,
     alpha3_integrand_complex,
@@ -81,12 +80,10 @@ def test_02_product_rule_polynomial_oracle(capsys):
         cb = [rng.uniform(-1.0, 1.0) for _ in range(rng.randint(0, 8) + 1)]
         u = rng.uniform(-1.0, 1.0)
         v = rng.uniform(-1.0, 1.0)
-        product = HadamardProduct(
-            AnalyticFunction.from_coefficients(ca),
-            AnalyticFunction.from_coefficients(cb),
-        )
+        f = AnalyticFunction.from_coefficients(ca)
+        g = AnalyticFunction.from_coefficients(cb)
         expected = sum(a * b * (u * v) ** n for n, (a, b) in enumerate(zip(ca, cb)))
-        got = hadamard_eval(product, u, v).value.real
+        got = hadamard_eval(f, g, u, v).value.real
         worst = max(worst, abs(got - expected))
     with capsys.disabled():
         check("2 polynomial product oracle", worst <= 1e-11, f"worst={worst:.3e}")

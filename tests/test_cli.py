@@ -312,3 +312,45 @@ class TestEntryPoint:
     def test_module_invocation_invalid(self):
         proc = run_module("eval", "--x", "1", "--s", "0")
         assert proc.returncode == 2
+
+
+class TestLargeS:
+    """(n+1)^s passes DBL_MAX within the first terms: the series stops on
+    a bounded ratio where it can and exits 3 where it cannot, never with a
+    traceback."""
+
+    @pytest.mark.parametrize(
+        "argv, code",
+        [
+            (("eval", "--x", "1", "--s", "1024"), 0),
+            (("eval", "--x", "1e200", "--s", "700"), 3),
+            (("compare", "--x", "1", "--s", "1024"), 0),
+            (("eval", "--x", "1", "--s", "1025", "--method", "hadamard"), 0),
+        ],
+    )
+    def test_exits_without_traceback(self, argv, code):
+        proc = run_module(*argv)
+        assert proc.returncode == code
+        assert "Traceback" not in proc.stderr
+        if code == 0:
+            assert proc.stderr == ""
+            assert " 2.0" in proc.stdout  # alpha(1, s) = 2 + 2^-s + ...
+        else:
+            assert proc.stderr.startswith("error: ")
+            assert proc.stderr.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("eval", "--x", "1", "--s", str(2**1024)),
+            ("eval", "--x", "1", "--s", str(2**1024), "--method", "hadamard"),
+            ("compare", "--x", "1", "--s", str(2**1024)),
+        ],
+    )
+    def test_s_past_double_range_exits_2(self, argv):
+        proc = run_module(*argv)
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert proc.stderr.startswith("error: ")
+        assert "fit a double" in proc.stderr
+        assert proc.stderr.count("\n") == 1

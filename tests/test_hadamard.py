@@ -17,7 +17,6 @@ from alphafn import (
     EXP,
     AnalyticFunction,
     DomainViolationError,
-    HadamardProduct,
     ImaginaryResidueError,
     InvalidQueryError,
     QuadratureConfig,
@@ -80,32 +79,30 @@ class TestAnalyticFunction:
 
 class TestHadamardEval:
     def test_argument_zero_keeps_constant_term(self):
-        res = hadamard_eval(HadamardProduct(EXP, EXP), 0.0, 1.0)
+        res = hadamard_eval(EXP, EXP, 0.0, 1.0)
         assert abs(res.value - 1.0) < 1e-12
 
     def test_linear_polynomials(self):
         one_plus_z = AnalyticFunction.from_coefficients([1.0, 1.0])
-        res = hadamard_eval(HadamardProduct(one_plus_z, one_plus_z), 1.0, 1.0)
+        res = hadamard_eval(one_plus_z, one_plus_z, 1.0, 1.0)
         assert abs(res.value - 2.0) < 1e-13
 
     def test_exp_exp_is_alpha_s2(self):
-        res = hadamard_eval(HadamardProduct(EXP, EXP), 1.0, 1.0)
+        res = hadamard_eval(EXP, EXP, 1.0, 1.0)
         assert abs(res.value - I0_OF_2) < 1e-11
         assert abs(res.value.imag) <= 1e-10
 
     def test_depends_only_on_product_uv(self):
-        product = HadamardProduct(EXP, EXP)
-        split = hadamard_eval(product, 0.5, 2.0).value
-        direct = hadamard_eval(product, 1.0, 1.0).value
+        split = hadamard_eval(EXP, EXP, 0.5, 2.0).value
+        direct = hadamard_eval(EXP, EXP, 1.0, 1.0).value
         assert abs(split - direct) <= 1e-11
 
     def test_radius_is_enforced_strictly(self):
         geometric = AnalyticFunction(lambda z: 1.0 / (1.0 - z), 1.0)
-        product = HadamardProduct(EXP, geometric)
         with pytest.raises(DomainViolationError):
-            hadamard_eval(product, 1.0, 1.0)  # |v| == radius exactly
+            hadamard_eval(EXP, geometric, 1.0, 1.0)  # |v| == radius exactly
         with pytest.raises(DomainViolationError):
-            hadamard_eval(product, 1.0, 1.5)
+            hadamard_eval(EXP, geometric, 1.0, 1.5)
 
     def test_convolution_oracle_sample(self):
         rng = random.Random(7)
@@ -113,12 +110,10 @@ class TestHadamardEval:
             ca = [rng.uniform(-1, 1) for _ in range(rng.randint(1, 9))]
             cb = [rng.uniform(-1, 1) for _ in range(rng.randint(1, 9))]
             u, v = rng.uniform(-1, 1), rng.uniform(-1, 1)
-            product = HadamardProduct(
-                AnalyticFunction.from_coefficients(ca),
-                AnalyticFunction.from_coefficients(cb),
-            )
+            f = AnalyticFunction.from_coefficients(ca)
+            g = AnalyticFunction.from_coefficients(cb)
             expected = sum(a * b * (u * v) ** n for n, (a, b) in enumerate(zip(ca, cb)))
-            got = hadamard_eval(product, u, v).value.real
+            got = hadamard_eval(f, g, u, v).value.real
             assert abs(got - expected) <= 1e-11
 
     def test_complex_coefficients_trip_the_imag_check(self):
@@ -126,7 +121,7 @@ class TestHadamardEval:
         # result is genuinely complex and the residue check must refuse it
         twisted = AnalyticFunction(lambda z: cmath.exp(1j * z), math.inf)
         with pytest.raises(ImaginaryResidueError):
-            hadamard_eval(HadamardProduct(twisted, EXP), 1.0, 1.0)
+            hadamard_eval(twisted, EXP, 1.0, 1.0)
 
     def test_imag_limit_scales_with_the_integrand(self):
         # the integrand reaches 2.5e9 at the nodes, so rounding leaves an
@@ -134,9 +129,7 @@ class TestHadamardEval:
         # 1e-10 limit refused it
         ones = AnalyticFunction.from_coefficients([1.0] * 25)
         u, v = 1.4999, -1.4999
-        res = hadamard_eval(
-            HadamardProduct(ones, ones), u, v, QuadratureConfig(25, 25, 1e-12)
-        )
+        res = hadamard_eval(ones, ones, u, v, QuadratureConfig(25, 25, 1e-12))
         expected = sum((u * v) ** n for n in range(25))
         assert math.isclose(res.value.real, expected, rel_tol=1e-13)
 
@@ -172,10 +165,9 @@ class TestExactPolynomialLevel:
         ca = [rng.uniform(-1, 1) for _ in range(9)]
         cb = [rng.uniform(-1, 1) for _ in range(9)]
         f_calls, g_calls = [], []
-        product = HadamardProduct(
-            counted_polynomial(ca, f_calls), counted_polynomial(cb, g_calls)
-        )
-        res = hadamard_eval(product, 0.8, -0.9, one_level(ca, cb))
+        f = counted_polynomial(ca, f_calls)
+        g = counted_polynomial(cb, g_calls)
+        res = hadamard_eval(f, g, 0.8, -0.9, one_level(ca, cb))
         assert res.nodes == 9
         assert res.est_error == 0.0
         assert len(f_calls) == 9
@@ -183,33 +175,28 @@ class TestExactPolynomialLevel:
         assert abs(res.value - convolution(ca, cb, 0.8, -0.9)) <= 1e-14
 
     def test_constant_pair_uses_the_minimum_of_4_nodes(self):
-        product = HadamardProduct(
-            AnalyticFunction.from_coefficients([2.0]),
-            AnalyticFunction.from_coefficients([-1.5]),
-        )
-        res = hadamard_eval(product, 0.3, 0.4, one_level([2.0], [-1.5]))
+        f = AnalyticFunction.from_coefficients([2.0])
+        g = AnalyticFunction.from_coefficients([-1.5])
+        res = hadamard_eval(f, g, 0.3, 0.4, one_level([2.0], [-1.5]))
         assert res.nodes == 4
         assert res.value == -3.0
 
     def test_degree_many_nodes_alias(self):
         # 1 + z^8 against itself: at 8 nodes e^{+-8it} fold onto the mean
         ca = [1.0] + [0.0] * 7 + [1.0]
-        product = HadamardProduct(
-            AnalyticFunction.from_coefficients(ca),
-            AnalyticFunction.from_coefficients(ca),
-        )
+        poly = AnalyticFunction.from_coefficients(ca)
         u, v = 0.9, 0.8
         exact = 1.0 + (u * v) ** 8
-        aliased = hadamard_eval(product, u, v, QuadratureConfig(8, 8, 1e-12))
+        aliased = hadamard_eval(poly, poly, u, v, QuadratureConfig(8, 8, 1e-12))
         assert math.isclose(aliased.value.real, exact + u**8 + v**8, rel_tol=1e-14)
-        exact_level = hadamard_eval(product, u, v, one_level(ca, ca))
+        exact_level = hadamard_eval(poly, poly, u, v, one_level(ca, ca))
         assert math.isclose(exact_level.value.real, exact, rel_tol=1e-14)
 
     def test_theorem1_runs_one_level_per_pair(self, monkeypatch):
         seen = []
 
-        def recording(product, u, v, cfg=None):
-            res = hadamard_eval(product, u, v, cfg)
+        def recording(f, g, u, v, cfg=None):
+            res = hadamard_eval(f, g, u, v, cfg)
             seen.append(res)
             return res
 
@@ -234,15 +221,13 @@ class TestExactPolynomialLevel:
         scale = sum(abs(a) * abs(u) ** n for n, a in enumerate(ca)) * sum(
             abs(b) * abs(v) ** n for n, b in enumerate(cb)
         )
-        product = HadamardProduct(
-            AnalyticFunction.from_coefficients(ca),
-            AnalyticFunction.from_coefficients(cb),
-        )
+        f = AnalyticFunction.from_coefficients(ca)
+        g = AnalyticFunction.from_coefficients(cb)
         # at |u|, |v| near 1.5 and degree 24 the integrand reaches 1e9, so
         # ask for the same relative accuracy the assertion grants
         n = one_level(ca, cb).max_nodes
         cfg = QuadratureConfig(n, n, max(1e-12, 1e-14 * scale))
-        res = hadamard_eval(product, u, v, cfg)
+        res = hadamard_eval(f, g, u, v, cfg)
         error = abs(res.value - convolution(ca, cb, u, v))
         assert error <= 1e-13 * scale + sys.float_info.min
 
@@ -442,7 +427,7 @@ class TestIteratedLift:
 
     def test_s2_agrees_with_generic_product(self):
         lifted = alpha_via_hadamard(0.8, 2).value
-        generic = hadamard_eval(HadamardProduct(EXP, EXP), 0.8, 1.0).value
+        generic = hadamard_eval(EXP, EXP, 0.8, 1.0).value
         assert abs(lifted - generic) <= 1e-11
 
     def test_method_agreement_grid(self):
@@ -459,6 +444,11 @@ class TestIteratedLift:
     def test_rejects_non_finite_x(self):
         with pytest.raises(InvalidQueryError):
             alpha_via_hadamard(math.inf, 3)
+
+    def test_rejects_s_past_double_range(self):
+        # the inner series takes (n+1)**(s-1) with math.pow
+        with pytest.raises(InvalidQueryError, match="fit a double"):
+            alpha_via_hadamard(1.0, 2**1024)
 
 
 class TestExpRangeGuards:

@@ -284,6 +284,56 @@ class TestDerivativeSeries:
             alpha_derivative_series(400.0, 1, k=2, max_terms=80)
 
 
+class TestLargeS:
+    """(n+1)^s passes the double range at n + 1 = 2 for s >= 1024; the sum
+    then stops on the ratio bound |x|/DBL_MAX or reports no convergence."""
+
+    @staticmethod
+    def exact(s, k):
+        """k-th derivative of alpha(., s) at 1 from the terms n <= 4."""
+        mpmath.mp.dps = 40
+        return sum(
+            mpmath.factorial(n) / mpmath.factorial(n - k) / mpmath.factorial(n) ** s
+            for n in range(k, 5)
+        )
+
+    @pytest.mark.parametrize("k", [0, 1])
+    def test_value_within_bounds(self, k):
+        res = alpha_derivative_series(1.0, 1024, k)
+        error = abs(mpmath.mpf(res.value.real) - self.exact(1024, k))
+        assert res.value == (2.0 if k == 0 else 1.0)
+        assert error <= res.tail_bound + res.rounding_bound
+        assert 0.0 < res.tail_bound < 1e-300
+
+    def test_alpha_series_at_s1024(self):
+        res = alpha_series(1.0, 1024)
+        assert res.value == 2.0
+        assert res.terms_used == 2
+        error = abs(mpmath.mpf(res.value.real) - self.exact(1024, 0))
+        assert error <= res.tail_bound + res.rounding_bound
+
+    def test_unbounded_ratio_does_not_converge(self):
+        # at x = 1e200 the ratio bound 1e200/DBL_MAX leaves a next term of 1e81
+        with pytest.raises(NonConvergenceError, match="passed the double range"):
+            alpha_series(1e200, 700)
+        with pytest.raises(NonConvergenceError, match="passed the double range"):
+            alpha_derivative_series(1e300, 1024, 1)
+
+    def test_budget_message_unchanged(self):
+        with pytest.raises(NonConvergenceError, match="within 10 terms"):
+            alpha_series(100.0, 1, max_terms=10)
+
+    @pytest.mark.parametrize("s", [2**1024, 2**1024 + 1, 10**400])
+    def test_s_past_double_range_is_invalid(self, s):
+        # math.pow cannot take such an s; the value is not 1 + x + ...
+        with pytest.raises(InvalidQueryError, match="fit a double"):
+            alpha_series(1.0, s)
+        with pytest.raises(InvalidQueryError, match="fit a double"):
+            alpha_derivative_series(1.0, s, 1)
+        with pytest.raises(InvalidQueryError, match="fit a double"):
+            compare_methods(1.0, s)
+
+
 class TestBesselI0:
     def test_at_zero(self):
         assert bessel_i0(0.0).value == 1.0

@@ -7,7 +7,7 @@ import math
 import pytest
 
 from alphafn import (
-    StirlingTable,
+    MAX_N,
     alpha_series,
     ode_residual,
     stirling2,
@@ -72,12 +72,11 @@ class TestStirling2:
             assert sum(stirling2(n, k) for k in range(n + 1)) == BELL[n]
 
     def test_recurrence_holds_on_table(self):
-        table = StirlingTable(20)
-        for n in range(1, 21):
+        for n in range(1, MAX_N + 1):
             for k in range(1, n + 1):
-                expected = k * table.value(n - 1, k) if k <= n - 1 else 0
-                expected += table.value(n - 1, k - 1)
-                assert table.value(n, k) == expected
+                expected = k * stirling2(n - 1, k) if k <= n - 1 else 0
+                expected += stirling2(n - 1, k - 1)
+                assert stirling2(n, k) == expected, (n, k)
 
     def test_large_values_remain_exact(self):
         # S(25, 12) exceeds the 2**53 float-exact range; must stay integral
@@ -96,8 +95,6 @@ class TestStirling2:
     def test_overflow_guard(self):
         with pytest.raises(OverflowError):
             stirling2(65, 3)
-        with pytest.raises(OverflowError):
-            StirlingTable(65)
 
     def test_falling_factorial_identity(self):
         # sum_k S(s,k) n(n-1)...(n-k+1) == n^s: the coefficient identity
