@@ -4,12 +4,15 @@ Everything here is scalar double-precision Python arithmetic.
 
 Series kernels return ``(value, terms_used, tail_bound, abs_sum,
 converged)``, abs_sum being the sum of the magnitudes of the added terms,
-and never raise; the callers own the error contract.  Mean kernels return the
-equal-weight average of an integrand over ``n`` uniformly spaced circle
-(or torus) nodes ``theta_j = 2*pi*j/n``, accumulated in ascending node
-order for reproducibility.  With ``fresh=True`` they average over only the
-nodes that level ``n/2`` lacks, for the nested ladder of
-`alphafn.quadrature.nested_node_mean`.
+and never raise; the callers own the error contract.  `alpha_sum` and
+`alpha_deriv_sum` are two names over one term loop, `_term_sum`; neither
+calls the other, so a tracer wrapping both counts each call once.
+
+Mean kernels return the equal-weight average of an integrand over ``n``
+uniformly spaced circle (or torus) nodes ``theta_j = 2*pi*j/n``,
+accumulated in ascending node order for reproducibility.  With
+``fresh=True`` they average over only the nodes that level ``n/2`` lacks,
+for the nested ladder of `alphafn.quadrature.nested_node_mean`.
 
 The torus kernels build one trig table per call, ``cos`` and ``sin`` of
 ``(TWO_PI * k) / n`` for k < n, and read both the row angle and the node
@@ -26,83 +29,64 @@ import sys
 from .quadrature import circle_nodes, torus_rows
 
 TWO_PI = 6.283185307179586
-_DBL_MAX = sys.float_info.max
 
 
-def _stop_past_range(total, terms, t_mag, r, abs_sum, tol):
-    """The series result once (n+1)**s has passed DBL_MAX.
+def _term_sum(x, s, k, tol, max_terms):
+    """Sum the k-th term-wise derivative of alpha, k = 0 being alpha itself.
 
-    r bounds the true next-term ratio, and the ratios only fall from there,
-    so the stopping rule and the geometric tail bound hold with it.  Where
-    they do not, the terms cannot be followed in doubles: not converged.
-    The callers pass only an s that converts to a double, so the pow's
-    OverflowError means its result passed DBL_MAX.
+    Term n >= k, n!/(n-k)! x^(n-k)/(n!)^s, starts at (k!)^(1-s) and follows
+    term_{n+1} = term_n * x/d_n, d_n = (n+1)^s (n+1-k)/(n+1), never forming
+    (n!)**s.  The ratio bound r_n = |x|/d_n only falls, so after term n the
+    loop stops once t_n*r_n <= tol and r_n <= 1/2, with the geometric tail
+    bound t_n*r_n/(1-r_n).  Past DBL_MAX (math.pow raises; the callers pass
+    only an s that fits a double) DBL_MAX still bounds the ratio, but no
+    term can be followed further, nor after a subnormal first coefficient.
+    A tail bound that underflows to 0 at x != 0 is raised to the least
+    double, since the terms it drops are positive.
     """
-    if r <= 0.5 and t_mag * r <= tol:
-        return total, terms, t_mag * r / (1.0 - r), abs_sum, True
-    return total, terms, math.inf, abs_sum, False
+    x = complex(x)
+    ax = abs(x)
+    term = 1 + 0j
+    den = math.pow  # d_n from n + 1 and s, which at k = 0 is (n+1)^s itself
+    if k:
+        c = math.prod(math.pow(i, 1 - s) for i in range(2, k + 1))
+        term = complex(c)
+        if c < sys.float_info.min:
+            max_terms = 1
+        den = lambda n1, s: math.pow(n1, s) * ((n1 - k) / n1)
+    total = 0j
+    abs_sum = 0.0
+    for n1 in range(k + 1, k + 1 + max_terms):  # n1 = n + 1
+        total += term
+        t_mag = abs(term)
+        abs_sum += t_mag
+        try:
+            d = den(n1, s)
+        except OverflowError:  # (n+1)^s > DBL_MAX
+            r = ax * (n1 / (n1 - k)) / sys.float_info.max
+            if r <= 0.5 and t_mag * r <= tol:
+                break
+            return total, n1 - k, math.inf, abs_sum, False
+        r = ax / d
+        if r <= 0.5 and t_mag * r <= tol:
+            break
+        term = term * x / d
+    else:
+        return total, max_terms, math.inf, abs_sum, False
+    tail = t_mag * r / (1.0 - r)
+    if not tail and ax:
+        tail = math.ulp(0.0)
+    return total, n1 - k, tail, abs_sum, True
 
 
 def alpha_sum(x, s, tol, max_terms):
-    """Sum x^n/(n!)^s with the dual stopping rule.
-
-    Terms follow the recurrence term_{n+1} = term_n * x/(n+1)**s, never
-    forming (n!)**s, which overflows doubles near n=58 already for s=3.
-    After adding term n the loop stops once the next-term bound
-    t_n*r <= tol with r = |x|/(n+1)**s <= 1/2; the geometric tail bound
-    is then t_n*r/(1-r).
-    """
-    x = complex(x)
-    ax = abs(x)
-    total = 0j
-    abs_sum = 0.0
-    term = 1 + 0j
-    for n in range(max_terms):
-        total += term
-        t_mag = abs(term)
-        abs_sum += t_mag
-        try:
-            den = math.pow(n + 1, s)
-        except OverflowError:  # (n+1)^s > DBL_MAX
-            return _stop_past_range(total, n + 1, t_mag, ax / _DBL_MAX, abs_sum, tol)
-        r = ax / den
-        if r <= 0.5 and t_mag * r <= tol:
-            return total, n + 1, t_mag * r / (1.0 - r), abs_sum, True
-        term = term * x / den
-    return total, max_terms, math.inf, abs_sum, False
+    """Sum x^n/(n!)^s by _term_sum at k = 0."""
+    return _term_sum(x, s, 0, tol, max_terms)
 
 
 def alpha_deriv_sum(x, s, k, tol, max_terms):
-    """Sum the k-th term-wise derivative: sum_{n>=k} n!/(n-k)! x^(n-k)/(n!)^s.
-
-    Successive-term ratio r_n = |x|*(n+1)/((n+1-k)*(n+1)**s) is
-    nonincreasing in n, so the same geometric tail bound applies.
-    """
-    x = complex(x)
-    ax = abs(x)
-    # first coefficient: k!/(k!)^s = (k!)^(1-s)
-    c = 1.0
-    for i in range(1, k + 1):
-        c *= math.pow(i, 1 - s)
-    total = 0j
-    abs_sum = 0.0
-    term = complex(c, 0.0)
-    n = k
-    for _ in range(max_terms):
-        total += term
-        t_mag = abs(term)
-        abs_sum += t_mag
-        try:
-            factor = (n + 1) / ((n + 1 - k) * math.pow(n + 1, s))
-        except OverflowError:  # (n+1)^s > DBL_MAX
-            r = ax * ((n + 1) / (n + 1 - k)) / _DBL_MAX
-            return _stop_past_range(total, n - k + 1, t_mag, r, abs_sum, tol)
-        r = ax * factor
-        if r <= 0.5 and t_mag * r <= tol:
-            return total, n - k + 1, t_mag * r / (1.0 - r), abs_sum, True
-        term = term * x * factor
-        n += 1
-    return total, max_terms, math.inf, abs_sum, False
+    """Sum the k-th term-wise derivative: sum_{n>=k} n!/(n-k)! x^(n-k)/(n!)^s."""
+    return _term_sum(x, s, k, tol, max_terms)
 
 
 def alpha2_mean(x, n, fresh=False):

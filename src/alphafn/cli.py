@@ -72,8 +72,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
 
 
 def cmd_compare(args: argparse.Namespace) -> int:
-    tol = _resolve_tol(args.tol)
-    report = compare_methods(args.x, args.s, tol if tol is not None else 1e-8)
+    report = compare_methods(args.x, args.s, _resolve_tol(args.tol))
     if args.format == "json":
         text = json.dumps(report.to_json_dict(), indent=2) + "\n"
     else:

@@ -78,11 +78,7 @@ class Route(NamedTuple):
 
 
 def _cfg_1d(tol: float | None) -> QuadratureConfig:
-    if tol is None:
-        return DEFAULT_CONFIG_1D
-    if not tol > 0:
-        raise InvalidQueryError(f"tolerance must be positive, got {tol!r}")
-    return replace(DEFAULT_CONFIG_1D, tol=tol)
+    return DEFAULT_CONFIG_1D if tol is None else replace(DEFAULT_CONFIG_1D, tol=tol)
 
 
 def _only_s(k: int) -> Callable[[float, int], str | None]:
@@ -154,15 +150,16 @@ def evaluate_method(x: float, s: int, method: str, tol: float | None = None) -> 
     return MethodValue(route.name, *route.run(x, s, tol))
 
 
-def compare_methods(x: float, s: int, tolerance: float = 1e-8) -> ComparisonReport:
+def compare_methods(x: float, s: int, tolerance: float | None = None) -> ComparisonReport:
     """Run every route of ROUTES that applies to (x, s), in table order,
     and report pairwise agreement.
 
     The routes agree when the largest pairwise delta is at most
     tolerance * max(1, max |value|): absolute near zero, relative for
-    large values.
+    large values.  tolerance None means 1e-8.
     """
     query = AlphaQuery(complex(x), s)
+    tolerance = 1e-8 if tolerance is None else tolerance
     if not tolerance > 0:
         raise InvalidQueryError(f"tolerance must be positive, got {tolerance!r}")
     x = float(x)

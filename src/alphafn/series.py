@@ -80,10 +80,10 @@ class SeriesResult:
 
 
 def _no_convergence(what: str, tol: float, terms: int, max_terms: int):
-    if terms < max_terms:  # the kernel stopped once (n+1)**s passed DBL_MAX
+    if terms < max_terms:  # (n+1)**s or (k!)**(1-s) left the double range
         return NonConvergenceError(
-            f"{what} did not reach tol={tol:g}: after {terms} terms (n+1)**s "
-            "passed the double range and the term ratio could not be followed"
+            f"{what} did not reach tol={tol:g}: after {terms} terms the series "
+            "passed the double range and its terms could not be followed"
         )
     return NonConvergenceError(
         f"{what} did not reach tol={tol:g} within {max_terms} terms"

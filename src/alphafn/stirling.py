@@ -60,7 +60,7 @@ def stirling_genfunc_residual(k: int, x: float, order: int) -> float:
         raise ValueError(f"require order >= k, got order={order}, k={k}")
     if order > 20:
         raise ValueError(f"require order <= 20, got {order}")
-    if abs(x) > 1:
+    if not abs(x) <= 1:  # NaN fails this too
         raise ValueError(f"require |x| <= 1, got x={x}")
     lhs = math.expm1(x) ** k / math.factorial(k)
     rhs = 0.0

@@ -13,7 +13,7 @@ import pytest
 import alphafn
 from alphafn.cli import main
 from alphafn.errors import InvalidQueryError
-from alphafn.report import evaluate_method
+from alphafn.report import compare_methods, evaluate_method
 
 I0_OF_2 = 2.2795853023360673
 ALPHA_1_3 = 2.1297025489833064
@@ -93,6 +93,13 @@ class TestEval:
     def test_bessel_library_rejects_unrepresentable_x(self, x):
         with pytest.raises(InvalidQueryError):
             evaluate_method(x, 2, "bessel")
+
+    @pytest.mark.parametrize("method, tol", [("hadamard", -1.0), ("bessel", 0.0),
+                                             ("hadamard", math.nan)])
+    def test_library_rejects_bad_tol_through_the_config(self, method, tol):
+        # QuadratureConfig owns the check, and its message
+        with pytest.raises(InvalidQueryError, match="tol must be positive"):
+            evaluate_method(1.0, 2, method, tol)
 
     def test_series_exp_at_large_negative_x(self, capsys):
         # 1/e^30 from the all-positive sum; the alternating sum printed -3.07e-05
@@ -180,6 +187,12 @@ class TestCompare:
         monkeypatch.setenv("ALPHA_TOL", "not-a-number")
         code, _, _ = run_cli(capsys, "compare", "--x", "1", "--s", "3")
         assert code == 2
+
+    def test_default_tolerance_is_the_library_default(self, capsys, monkeypatch):
+        monkeypatch.delenv("ALPHA_TOL", raising=False)
+        code, out, _ = run_cli(capsys, "compare", "--x", "1", "--s", "3", "--format", "json")
+        assert code == 0
+        assert json.loads(out)["tolerance"] == compare_methods(1.0, 3).tolerance == 1e-8
 
     def test_deterministic_output(self, capsys):
         _, first, _ = run_cli(capsys, "compare", "--x", "1", "--s", "3", "--format", "json")

@@ -202,6 +202,26 @@ class TestReportedErrorBound:
         assert res.rounding_bound == math.inf
 
 
+def derivative_mpmath(x: float, s: int, k: int) -> mpmath.mpf:
+    """k-th derivative of alpha(., s): (k!)^(1-s) 0F_{s-1}(;k+1,...,k+1;x), 60 digits."""
+    with mpmath.workdps(60):
+        return mpmath.hyper([], [k + 1] * (s - 1), x) / mpmath.factorial(k) ** (s - 1)
+
+
+class TestDerivativeErrorBound:
+    """|value - exact| <= tail_bound + rounding_bound for k = 1..3."""
+
+    @pytest.mark.parametrize("s", [1, 2, 3, 4, 5])
+    def test_bound_holds_on_real_grid(self, s):
+        # tightest at s = 5, x = 4, k = 3, where truncation dominates
+        for k in (1, 2, 3):
+            for i in range(61):
+                x = -30.0 + i
+                res = alpha_derivative_series(x, s, k)
+                error = abs(mpmath.mpf(res.value.real) - derivative_mpmath(x, s, k))
+                assert float(error) <= res.tail_bound + res.rounding_bound, (x, k)
+
+
 class TestExpAtNegativeX:
     """alpha(x, 1) = e^x at x < 0 is 1/e^{-x}: no alternating sum cancels."""
 
@@ -242,12 +262,7 @@ class TestDerivativeSeries:
         assert float(abs(mpmath.mpf(res.value.real) - exact) / exact) <= 1e-15
 
     def test_k0_matches_alpha_series(self):
-        deriv = alpha_derivative_series(0.7, 3, k=0)
-        plain = alpha_series(0.7, 3)
-        assert deriv.value == plain.value
-        assert deriv.terms_used == plain.terms_used
-        # bound arithmetic rounds differently through the k-aware ratio
-        assert math.isclose(deriv.tail_bound, plain.tail_bound, rel_tol=1e-12)
+        assert alpha_derivative_series(0.7, 3, k=0) == alpha_series(0.7, 3)
 
     def test_second_derivative_vs_extended_precision_stencil(self):
         # central second difference at h=1e-5, evaluated at 40 digits so
@@ -304,6 +319,24 @@ class TestLargeS:
         assert res.value == (2.0 if k == 0 else 1.0)
         assert error <= res.tail_bound + res.rounding_bound
         assert 0.0 < res.tail_bound < 1e-300
+
+    def test_underflowed_first_coefficient_is_bounded(self):
+        # (3!)^(1-1024) underflows to 0; the true value is about 8.9e-797
+        res = alpha_derivative_series(1.0, 1024, 3)
+        error = abs(mpmath.mpf(res.value.real) - self.exact(1024, 3))
+        assert error > 0
+        assert error <= res.tail_bound + res.rounding_bound
+
+    def test_underflowed_tail_bound_is_positive(self):
+        # the terms n >= 3 after 2^-1023 are positive, but t*r underflows
+        res = alpha_derivative_series(1.0, 1024, 2)
+        assert res.value == 2.0**-1023
+        assert res.tail_bound > 0.0
+
+    def test_underflowed_first_coefficient_with_growing_terms(self):
+        # (10!)^-59 underflows to 0, but the terms grow from it to 2.6e-114
+        with pytest.raises(NonConvergenceError, match="passed the double range"):
+            alpha_derivative_series(1e100, 60, 10)
 
     def test_alpha_series_at_s1024(self):
         res = alpha_series(1.0, 1024)

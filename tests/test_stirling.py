@@ -125,6 +125,10 @@ class TestGeneratingFunction:
         with pytest.raises(ValueError):
             stirling_genfunc_residual(1, 1.5, 10)
 
+    def test_rejects_nan_x(self):
+        with pytest.raises(ValueError):
+            stirling_genfunc_residual(1, math.nan, 5)
+
     def test_rejects_order_above_twenty(self):
         with pytest.raises(ValueError):
             stirling_genfunc_residual(1, 0.5, 21)
