@@ -36,11 +36,6 @@ from .quadrature import (
 )
 from .series import _UNIT_ROUNDOFF, _check_s_fits, bessel_i0
 
-# Inner series budget for evaluating alpha at circle points |z| = 1; the
-# tail bound lands near the double-precision floor well before 500 terms.
-_INNER_TOL = 1e-15
-_INNER_MAX_TERMS = 500
-
 # exp overflows doubles just above 709; the closed-form integrands peak at
 # exp of the values guarded here, so reject inputs past this point with a
 # message that names the route instead of an OverflowError from a kernel
@@ -360,18 +355,6 @@ def alpha_via_hadamard(
         raise InvalidQueryError(f"the lift needs integer s >= 2, got {s!r}")
     _check_s_fits(s)
     x = float(x)
-    if not math.isfinite(x):
-        raise InvalidQueryError(f"x must be finite, got {x!r}")
-
-    def mean(n: int, fresh: bool) -> complex:
-        value, ok = kernels.exp_alpha_mean(
-            x, s, n, _INNER_TOL, _INNER_MAX_TERMS, fresh=fresh
-        )
-        if not ok:
-            # unreachable for |z| = 1 circle points; guards kernel misuse
-            raise InvalidQueryError("inner series failed to converge")
-        return value
-
-    result = _ladder("alpha_via_hadamard", abs(x), cfg, mean)
+    result = _ladder("alpha_via_hadamard", abs(x), cfg, kernels.exp_alpha_mean, x, s)
     _check_imag(result.value, max(_IMAG_LIMIT_LIFT, 10.0 * cfg.tol), "alpha_via_hadamard")
     return result

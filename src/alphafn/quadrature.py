@@ -34,6 +34,11 @@ class QuadratureConfig:
     tol: float = 1e-12
 
     def __post_init__(self):
+        if not (isinstance(self.initial_nodes, int) and isinstance(self.max_nodes, int)):
+            raise InvalidQueryError(
+                "initial_nodes and max_nodes must be integers, got "
+                f"{self.initial_nodes!r} and {self.max_nodes!r}"
+            )
         if self.initial_nodes < 4:
             raise InvalidQueryError(
                 f"initial_nodes must be >= 4, got {self.initial_nodes}"

@@ -180,10 +180,7 @@ def compare_methods(x: float, s: int, tolerance: float | None = None) -> Compari
         )
 
     values = [m.value for m in methods]
-    max_delta = 0.0
-    for i in range(len(values)):
-        for j in range(i + 1, len(values)):
-            max_delta = max(max_delta, abs(values[i] - values[j]))
+    max_delta = max(values) - min(values)
     scale = max(1.0, max(abs(v) for v in values))
     return ComparisonReport(
         query=query,

@@ -89,6 +89,15 @@ class TestEval:
         assert err.startswith("error: bessel: ")
         assert err.count("\n") == 1
 
+    @pytest.mark.parametrize("x", ["nan", "inf", "-inf"])
+    def test_hadamard_rejects_nonfinite_x(self, capsys, x):
+        # the lift's ladder refuses a non-finite exp peak before any node
+        code, out, err = run_cli(capsys, "eval", f"--x={x}", "--s", "3", "--method", "hadamard")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: alpha_via_hadamard: ")
+        assert err.count("\n") == 1
+
     @pytest.mark.parametrize("x", [math.nan, math.inf, 1e6])
     def test_bessel_library_rejects_unrepresentable_x(self, x):
         with pytest.raises(InvalidQueryError):

@@ -45,9 +45,20 @@ class TestPythonKernelsAgainstCompositions:
             eith = cmath.exp(1j * ((TWO_PI * j) / n))
             inner = _kernels_py.alpha_sum(eith.conjugate(), s - 1, 1e-15, 500)[0]
             total += cmath.exp(x * eith) * inner
-        mean, ok = _kernels_py.exp_alpha_mean(x, s, n, 1e-15, 500)
-        assert ok
-        assert close(mean, total / n, 1e-14)
+        assert close(_kernels_py.exp_alpha_mean(x, s, n), total / n, 1e-14)
+
+    @pytest.mark.parametrize("s1", [1, 2, 49, 50, 1023, 1024, 10**6, 2**60])
+    def test_inner_series_converges_on_the_circle(self, s1):
+        # exp_alpha_mean keeps only the value of each inner sum; at |z| = 1
+        # the ratio bound is at most 1/2 from n = 1, so the budget suffices
+        n = 16
+        for j in range(n):
+            th = (TWO_PI * j) / n
+            z = complex(math.cos(th), -math.sin(th))
+            _, terms, _, _, ok = _kernels_py.alpha_sum(
+                z, s1, _kernels_py.INNER_TOL, _kernels_py.INNER_MAX_TERMS
+            )
+            assert ok and terms <= 18, (s1, j, terms)
 
     def test_alpha_sum_flags_budget_exhaustion(self):
         value, terms, tail, abs_sum, ok = _kernels_py.alpha_sum(300 + 0j, 1, 1e-13, 100)
@@ -65,8 +76,7 @@ MEAN_KERNELS = [
     ("alpha3_complex_mean",
      lambda x, n, fresh: _kernels_py.alpha3_complex_mean(x, n, fresh=fresh), True),
     ("exp_alpha_mean",
-     lambda x, n, fresh: _kernels_py.exp_alpha_mean(x, 3, n, 1e-15, 500, fresh=fresh)[0],
-     False),
+     lambda x, n, fresh: _kernels_py.exp_alpha_mean(x, 3, n, fresh=fresh), False),
 ]
 
 

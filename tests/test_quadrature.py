@@ -38,6 +38,16 @@ class TestConfig:
         with pytest.raises(InvalidQueryError):
             QuadratureConfig(initial_nodes=16, max_nodes=8)
 
+    def test_rejects_float_node_count(self):
+        # a float count would fail later, in range() at the first level
+        with pytest.raises(InvalidQueryError, match="must be integers, got 16.0 and 64"):
+            QuadratureConfig(16.0, 64, 1e-12)
+
+    def test_rejects_infinite_max_nodes(self):
+        # an unbounded budget would let an unreachable tol double without end
+        with pytest.raises(InvalidQueryError, match="must be integers, got 16 and inf"):
+            QuadratureConfig(16, math.inf, 1e-12)
+
     def test_rejects_nonpositive_tol(self):
         with pytest.raises(InvalidQueryError):
             QuadratureConfig(tol=0.0)
