@@ -4,9 +4,9 @@ Everything here is scalar double-precision Python arithmetic.
 
 Series kernels return ``(value, terms_used, tail_bound, abs_sum,
 converged)``, abs_sum being the sum of the magnitudes of the added terms,
-and never raise; the callers own the error contract.  `alpha_sum` and
-`alpha_deriv_sum` are two names over one term loop, `_term_sum`; neither
-calls the other, so a tracer wrapping both counts each call once.
+and never raise; the callers own the error contract.  The lift calls
+`alpha_sum` and `alphafn.series` calls `alpha_deriv_sum`, two names over
+one term loop, `_term_sum`; a tracer wrapping both counts each call once.
 
 Mean kernels take ``(params..., n, fresh=False)`` and return the
 equal-weight average of an integrand over ``n`` uniformly spaced circle (or

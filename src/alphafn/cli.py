@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import sys
 
 from .errors import (
@@ -199,9 +200,30 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _is_float(token: str) -> bool:
+    try:
+        float(token)
+    except ValueError:
+        return False
+    return True
+
+
+def _join_negative_values(argv: list[str]) -> list[str]:
+    """Read `--x -1e4` as `--x=-1e4`: argparse takes a plain negative number
+    such as -1000 as an option's value, but not -1e4 or -inf."""
+    joined = []
+    for token in argv:
+        option = joined and re.fullmatch(r"--[\w-]+", joined[-1])
+        if option and token[:1] == "-" and _is_float(token):
+            joined[-1] += "=" + token
+        else:
+            joined.append(token)
+    return joined
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    args = parser.parse_args(_join_negative_values(sys.argv[1:] if argv is None else argv))
     try:
         return args.func(args)
     except (InvalidQueryError, DomainViolationError) as exc:

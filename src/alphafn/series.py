@@ -40,13 +40,6 @@ def _check_query(x: complex, s: int) -> complex:
     return x
 
 
-def _check_budget(tol: float, max_terms: int) -> None:
-    if not tol > 0:
-        raise InvalidQueryError(f"tol must be positive, got {tol!r}")
-    if max_terms < 2:
-        raise InvalidQueryError(f"max_terms must be >= 2, got {max_terms!r}")
-
-
 @dataclass(frozen=True)
 class AlphaQuery:
     """An evaluation request: argument x (complex allowed) and power s >= 1."""
@@ -79,21 +72,6 @@ class SeriesResult:
     rounding_bound: float
 
 
-def _no_convergence(what: str, tol: float, terms: int, max_terms: int):
-    if terms < max_terms:  # (n+1)**s or (k!)**(1-s) left the double range
-        return NonConvergenceError(
-            f"{what} did not reach tol={tol:g}: after {terms} terms the series "
-            "passed the double range and its terms could not be followed"
-        )
-    return NonConvergenceError(
-        f"{what} did not reach tol={tol:g} within {max_terms} terms"
-    )
-
-
-def _series_result(value, terms, tail, abs_sum) -> SeriesResult:
-    return SeriesResult(value, terms, tail, 2 * terms * _UNIT_ROUNDOFF * abs_sum)
-
-
 def _reciprocal_result(positive: SeriesResult) -> SeriesResult:
     """1/S from the result for the all-positive sum S = e^{-x}, x < 0.
 
@@ -109,6 +87,32 @@ def _reciprocal_result(positive: SeriesResult) -> SeriesResult:
         complex(1.0 / total), positive.terms_used, tail / scale,
         rounding / scale + _UNIT_ROUNDOFF / total,
     )
+
+
+def _summed(x, s: int, k: int, tol: float, max_terms: int) -> SeriesResult:
+    """The k-th derivative of alpha(., s) at x, k = 0 being alpha itself."""
+    x = _check_query(x, s)
+    if not tol > 0:
+        raise InvalidQueryError(f"tol must be positive, got {tol!r}")
+    if max_terms < 2:
+        raise InvalidQueryError(f"max_terms must be >= 2, got {max_terms!r}")
+    if not isinstance(k, int) or k < 0:
+        raise InvalidQueryError(f"k must be an integer >= 0, got {k!r}")
+    # every derivative of e^x is e^x: at s = 1, x < 0 sum S = e^{-x}, return 1/S
+    reciprocal = s == 1 and x.imag == 0 and x.real < 0
+    k = 0 if reciprocal else k
+    value, terms, tail, abs_sum, ok = kernels.alpha_deriv_sum(
+        -x if reciprocal else x, s, k, tol, max_terms
+    )
+    if not ok:
+        reason = f" within {max_terms} terms"
+        if terms < max_terms or not math.isfinite(abs_sum):  # past the double range
+            reason = (f": after {terms} terms the series passed the double range "
+                      "and its terms could not be followed")
+        what = f"alpha^({k})" if k else "alpha"
+        raise NonConvergenceError(f"{what}({x!r}, {s}) did not reach tol={tol:g}{reason}")
+    result = SeriesResult(value, terms, tail, 2 * terms * _UNIT_ROUNDOFF * abs_sum)
+    return _reciprocal_result(result) if reciprocal else result
 
 
 def alpha_series(
@@ -129,16 +133,7 @@ def alpha_series(
     all-positive series S = e^{-x} is summed instead and 1/S returned, with
     both bounds carried through the reciprocal.
     """
-    x = _check_query(x, s)
-    _check_budget(tol, max_terms)
-    reciprocal = s == 1 and x.imag == 0 and x.real < 0
-    value, terms, tail, abs_sum, ok = kernels.alpha_sum(
-        -x if reciprocal else x, s, tol, max_terms
-    )
-    if not ok:
-        raise _no_convergence(f"alpha({x!r}, {s})", tol, terms, max_terms)
-    result = _series_result(value, terms, tail, abs_sum)
-    return _reciprocal_result(result) if reciprocal else result
+    return _summed(x, s, 0, tol, max_terms)
 
 
 def alpha_derivative_series(
@@ -157,16 +152,7 @@ def alpha_derivative_series(
     At s = 1 and real x < 0 every derivative of e^x is e^x, so this returns
     alpha_series' reciprocal result for every k instead of an alternating sum.
     """
-    x = _check_query(x, s)
-    _check_budget(tol, max_terms)
-    if not isinstance(k, int) or k < 0:
-        raise InvalidQueryError(f"k must be an integer >= 0, got {k!r}")
-    if s == 1 and x.imag == 0 and x.real < 0:
-        return alpha_series(x, 1, tol, max_terms)
-    value, terms, tail, abs_sum, ok = kernels.alpha_deriv_sum(x, s, k, tol, max_terms)
-    if not ok:
-        raise _no_convergence(f"alpha^({k})({x!r}, {s})", tol, terms, max_terms)
-    return _series_result(value, terms, tail, abs_sum)
+    return _summed(x, s, k, tol, max_terms)
 
 
 def bessel_i0(

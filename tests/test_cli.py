@@ -7,6 +7,7 @@ import math
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -120,6 +121,75 @@ class TestEval:
         code, _, err = run_cli(capsys, "eval", "--x", "300", "--s", "1")
         assert code == 3
         assert "error:" in err
+
+    @pytest.mark.parametrize("x, s, reason", [
+        # the terms overflow (sum|t_n| is nan) long before the budget ends
+        ("1e6", "2", "passed the double range"),
+        ("1e200", "1", "passed the double range"),
+        # sum|t_n| stays finite (1.04e211, 1.94e130): the budget was the limit
+        ("6e4", "2", "within 500 terms"),
+        ("300", "1", "within 500 terms"),
+    ])
+    def test_nonconvergence_names_its_reason(self, capsys, x, s, reason):
+        code, out, err = run_cli(capsys, "eval", "--x", x, "--s", s)
+        assert code == 3
+        assert out == ""
+        assert err.startswith("error: ")
+        assert err.count("\n") == 1
+        assert reason in err
+
+
+class TestNegativeValues:
+    """A negative value in exponent notation or -inf, given after its option
+    as a separate token, reads as that option's value."""
+
+    def test_exponent_notation_matches_equals_form(self, capsys):
+        spaced = run_cli(capsys, "eval", "--x", "-2e0", "--s", "3")
+        joined = run_cli(capsys, "eval", "--x=-2e0", "--s", "3")
+        assert spaced == joined
+        assert spaced[0] == 0
+
+    def test_negative_infinity_reaches_the_series_check(self, capsys):
+        code, out, err = run_cli(capsys, "eval", "--x", "-inf", "--s", "3")
+        assert code == 2
+        assert out == ""
+        assert err == "error: x must be finite, got (-inf+0j)\n"
+
+    def test_table_range(self, capsys):
+        code, out, _ = run_cli(capsys, "table", "--x-min", "-1e0", "--x-max", "1e0",
+                               "--steps", "3", "--s", "2")
+        assert code == 0
+        rows = out.splitlines()[1:]
+        assert [float(row.split(",")[0]) for row in rows] == [-1.0, 0.0, 1.0]
+
+
+class TestReadme:
+    """The `$ alphafn eval` blocks README quotes are what the CLI prints."""
+
+    @staticmethod
+    def blocks():
+        readme = Path(__file__).resolve().parents[1] / "README.md"
+        blocks, current = [], None
+        for line in readme.read_text(encoding="utf-8").splitlines():
+            text = line.strip()
+            if text.startswith("$ alphafn eval "):
+                current = (text[len("$ alphafn "):].split(), [])
+                blocks.append(current)
+            elif current is not None and text != "```":
+                current[1].append(text)
+            else:
+                current = None
+        return blocks
+
+    def test_quotes_both_eval_blocks(self):
+        assert [argv for argv, _ in self.blocks()] == [
+            ["eval", "--x", "1", "--s", "3"], ["eval", "--x", "-30", "--s", "1"]]
+
+    def test_output_matches_byte_for_byte(self, capsys):
+        for argv, lines in self.blocks():
+            code, out, err = run_cli(capsys, *argv)
+            assert (code, err) == (0, "")
+            assert out == "".join(line + "\n" for line in lines)
 
 
 class TestCompare:

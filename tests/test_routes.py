@@ -3,6 +3,9 @@ order, and the messages eval gives when a route does not apply."""
 
 from __future__ import annotations
 
+import math
+
+import mpmath
 import pytest
 
 from alphafn.cli import main
@@ -56,3 +59,14 @@ def test_eval_refusal_messages(capsys, argv, message):
     assert code == 2
     assert captured.out == ""
     assert captured.err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("x", [-20.0, -1.0, 0.0, 0.5, 1.0, 20.0])
+def test_exp_closed_form_error_bounds_its_rounding(x):
+    # e^x is not a double (e^0 aside): the route reports one ulp, not 0
+    route = {m.name: m for m in compare_methods(x, 1).method_values}["exp-closed-form"]
+    with mpmath.workdps(40):
+        true_error = abs(mpmath.mpf(route.value) - mpmath.exp(x))
+    assert route.error > 0
+    assert true_error <= route.error
+    assert route.error == math.ulp(route.value)
