@@ -13,18 +13,22 @@ equal-weight average of an integrand over ``n`` uniformly spaced circle (or
 torus) nodes ``theta_j = 2*pi*j/n``, accumulated in ascending node order for
 reproducibility.  With ``fresh=True`` they average over only the nodes that
 level ``n/2`` lacks, for the nested ladder of
-`alphafn.quadrature.nested_node_mean`.  `exp_alpha_mean`, the lift's kernel,
-sums each inner alpha(e^{-i th}, s-1) within INNER_TOL and INNER_MAX_TERMS.
+`alphafn.quadrature.nested_node_mean`.
+
+`exp_alpha_mean`, the lift's kernel, is the one kernel with state across
+calls: `_lift_nodes` sums its x-free factor alpha(e^{-i th}, s-1) once per
+(s, n, fresh) and keeps the node tables in a bounded lru_cache.
 
 The torus kernels build one trig table per call, ``cos`` and ``sin`` of
 ``(TWO_PI * k) / n`` for k < n, and read both the row angle and the node
-angle from it; the row constants are formed once per row.  Each expression
-keeps its order of operations and the sum its order, so the results are
-the same doubles as evaluating the integrand node by node.  The table lives
-only for the call: no state is kept between calls.
+angle from it; the row constants are formed once per row.  The table lives
+only for the call.  Each expression keeps its order of operations and the
+sum its order, cached or not, so the results are the same doubles as
+evaluating the integrand node by node.
 """
 
 import cmath
+import functools
 import math
 import sys
 
@@ -34,6 +38,9 @@ from .quadrature import TWO_PI, circle_nodes, torus_rows
 # alpha_sum stops within 18 terms under this budget for any s fitting a double
 INNER_TOL = 1e-15
 INNER_MAX_TERMS = 500
+# (s, n, fresh) keys of the lift's node table kept across calls; compare's
+# lift takes s = 2..5 at levels 16..256, both halves of each ladder step
+LIFT_CACHE_SIZE = 64
 
 
 def _term_sum(x, s, k, tol, max_terms):
@@ -45,7 +52,9 @@ def _term_sum(x, s, k, tol, max_terms):
     loop stops once t_n*r_n <= tol and r_n <= 1/2, with the geometric tail
     bound t_n*r_n/(1-r_n).  Past DBL_MAX (math.pow raises; the callers pass
     only an s that fits a double) DBL_MAX still bounds the ratio, but no
-    term can be followed further, nor after a subnormal first coefficient.
+    term can be followed further, nor after a subnormal first coefficient
+    or past the first term that is not finite, which the loop reports as
+    the count of terms added before it.
     A tail bound that underflows to 0 at x != 0 is raised to the least
     double, since the terms it drops are positive.
     """
@@ -76,6 +85,8 @@ def _term_sum(x, s, k, tol, max_terms):
         if r <= 0.5 and t_mag * r <= tol:
             break
         term = term * x / d
+        if not cmath.isfinite(term):  # past DBL_MAX: no later term can be followed
+            return total, n1 - k, math.inf, abs_sum, False
     else:
         return total, max_terms, math.inf, abs_sum, False
     tail = t_mag * r / (1.0 - r)
@@ -169,14 +180,25 @@ def alpha3_complex_mean(x, n, fresh=False):
     return total / count
 
 
-def exp_alpha_mean(x, s, n, fresh=False):
-    """Circle mean of exp(x e^{i th}) * alpha(e^{-i th}, s-1) over n nodes,
-    the inner alpha summed by alpha_sum within INNER_TOL and INNER_MAX_TERMS."""
-    js = circle_nodes(n, fresh)
-    total = 0j
-    for j in js:
+@functools.lru_cache(maxsize=LIFT_CACHE_SIZE)
+def _lift_nodes(s, n, fresh):
+    """exp_alpha_mean's nodes in ascending order as pairs (e^{i th},
+    alpha(e^{-i th}, s-1)), the inner alpha summed within INNER_TOL and
+    INNER_MAX_TERMS."""
+    nodes = []
+    for j in circle_nodes(n, fresh):
         th = (TWO_PI * j) / n
         eith = complex(math.cos(th), math.sin(th))
         inner = alpha_sum(eith.conjugate(), s - 1, INNER_TOL, INNER_MAX_TERMS)[0]
+        nodes.append((eith, inner))
+    return tuple(nodes)
+
+
+def exp_alpha_mean(x, s, n, fresh=False):
+    """Circle mean of exp(x e^{i th}) * alpha(e^{-i th}, s-1) over n nodes,
+    the second factor taken from _lift_nodes(s, n, fresh)."""
+    nodes = _lift_nodes(s, n, fresh)
+    total = 0j
+    for eith, inner in nodes:
         total += cmath.exp(x * eith) * inner
-    return total / len(js)
+    return total / len(nodes)

@@ -24,7 +24,7 @@ from .errors import (
     ToleranceNotReachedError,
 )
 from .report import METHODS, compare_methods, evaluate_method
-from .verify import SUITE_NAMES, run_suite
+from .verify import SUITE_NAMES, run_suite, worst_delta
 
 EXIT_OK = 0
 EXIT_FAILED = 1
@@ -93,20 +93,18 @@ def cmd_compare(args: argparse.Namespace) -> int:
 def cmd_verify(args: argparse.Namespace) -> int:
     cases = run_suite(args.suite, args.seed)
     lines = []
-    worst = 0.0
     failures = 0
     for case in cases:
         status = "ok " if case.passed else "FAIL"
         if not case.passed:
             failures += 1
-        worst = max(worst, case.delta)
         lines.append(
             f"{status:<5} {case.suite:<13} {case.name:<24} "
             f"delta={case.delta:.3e} (<= {case.threshold:.3e})"
         )
     lines.append(
         f"suite={args.suite} seed={args.seed} cases={len(cases)} "
-        f"failures={failures} worst_delta={worst:.3e}"
+        f"failures={failures} worst_delta={worst_delta(c.delta for c in cases):.3e}"
     )
     _emit("\n".join(lines) + "\n", args.output)
     return EXIT_OK if failures == 0 else EXIT_FAILED

@@ -16,6 +16,7 @@ still |value_N - value_{N/2}| between the last two levels.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -72,15 +73,25 @@ def converge(node_mean: Callable[[int], complex], cfg: QuadratureConfig) -> Quad
 
     Doubles N from cfg.initial_nodes until successive values differ by at
     most cfg.tol.  Raises ToleranceNotReachedError (carrying the best
-    result) if the next doubling would exceed cfg.max_nodes.
+    result) if the next doubling would exceed cfg.max_nodes, and at once,
+    with best None, at a level whose mean is not finite.
     """
+
+    def level(n: int) -> complex:
+        value = complex(node_mean(n))
+        if not cmath.isfinite(value):
+            raise ToleranceNotReachedError(
+                f"the level mean at N={n} is not finite: {value!r}", best=None
+            )
+        return value
+
     n = cfg.initial_nodes
-    value = complex(node_mean(n))
+    value = level(n)
     if 2 * n > cfg.max_nodes:
         return QuadratureResult(value, n, 0.0)
     while True:
         n2 = 2 * n
-        value2 = complex(node_mean(n2))
+        value2 = level(n2)
         delta = abs(value2 - value)
         if delta <= cfg.tol:
             return QuadratureResult(value2, n2, delta)

@@ -39,6 +39,13 @@ def _case(suite: str, name: str, delta: float, threshold: float) -> CaseResult:
     return CaseResult(suite, name, delta <= threshold, delta, threshold)
 
 
+def worst_delta(deltas) -> float:
+    """The largest delta, 0.0 for none, or nan if any is nan, which max()
+    would drop: max(0.0, nan) is 0.0."""
+    deltas = list(deltas)
+    return math.nan if any(map(math.isnan, deltas)) else max(deltas, default=0.0)
+
+
 def suite_theorem1(seed: int = 0, trials: int = 200) -> list[CaseResult]:
     """Circle-integral product rule vs direct coefficient convolution.
 
@@ -145,17 +152,13 @@ def suite_expansion_s3(seed: int = 0) -> list[CaseResult]:
     """
     cases = []
     xs = (-1.0, 0.0, 0.5, 1.0, 2.0)
+    angles = [(TWO_PI * i) / 16 for i in range(16)]
     for x in xs:
-        worst = 0.0
-        for i in range(16):
-            theta = (TWO_PI * i) / 16
-            for j in range(16):
-                t = (TWO_PI * j) / 16
-                diff = abs(
-                    alpha3_integrand_complex(x, theta, t).real
-                    - alpha3_integrand_real(x, theta, t)
-                )
-                worst = max(worst, diff)
+        worst = worst_delta(
+            abs(alpha3_integrand_complex(x, theta, t).real - alpha3_integrand_real(x, theta, t))
+            for theta in angles
+            for t in angles
+        )
         bound = 1e-12 * (1.0 + math.exp(abs(x) + 2.0))
         cases.append(_case("expansion_s3", f"pointwise-x={x:g}", worst, bound))
     for x in xs:

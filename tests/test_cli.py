@@ -12,9 +12,11 @@ from pathlib import Path
 import pytest
 
 import alphafn
+from alphafn import cli
 from alphafn.cli import main
 from alphafn.errors import InvalidQueryError
 from alphafn.report import compare_methods, evaluate_method
+from alphafn.verify import CaseResult
 
 I0_OF_2 = 2.2795853023360673
 ALPHA_1_3 = 2.1297025489833064
@@ -137,6 +139,15 @@ class TestEval:
         assert err.startswith("error: ")
         assert err.count("\n") == 1
         assert reason in err
+
+
+    def test_overflow_names_the_first_nonfinite_term(self, capsys):
+        # 1e6^110/(110!)^2 = 3.96e303, and times 1e6 it passes DBL_MAX before
+        # the division by 111^2: term 111 is the first the loop cannot form
+        code, out, err = run_cli(capsys, "eval", "--x", "1e6", "--s", "2")
+        assert code == 3
+        assert out == ""
+        assert "after 111 terms the series passed the double range" in err
 
 
 class TestNegativeValues:
@@ -290,6 +301,14 @@ class TestVerify:
         assert code == 0
         assert "cases=200" in out
         assert "failures=0" in out
+
+    def test_worst_delta_keeps_a_nan(self, capsys, monkeypatch):
+        cases = [CaseResult("ode", f"case-{i}", False, delta, 1.0)
+                 for i, delta in enumerate((0.5, math.nan, 2.0))]
+        monkeypatch.setattr(cli, "run_suite", lambda suite, seed: cases)
+        code, out, _ = run_cli(capsys, "verify", "--suite", "ode")
+        assert code == 1
+        assert out.splitlines()[-1].endswith("failures=3 worst_delta=nan")
 
     def test_deterministic_for_fixed_seed(self, capsys):
         _, first, _ = run_cli(capsys, "verify", "--suite", "bessel_eq1", "--seed", "0")

@@ -398,6 +398,19 @@ class TestAlpha3TorusLevel:
         # the ladder would end at 32 for each of the ten calls
         assert sorted(seen) == [14] * 8 + [18] * 2
 
+    def test_expansion_s3_fails_a_nan_on_the_pointwise_grid(self, monkeypatch):
+        # max(0.0, nan) is 0.0, so a running max would pass this node
+        real = verify.alpha3_integrand_real
+        bad = (0.5, (TWO_PI * 3) / 16, (TWO_PI * 11) / 16)
+
+        def patched(x, theta, t):
+            return math.nan if (x, theta, t) == bad else real(x, theta, t)
+
+        monkeypatch.setattr(verify, "alpha3_integrand_real", patched)
+        failed = [case for case in verify.suite_expansion_s3() if not case.passed]
+        assert [case.name for case in failed] == ["pointwise-x=0.5"]
+        assert math.isnan(failed[0].delta)
+
     def test_raises_past_the_node_cap(self):
         with pytest.raises(ToleranceNotReachedError):
             alpha3_torus_level(200.0, 1e-10)

@@ -60,11 +60,58 @@ class TestPythonKernelsAgainstCompositions:
             )
             assert ok and terms <= 18, (s1, j, terms)
 
+    def test_alpha_sum_stops_at_the_first_nonfinite_term(self):
+        # 1e200^2/2! passes DBL_MAX, so term 2 cannot be formed
+        value, terms, tail, abs_sum, ok = _kernels_py.alpha_sum(1e200 + 0j, 1, 1e-13, 500)
+        assert not ok
+        assert terms == 2
+        assert math.isinf(tail)
+        assert value == abs_sum == 1e200 + 1
+
     def test_alpha_sum_flags_budget_exhaustion(self):
         value, terms, tail, abs_sum, ok = _kernels_py.alpha_sum(300 + 0j, 1, 1e-13, 100)
         assert not ok
         assert terms == 100
         assert math.isinf(tail)
+
+
+class TestLiftNodeCache:
+    """exp_alpha_mean takes its x-free factor from a bounded cache; cached
+    or not, each mean is the same double as the per-node composition."""
+
+    @staticmethod
+    def composed(x, s, n, fresh):
+        total = 0j
+        count = 0
+        for j in (range(1, n, 2) if fresh else range(n)):
+            th = (TWO_PI * j) / n
+            eith = complex(math.cos(th), math.sin(th))
+            inner = _kernels_py.alpha_sum(eith.conjugate(), s - 1, 1e-15, 500)[0]
+            total += cmath.exp(x * eith) * inner
+            count += 1
+        return total / count
+
+    @pytest.mark.parametrize("s", [2, 3, 5, 1024, 2**60])
+    def test_cold_and_warm_are_bit_identical(self, s):
+        hexed = lambda z: (z.real.hex(), z.imag.hex())
+        for n in (16, 32, 64):
+            for fresh in (False, True):
+                for x in (-7.5, 0.0, 0.7, 9.9):
+                    _kernels_py._lift_nodes.cache_clear()
+                    cold = _kernels_py.exp_alpha_mean(x, s, n, fresh)
+                    warm = _kernels_py.exp_alpha_mean(x, s, n, fresh)
+                    assert _kernels_py._lift_nodes.cache_info().hits == 1
+                    expected = hexed(self.composed(x, s, n, fresh))
+                    assert hexed(cold) == hexed(warm) == expected, (s, n, fresh, x)
+
+    def test_cache_stays_within_its_bound(self):
+        cache = _kernels_py._lift_nodes
+        cache.cache_clear()
+        for s in range(2, _kernels_py.LIFT_CACHE_SIZE + 12):
+            _kernels_py.exp_alpha_mean(0.5, s, 4)
+        info = cache.cache_info()
+        assert info.misses == _kernels_py.LIFT_CACHE_SIZE + 10
+        assert info.currsize <= info.maxsize == _kernels_py.LIFT_CACHE_SIZE
 
 
 # (name, mean(x, n, fresh), torus): the five mean kernels as node means of x

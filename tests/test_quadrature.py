@@ -8,11 +8,13 @@ import math
 import pytest
 
 from alphafn import (
+    AnalyticFunction,
     InvalidQueryError,
     QuadratureConfig,
     ToleranceNotReachedError,
     bessel_i0,
     converge,
+    hadamard_eval,
     trapezoid_periodic_1d,
     trapezoid_periodic_2d,
 )
@@ -159,3 +161,34 @@ class TestConverge:
         res = converge(lambda n: values[n], cfg)
         assert res.nodes == 16
         assert abs(res.est_error - 0.0001) < 1e-12
+
+    @pytest.mark.parametrize("cfg", [QuadratureConfig(4, 4, 1e-12), QuadratureConfig()],
+                             ids=["single-level", "default"])
+    def test_nonfinite_level_mean_raises_at_once(self, cfg):
+        levels = []
+
+        def node_mean(n):
+            levels.append(n)
+            return math.nan
+
+        with pytest.raises(ToleranceNotReachedError, match=f"N={cfg.initial_nodes} ") as excinfo:
+            converge(node_mean, cfg)
+        assert excinfo.value.best is None
+        assert levels == [cfg.initial_nodes]
+
+    @pytest.mark.parametrize("cfg", [QuadratureConfig(4, 4, 1e-12), None],
+                             ids=["single-level", "default"])
+    def test_nonfinite_integrand_fails_hadamard_eval(self, cfg):
+        # nan for Re z < 0, so the first level's mean is nan: no value, no
+        # further level
+        calls = []
+
+        def f(z):
+            calls.append(z)
+            return math.nan if z.real < 0 else cmath.exp(z)
+
+        g = AnalyticFunction(cmath.exp, math.inf)
+        with pytest.raises(ToleranceNotReachedError, match="is not finite") as excinfo:
+            hadamard_eval(AnalyticFunction(f, math.inf), g, 0.5, 0.5, cfg)
+        assert excinfo.value.best is None
+        assert len(calls) == (cfg or QuadratureConfig()).initial_nodes
