@@ -60,14 +60,10 @@ def _term_sum(x, s, k, tol, max_terms):
     """
     x = complex(x)
     ax = abs(x)
-    term = 1 + 0j
-    den = math.pow  # d_n from n + 1 and s, which at k = 0 is (n+1)^s itself
-    if k:
-        c = math.prod(math.pow(i, 1 - s) for i in range(2, k + 1))
-        term = complex(c)
-        if c < sys.float_info.min:
-            max_terms = 1
-        den = lambda n1, s: math.pow(n1, s) * ((n1 - k) / n1)
+    c = math.prod(math.pow(i, 1 - s) for i in range(2, k + 1))
+    term = complex(c)
+    if c < sys.float_info.min:
+        max_terms = 1
     total = 0j
     abs_sum = 0.0
     for n1 in range(k + 1, k + 1 + max_terms):  # n1 = n + 1
@@ -75,13 +71,11 @@ def _term_sum(x, s, k, tol, max_terms):
         t_mag = abs(term)
         abs_sum += t_mag
         try:
-            d = den(n1, s)
-        except OverflowError:  # (n+1)^s > DBL_MAX
+            d = math.pow(n1, s) * ((n1 - k) / n1)
+            r = ax / d
+        except OverflowError:  # (n+1)^s > DBL_MAX: DBL_MAX bounds the ratio
+            d = math.nan
             r = ax * (n1 / (n1 - k)) / sys.float_info.max
-            if r <= 0.5 and t_mag * r <= tol:
-                break
-            return total, n1 - k, math.inf, abs_sum, False
-        r = ax / d
         if r <= 0.5 and t_mag * r <= tol:
             break
         term = term * x / d
