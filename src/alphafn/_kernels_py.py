@@ -46,21 +46,28 @@ LIFT_CACHE_SIZE = 64
 def _term_sum(x, s, k, tol, max_terms):
     """Sum the k-th term-wise derivative of alpha, k = 0 being alpha itself.
 
-    Term n >= k, n!/(n-k)! x^(n-k)/(n!)^s, starts at (k!)^(1-s) and follows
-    term_{n+1} = term_n * x/d_n, d_n = (n+1)^s (n+1-k)/(n+1), never forming
-    (n!)**s.  The ratio bound r_n = |x|/d_n only falls, so after term n the
-    loop stops once t_n*r_n <= tol and r_n <= 1/2, with the geometric tail
-    bound t_n*r_n/(1-r_n).  Past DBL_MAX (math.pow raises; the callers pass
-    only an s that fits a double) DBL_MAX still bounds the ratio, but no
-    term can be followed further, nor after a subnormal first coefficient
-    or past the first term that is not finite, which the loop reports as
-    the count of terms added before it.
+    Term n >= k, n!/(n-k)! x^(n-k)/(n!)^s, starts at (k!)^(1-s), the empty
+    product 1 for k <= 1, and follows term_{n+1} = term_n * x/d_n with
+    d_n = (n+1)^s (n+1-k)/(n+1) for every k (the factor is exactly 1.0 at
+    k = 0), never forming (n!)**s.  The ratio bound r_n = |x|/d_n only
+    falls, so after term n the loop stops once t_n*r_n <= tol and
+    r_n <= 1/2, with the geometric tail bound t_n*r_n/(1-r_n).  Past
+    DBL_MAX (math.pow raises; the callers pass only an s that fits a
+    double) DBL_MAX still bounds the ratio for that stop, but d_n is NaN,
+    so no term can be followed further.  Where term_n * x overflows, the
+    step is retried as term_n * (x/d_n).  The loop gives up at the first
+    term that is still not finite or whose modulus passes DBL_MAX, after a
+    subnormal first coefficient, and at the budget, and reports the count
+    of terms added before it.  A sum whose magnitudes pass DBL_MAX is not
+    converged either, though every term is a double.
     A tail bound that underflows to 0 at x != 0 is raised to the least
     double, since the terms it drops are positive.
     """
     x = complex(x)
     ax = abs(x)
-    c = math.prod(math.pow(i, 1 - s) for i in range(2, k + 1))
+    c = 1.0  # (k!)^(1-s); a loop costs less than math.prod over a generator
+    for i in range(2, k + 1):
+        c *= math.pow(i, 1 - s)
     term = complex(c)
     if c < sys.float_info.min:
         max_terms = 1
@@ -73,20 +80,24 @@ def _term_sum(x, s, k, tol, max_terms):
         try:
             d = math.pow(n1, s) * ((n1 - k) / n1)
             r = ax / d
-        except OverflowError:  # (n+1)^s > DBL_MAX: DBL_MAX bounds the ratio
+        except OverflowError:  # (n+1)^s > DBL_MAX bounds the ratio, not the term
             d = math.nan
             r = ax * (n1 / (n1 - k)) / sys.float_info.max
         if r <= 0.5 and t_mag * r <= tol:
             break
-        term = term * x / d
-        if not cmath.isfinite(term):  # past DBL_MAX: no later term can be followed
-            return total, n1 - k, math.inf, abs_sum, False
+        step = term * x / d
+        if not cmath.isfinite(step):  # term * x passed DBL_MAX, the next term may not
+            step = term * (x / d)
+            # abs() raises past DBL_MAX; hypot is inf there and NaN on a NaN
+            if not math.hypot(step.real, step.imag) <= sys.float_info.max:
+                return total, n1 - k, math.inf, abs_sum, False
+        term = step
     else:
         return total, max_terms, math.inf, abs_sum, False
     tail = t_mag * r / (1.0 - r)
     if not tail and ax:
         tail = math.ulp(0.0)
-    return total, n1 - k, tail, abs_sum, True
+    return total, n1 - k, tail, abs_sum, math.isfinite(abs_sum)
 
 
 def alpha_sum(x, s, tol, max_terms):

@@ -99,6 +99,14 @@ def _refuse_lift(x: float, s: int) -> str | None:
     return f"the lift needs integer s >= 2, got {s!r}"
 
 
+def _real(x) -> float:
+    """x as a float; every route here is for real x."""
+    z = complex(x)
+    if z.imag:
+        raise InvalidQueryError(f"x must be real, got {x!r}")
+    return z.real
+
+
 def _series(x, s, tol):
     res = alpha_series(x, s, DEFAULT_TOL if tol is None else tol)
     info = {"terms_used": res.terms_used, "tail_bound": res.tail_bound,
@@ -145,6 +153,7 @@ def evaluate_method(x: float, s: int, method: str, tol: float | None = None) -> 
     route = METHODS.get(method)
     if route is None:
         raise InvalidQueryError(f"unknown method {method!r}")
+    x = _real(x)
     reason = route.refuse(x, s)
     if reason is not None:
         raise InvalidQueryError(reason)
@@ -163,7 +172,7 @@ def compare_methods(x: float, s: int, tolerance: float | None = None) -> Compari
     tolerance = 1e-8 if tolerance is None else tolerance
     if not tolerance > 0:
         raise InvalidQueryError(f"tolerance must be positive, got {tolerance!r}")
-    x = float(x)
+    x = _real(x)
     methods = [
         MethodValue(r.name, *r.run(x, s, None)) for r in ROUTES if r.refuse(x, s) is None
     ]

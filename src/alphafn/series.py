@@ -37,6 +37,8 @@ def _check_query(x: complex, s: int) -> complex:
     x = complex(x)
     if not (math.isfinite(x.real) and math.isfinite(x.imag)):
         raise InvalidQueryError(f"x must be finite, got {x!r}")
+    if math.hypot(x.real, x.imag) > sys.float_info.max:  # abs(x) would raise
+        raise InvalidQueryError(f"|x| must fit a double, got {x!r}")
     return x
 
 
@@ -100,15 +102,13 @@ def _summed(x, s: int, k: int, tol: float, max_terms: int) -> SeriesResult:
         raise InvalidQueryError(f"k must be an integer >= 0, got {k!r}")
     # every derivative of e^x is e^x: at s = 1, x < 0 sum S = e^{-x}, return 1/S
     reciprocal = s == 1 and x.imag == 0 and x.real < 0
-    k = 0 if reciprocal else k
     value, terms, tail, abs_sum, ok = kernels.alpha_deriv_sum(
-        -x if reciprocal else x, s, k, tol, max_terms
+        -x if reciprocal else x, s, 0 if reciprocal else k, tol, max_terms
     )
     if not ok:
         reason = f" within {max_terms} terms"
         if terms < max_terms or not math.isfinite(abs_sum):  # past the double range
-            reason = (f": after {terms} terms the series passed the double range "
-                      "and its terms could not be followed")
+            reason = f": after {terms} terms the series passed the double range"
         what = f"alpha^({k})" if k else "alpha"
         raise NonConvergenceError(f"{what}({x!r}, {s}) did not reach tol={tol:g}{reason}")
     result = SeriesResult(value, terms, tail, 2 * terms * _UNIT_ROUNDOFF * abs_sum)

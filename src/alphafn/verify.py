@@ -7,6 +7,7 @@ from a seeded generator so runs are reproducible.
 
 from __future__ import annotations
 
+import functools
 import math
 import random
 from dataclasses import dataclass
@@ -99,7 +100,8 @@ def suite_ode(seed: int = 0) -> list[CaseResult]:
     return cases
 
 
-def _set_partitions_by_blocks(max_n: int) -> list[list[int]]:
+@functools.cache
+def _set_partitions_by_blocks(max_n: int) -> tuple[tuple[int, ...], ...]:
     """Count set partitions of {0..n-1} by block count for every n <= max_n.
 
     Row n, entry k counts the partitions with k blocks.  The independent
@@ -108,7 +110,8 @@ def _set_partitions_by_blocks(max_n: int) -> list[list[int]]:
     its block count b, and is counted in row[b] of its length.  A string with
     b blocks has b + 1 extensions (the next element joins one of its b
     blocks or opens a new one), so the next level holds [b] * b + [b + 1]
-    for each entry.
+    for each entry.  The walk runs once per max_n in a process; its rows are
+    shared, so they are returned as tuples.
     """
     rows = [[0] * (n + 1) for n in range(max_n + 1)]
     rows[0][0] = 1
@@ -123,7 +126,7 @@ def _set_partitions_by_blocks(max_n: int) -> list[list[int]]:
                 longer += [blocks] * blocks
                 longer.append(blocks + 1)
             level = longer
-    return rows
+    return tuple(map(tuple, rows))
 
 
 def suite_stirling_gf(seed: int = 0) -> list[CaseResult]:

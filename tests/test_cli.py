@@ -142,12 +142,13 @@ class TestEval:
 
 
     def test_overflow_names_the_first_nonfinite_term(self, capsys):
-        # 1e6^110/(110!)^2 = 3.96e303, and times 1e6 it passes DBL_MAX before
-        # the division by 111^2: term 111 is the first the loop cannot form
+        # 1e6^112/(112!)^2 = 2.6e307 is the last term below DBL_MAX, and
+        # term 113 (2.0e309) is the first that is not a double: the product
+        # term * 1e6 overflows from term 111 on, but x / d is taken first then
         code, out, err = run_cli(capsys, "eval", "--x", "1e6", "--s", "2")
         assert code == 3
         assert out == ""
-        assert "after 111 terms the series passed the double range" in err
+        assert "after 113 terms the series passed the double range" in err
 
 
 class TestNegativeValues:

@@ -9,7 +9,8 @@ import mpmath
 import pytest
 
 from alphafn.cli import main
-from alphafn.report import compare_methods
+from alphafn import InvalidQueryError
+from alphafn.report import compare_methods, evaluate_method
 
 S2_FULL = ["series", "alpha2-closed-form", "bessel", "hadamard-iterated"]
 S3 = ["series", "hadamard-2d-complex", "hadamard-2d-real", "hadamard-iterated"]
@@ -70,3 +71,14 @@ def test_exp_closed_form_error_bounds_its_rounding(x):
     assert route.error > 0
     assert true_error <= route.error
     assert route.error == math.ulp(route.value)
+
+
+@pytest.mark.parametrize("run", [
+    lambda x: compare_methods(x, 3),
+    lambda x: evaluate_method(x, 3, "hadamard"),
+    # the series route would return alpha(1+i, 3)'s real part alone
+    lambda x: evaluate_method(x, 3, "series"),
+])
+def test_report_refuses_non_real_x(run):
+    with pytest.raises(InvalidQueryError, match=r"x must be real, got \(1\+1j\)"):
+        run(1 + 1j)

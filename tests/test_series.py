@@ -80,6 +80,14 @@ class TestAlphaQuery:
         with pytest.raises(InvalidQueryError):
             AlphaQuery(math.inf, 2)
 
+    def test_rejects_modulus_past_double_range(self):
+        # both parts are doubles, but abs() of it raises OverflowError
+        x = complex(1.5e308, 1.5e308)
+        with pytest.raises(InvalidQueryError, match="fit a double"):
+            alpha_series(x, 3)
+        with pytest.raises(InvalidQueryError, match="fit a double"):
+            alpha_derivative_series(x, 3, 1)
+
 
 class TestAlphaSeries:
     def test_zero_argument_single_term(self):
@@ -254,6 +262,11 @@ class TestDerivativeSeries:
         res = alpha_derivative_series(1.0, 1, k=3, tol=1e-15)
         assert abs(res.value - math.e) < 1e-13
 
+    def test_reciprocal_failure_names_the_derivative(self):
+        # the reciprocal sums e^{1e6} at k = 0, but the query was alpha''
+        with pytest.raises(NonConvergenceError, match=r"^alpha\^\(2\)\(\(-1000000\+0j\), 1\)"):
+            alpha_derivative_series(-1e6, 1, 2)
+
     @pytest.mark.parametrize("k", [0, 1, 2, 3])
     def test_exp_derivatives_at_negative_x(self, k):
         # every derivative of e^x is e^x: the reciprocal, not an alternating sum
@@ -365,6 +378,46 @@ class TestLargeS:
             alpha_derivative_series(1.0, s, 1)
         with pytest.raises(InvalidQueryError, match="fit a double"):
             compare_methods(1.0, s)
+
+
+class TestDoubleRangeEdge:
+    """Terms near DBL_MAX: term * x may overflow where term * (x/d) does not."""
+
+    @pytest.mark.parametrize("x, s, terms", [
+        (975972745.3164062, 4, 484),
+        (56525842918.5, 5, 387),
+    ])
+    def test_overflowing_product_is_followed(self, x, s, terms):
+        res = alpha_series(x, s)
+        assert res.terms_used == terms
+        error = abs(mpmath.mpf(res.value.real) - alpha_mpmath(x, s))
+        assert float(error) <= res.tail_bound + res.rounding_bound
+
+    def test_budget_is_the_limit_past_the_overflowing_product(self):
+        with pytest.raises(NonConvergenceError, match="within 500 terms"):
+            alpha_series(13088638.63, 3)
+
+    def test_complex_step_past_dbl_max_is_refused(self):
+        # term * (x/d) has finite parts but a modulus past DBL_MAX
+        with pytest.raises(NonConvergenceError, match="passed the double range"):
+            alpha_derivative_series(1992.2175616728487 + 6.551572893857603j, 1, 2)
+
+    @pytest.mark.parametrize("s", [3, 4, 5, 6])
+    def test_sweep_to_the_overflow_edge(self, s):
+        # alpha((700 f/s)^s, s) is near e^(700 f): 1e294 to 1e316 over f
+        values = 0
+        for i in range(29):
+            x = (700 * (0.98 + 0.0025 * i) / s) ** s
+            try:
+                res = alpha_series(x, s)
+            except NonConvergenceError:
+                continue
+            assert math.isfinite(res.value.real) and res.value.imag == 0.0, x
+            error = abs(mpmath.mpf(res.value.real) - alpha_mpmath(x, s))
+            assert float(error) <= res.tail_bound + res.rounding_bound, x
+            values += 1
+        # s = 3 runs out of terms; from s = 4 the sum is followed up to DBL_MAX
+        assert values > 0 or s == 3
 
 
 class TestBesselI0:
