@@ -1,11 +1,15 @@
 """Command-line frontend: evaluate, cross-compare, verify, and tabulate.
 
+Each cmd_* returns its text and exit code.  `main` resolves the tolerance
+once, for the commands that take --tol: the --tol flag, then the ALPHA_TOL
+environment variable, then built-in defaults.  It then writes the text
+once, to stdout or --output.  --tol sets eval's route tolerance, compare's
+agreement tolerance (every route at its defaults) and table's lift ladder
+tolerance (the series at its default).
 Exit codes: 0 success, 1 a comparison or verification failed, 2 invalid
 query, domain violation or unwritable --output, 3 a series or quadrature
-failed to converge.
-Tolerance precedence: --tol flag, then the ALPHA_TOL environment variable,
-then built-in defaults.  All output is deterministic for fixed flags and
-seed; floats are printed with repr (shortest lossless form).
+failed to converge.  All output is deterministic for fixed flags and seed;
+floats are printed with repr (shortest lossless form).
 """
 
 from __future__ import annotations
@@ -16,13 +20,7 @@ import os
 import re
 import sys
 
-from .errors import (
-    DomainViolationError,
-    ImaginaryResidueError,
-    InvalidQueryError,
-    NonConvergenceError,
-    ToleranceNotReachedError,
-)
+from .errors import AlphaFnError, InvalidQueryError
 from .report import METHODS, compare_methods, evaluate_method
 from .verify import SUITE_NAMES, run_suite, worst_delta
 
@@ -63,61 +61,54 @@ def _emit(text: str, output: str | None) -> None:
         ) from exc
 
 
-def cmd_eval(args: argparse.Namespace) -> int:
-    tol = _resolve_tol(args.tol)
-    result = evaluate_method(args.x, args.s, args.method, tol)
+def cmd_eval(args: argparse.Namespace) -> tuple[str, int]:
+    result = evaluate_method(args.x, args.s, args.method, args.tol)
     lines = [f"alpha(x={args.x!r}, s={args.s}) [{args.method}] = {result.value!r}"]
     lines += [f"{key} = {value!r}" for key, value in result.info.items()]
-    _emit("\n".join(lines) + "\n", args.output)
-    return EXIT_OK
+    return "\n".join(lines) + "\n", EXIT_OK
 
 
-def cmd_compare(args: argparse.Namespace) -> int:
-    report = compare_methods(args.x, args.s, _resolve_tol(args.tol))
+def cmd_compare(args: argparse.Namespace) -> tuple[str, int]:
+    report = compare_methods(args.x, args.s, args.tol)
+    code = EXIT_OK if report.passed else EXIT_FAILED
     if args.format == "json":
-        text = json.dumps(report.to_json_dict(), indent=2) + "\n"
-    else:
-        lines = [f"compare alpha(x={args.x!r}, s={args.s})"]
-        for m in report.method_values:
-            lines.append(f"  {m.name:<22} {m.value!r}  (error <= {m.error!r})")
-        lines.append(f"max_pairwise_delta = {report.max_pairwise_delta!r}")
-        lines.append(f"tolerance = {report.tolerance!r}")
-        lines.append(f"passed = {report.passed}")
-        for note in report.notes:
-            lines.append(f"note: {note}")
-        text = "\n".join(lines) + "\n"
-    _emit(text, args.output)
-    return EXIT_OK if report.passed else EXIT_FAILED
+        return json.dumps(report.to_json_dict(), indent=2) + "\n", code
+    lines = [f"compare alpha(x={args.x!r}, s={args.s})"]
+    lines += [f"  {m.name:<22} {m.value!r}  (error <= {m.error!r})"
+              for m in report.method_values]
+    lines.append(f"max_pairwise_delta = {report.max_pairwise_delta!r}")
+    lines.append(f"tolerance = {report.tolerance!r}")
+    lines.append(f"passed = {report.passed}")
+    lines += [f"note: {note}" for note in report.notes]
+    return "\n".join(lines) + "\n", code
 
 
-def cmd_verify(args: argparse.Namespace) -> int:
+def cmd_verify(args: argparse.Namespace) -> tuple[str, int]:
     cases = run_suite(args.suite, args.seed)
-    lines = []
-    failures = 0
-    for case in cases:
-        status = "ok " if case.passed else "FAIL"
-        if not case.passed:
-            failures += 1
-        lines.append(
-            f"{status:<5} {case.suite:<13} {case.name:<24} "
-            f"delta={case.delta:.3e} (<= {case.threshold:.3e})"
-        )
+    failures = sum(not case.passed for case in cases)
+    lines = [
+        f"{'ok ' if case.passed else 'FAIL':<5} {case.suite:<13} {case.name:<24} "
+        f"delta={case.delta:.3e} (<= {case.threshold:.3e})"
+        for case in cases
+    ]
     lines.append(
         f"suite={args.suite} seed={args.seed} cases={len(cases)} "
         f"failures={failures} worst_delta={worst_delta(c.delta for c in cases):.3e}"
     )
-    _emit("\n".join(lines) + "\n", args.output)
-    return EXIT_OK if failures == 0 else EXIT_FAILED
+    return "\n".join(lines) + "\n", EXIT_OK if failures == 0 else EXIT_FAILED
 
 
-def cmd_table(args: argparse.Namespace) -> int:
+_TABLE_COLUMNS = ("x", "alpha_series", "alpha_hadamard", "abs_delta")
+_TABLE_ROW = {"csv": "{},{},{},{}", "text": "{:<24}{:<26}{:<26}{}"}
+
+
+def cmd_table(args: argparse.Namespace) -> tuple[str, int]:
     if args.steps < 1:
         raise InvalidQueryError(f"--steps must be >= 1, got {args.steps}")
     if args.x_min > args.x_max:
         raise InvalidQueryError(
             f"--x-min ({args.x_min!r}) must not exceed --x-max ({args.x_max!r})"
         )
-    tol = _resolve_tol(args.tol)
     if args.steps == 1:
         grid = [args.x_min]
     else:
@@ -125,34 +116,18 @@ def cmd_table(args: argparse.Namespace) -> int:
         grid = [args.x_min + i * span / (args.steps - 1) for i in range(args.steps)]
 
     rows = []
-    for x in grid:  # --tol is the lift's ladder tolerance; the series keeps its default
+    for x in grid:
         a = evaluate_method(x, args.s, "series").value
-        h = evaluate_method(x, args.s, "hadamard", tol).value
+        h = evaluate_method(x, args.s, "hadamard", args.tol).value
         rows.append((x, a, h, abs(a - h)))
 
-    if args.format == "csv":
-        lines = ["x,alpha_series,alpha_hadamard,abs_delta"]
-        for x, a, h, d in rows:
-            lines.append(f"{x!r},{a!r},{h!r},{d!r}")
-        text = "\n".join(lines) + "\n"
-    elif args.format == "json":
-        text = (
-            json.dumps(
-                [
-                    {"x": x, "alpha_series": a, "alpha_hadamard": h, "abs_delta": d}
-                    for x, a, h, d in rows
-                ],
-                indent=2,
-            )
-            + "\n"
-        )
+    if args.format == "json":
+        text = json.dumps([dict(zip(_TABLE_COLUMNS, row)) for row in rows], indent=2)
     else:
-        lines = [f"{'x':<24}{'alpha_series':<26}{'alpha_hadamard':<26}abs_delta"]
-        for x, a, h, d in rows:
-            lines.append(f"{x!r:<24}{a!r:<26}{h!r:<26}{d!r}")
-        text = "\n".join(lines) + "\n"
-    _emit(text, args.output)
-    return EXIT_OK
+        row = _TABLE_ROW[args.format]
+        text = "\n".join([row.format(*_TABLE_COLUMNS)]
+                         + [row.format(*map(repr, values)) for values in rows])
+    return text + "\n", EXIT_OK
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -162,39 +137,37 @@ def build_parser() -> argparse.ArgumentParser:
         "cross-verify the identities connecting them.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p_eval = sub.add_parser("eval", help="evaluate alpha(x, s) by one method")
-    p_eval.add_argument("--x", type=float, required=True)
-    p_eval.add_argument("--s", type=int, required=True)
-    p_eval.add_argument("--method", choices=tuple(METHODS), default="series")
-    p_eval.add_argument("--tol", type=float, default=None)
-    p_eval.add_argument("--output", default=None)
-    p_eval.set_defaults(func=cmd_eval)
-
-    p_cmp = sub.add_parser("compare", help="run every applicable method and compare")
-    p_cmp.add_argument("--x", type=float, required=True)
-    p_cmp.add_argument("--s", type=int, required=True)
-    p_cmp.add_argument("--tol", type=float, default=None)
-    p_cmp.add_argument("--format", choices=("text", "json"), default="text")
-    p_cmp.add_argument("--output", default=None)
-    p_cmp.set_defaults(func=cmd_compare)
-
-    p_ver = sub.add_parser("verify", help="run a named property suite")
-    p_ver.add_argument("--suite", choices=(*SUITE_NAMES, "all"), default="all")
-    p_ver.add_argument("--seed", type=int, default=0)
-    p_ver.add_argument("--output", default=None)
-    p_ver.set_defaults(func=cmd_verify)
-
-    p_tab = sub.add_parser("table", help="tabulate series vs lift over an x grid")
-    p_tab.add_argument("--x-min", dest="x_min", type=float, required=True)
-    p_tab.add_argument("--x-max", dest="x_max", type=float, required=True)
-    p_tab.add_argument("--steps", type=int, required=True)
-    p_tab.add_argument("--s", type=int, required=True)
-    p_tab.add_argument("--format", choices=("csv", "json", "text"), default="csv")
-    p_tab.add_argument("--tol", type=float, default=None)
-    p_tab.add_argument("--output", default=None)
-    p_tab.set_defaults(func=cmd_table)
-
+    shared = {
+        "--x": {"type": float, "required": True},
+        "--s": {"type": int, "required": True},
+        "--tol": {"type": float, "default": None},
+        "--output": {"default": None},
+    }
+    x_end = {"type": float, "required": True}
+    # command, handler, help, --format choices (the first is the default),
+    # and the options in --help order: a bare name is one of `shared` or --format
+    commands = (
+        ("eval", cmd_eval, "evaluate alpha(x, s) by one method", (),
+         ("--x", "--s", ("--method", {"choices": tuple(METHODS), "default": "series"}),
+          "--tol", "--output")),
+        ("compare", cmd_compare, "run every applicable method and compare", ("text", "json"),
+         ("--x", "--s", "--tol", "--format", "--output")),
+        ("verify", cmd_verify, "run a named property suite", (),
+         (("--suite", {"choices": (*SUITE_NAMES, "all"), "default": "all"}),
+          ("--seed", {"type": int, "default": 0}), "--output")),
+        ("table", cmd_table, "tabulate series vs lift over an x grid", ("csv", "json", "text"),
+         (("--x-min", x_end), ("--x-max", x_end), ("--steps", {"type": int, "required": True}),
+          "--s", "--format", "--tol", "--output")),
+    )
+    for name, func, help_text, formats, options in commands:
+        command = sub.add_parser(name, help=help_text)
+        for option in options:
+            if option == "--format":
+                option = (option, {"choices": formats, "default": formats[0]})
+            elif isinstance(option, str):
+                option = (option, shared[option])
+            command.add_argument(option[0], **option[1])
+        command.set_defaults(func=func)
     return parser
 
 
@@ -223,13 +196,14 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(_join_negative_values(sys.argv[1:] if argv is None else argv))
     try:
-        return args.func(args)
-    except (InvalidQueryError, DomainViolationError) as exc:
+        if "tol" in args:
+            args.tol = _resolve_tol(args.tol)
+        text, code = args.func(args)
+        _emit(text, args.output)
+        return code
+    except AlphaFnError as exc:  # ValueError: a bad query; ArithmeticError: no result
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INVALID
-    except (NonConvergenceError, ToleranceNotReachedError, ImaginaryResidueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NO_CONVERGENCE
+        return EXIT_INVALID if isinstance(exc, ValueError) else EXIT_NO_CONVERGENCE
 
 
 def entry() -> None:

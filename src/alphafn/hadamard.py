@@ -34,7 +34,7 @@ from .quadrature import (
     nested_node_mean,
     trapezoid_periodic_1d,
 )
-from .series import _UNIT_ROUNDOFF, _check_s_fits, bessel_i0
+from .series import _UNIT_ROUNDOFF, _check_s_fits, _real, bessel_i0
 
 # exp overflows doubles just above 709; the closed-form integrands peak at
 # exp of the values guarded here, so reject inputs past this point with a
@@ -174,7 +174,7 @@ def alpha2_quadrature(
     x: float, cfg: QuadratureConfig | None = None
 ) -> QuadratureResult:
     """alpha(x, 2) as the circle mean of alpha2_integrand."""
-    x = float(x)
+    x = _real(x)
     return _ladder("alpha2_quadrature", abs(x) + 1.0, cfg, kernels.alpha2_mean, x)
 
 
@@ -188,7 +188,7 @@ def bessel_identity_check(
     Returns (quadrature lhs, series rhs); the window [0, 2pi) replaces the
     symmetric one by periodicity.
     """
-    a, b = float(a), float(b)
+    a, b = _real(a, "a"), _real(b, "b")
     lhs = _ladder("bessel_identity_check", math.hypot(a, b), cfg,
                   kernels.bessel_mean, a, b)
     rhs = bessel_i0(math.hypot(a, b))
@@ -241,7 +241,7 @@ def alpha3_quadrature_real(
     alpha3_torus_level(x, tol): the error is then at most its
     alias_bound + rounding_bound.
     """
-    x = float(x)
+    x = _real(x)
     return _ladder("alpha3_quadrature_real", abs(x) + 2.0, cfg,
                    kernels.alpha3_real_mean, x, torus=True)
 
@@ -256,7 +256,7 @@ def alpha3_quadrature_complex(
     read as by alpha3_quadrature_real, and alpha3_torus_level's level and
     bounds hold for this integrand too.
     """
-    x = float(x)
+    x = _real(x)
     return _ladder("alpha3_quadrature_complex", abs(x) + 2.0, cfg,
                    kernels.alpha3_complex_mean, x, torus=True)
 
@@ -297,7 +297,7 @@ def alpha3_torus_level(
     ToleranceNotReachedError (best None) when n would pass
     DEFAULT_CONFIG_2D.max_nodes.
     """
-    x = float(x)
+    x = _real(x)
     if not tol > 0:
         raise InvalidQueryError(f"tol must be positive, got {tol!r}")
     ax = abs(x)
@@ -354,7 +354,7 @@ def alpha_via_hadamard(
     if not isinstance(s, int) or s < 2:
         raise InvalidQueryError(f"the lift needs integer s >= 2, got {s!r}")
     _check_s_fits(s)
-    x = float(x)
+    x = _real(x)
     result = _ladder("alpha_via_hadamard", abs(x), cfg, kernels.exp_alpha_mean, x, s)
     _check_imag(result.value, max(_IMAG_LIMIT_LIFT, 10.0 * cfg.tol), "alpha_via_hadamard")
     return result

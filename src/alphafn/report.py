@@ -16,7 +16,7 @@ from .hadamard import (
     alpha_via_hadamard,
 )
 from .quadrature import DEFAULT_CONFIG_1D, QuadratureConfig
-from .series import DEFAULT_TOL, AlphaQuery, alpha_series
+from .series import DEFAULT_TOL, AlphaQuery, _real, alpha_series
 from .backend import kernels
 
 # The often-quoted value for sum 1/(n!)^3 = 0F2(;1,1;1); it matches only
@@ -97,14 +97,6 @@ def _refuse_lift(x: float, s: int) -> str | None:
     if isinstance(s, int) and s >= 2:
         return None
     return f"the lift needs integer s >= 2, got {s!r}"
-
-
-def _real(x) -> float:
-    """x as a float; every route here is for real x."""
-    z = complex(x)
-    if z.imag:
-        raise InvalidQueryError(f"x must be real, got {x!r}")
-    return z.real
 
 
 def _series(x, s, tol):

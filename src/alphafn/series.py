@@ -28,6 +28,14 @@ def _check_s_fits(s: int) -> None:
         )
 
 
+def _real(x, name: str = "x") -> float:
+    """x as a float, for the routes that take real arguments only."""
+    z = complex(x)
+    if z.imag:
+        raise InvalidQueryError(f"{name} must be real, got {x!r}")
+    return z.real
+
+
 def _check_query(x: complex, s: int) -> complex:
     if not isinstance(s, int):
         raise InvalidQueryError(f"s must be an integer >= 1, got {s!r}")

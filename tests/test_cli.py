@@ -395,6 +395,87 @@ class TestTable:
         assert "\r" not in content
 
 
+class TestLayouts:
+    """The text layouts, each derived from the same call's csv or json, so
+    that the layout is pinned and not the numerics."""
+
+    TABLE = ("table", "--x-min", "-1", "--x-max", "1", "--steps", "3", "--s", "2")
+
+    def test_table_text_pads_the_csv_columns(self, capsys):
+        _, csv_out, _ = run_cli(capsys, *self.TABLE, "--format", "csv")
+        code, out, err = run_cli(capsys, *self.TABLE, "--format", "text")
+        assert (code, err) == (0, "")
+        # the header too: x, alpha_series and alpha_hadamard padded to 24, 26, 26
+        lines = ["{:<24}{:<26}{:<26}{}".format(*row.split(","))
+                 for row in csv_out.splitlines()]
+        assert out == "".join(line + "\n" for line in lines)
+
+    def test_compare_text_lists_the_json_report(self, capsys):
+        _, json_out, _ = run_cli(capsys, "compare", "--x", "1", "--s", "3", "--format", "json")
+        code, out, err = run_cli(capsys, "compare", "--x", "1", "--s", "3")
+        assert (code, err) == (0, "")
+        report = json.loads(json_out)
+        assert report["notes"]
+        lines = ["compare alpha(x=1.0, s=3)"]
+        lines += [f"  {m['name']:<22} {m['value']!r}  (error <= {m['error']!r})"
+                  for m in report["methods"]]
+        lines += [f"max_pairwise_delta = {report['max_pairwise_delta']!r}",
+                  f"tolerance = {report['tolerance']!r}", "passed = True"]
+        lines += [f"note: {note}" for note in report["notes"]]
+        assert out == "".join(line + "\n" for line in lines)
+
+    def test_verify_case_and_summary_lines(self, capsys, monkeypatch):
+        cases = [CaseResult("ode", "a", True, 1.5e-14, 1e-10),
+                 CaseResult("stirling_gf", "b", False, 0.25, 1e-12)]
+        monkeypatch.setattr(cli, "run_suite", lambda suite, seed: cases)
+        code, out, err = run_cli(capsys, "verify", "--suite", "ode", "--seed", "7")
+        assert (code, err) == (1, "")
+        assert out == (
+            "ok    ode           a                        delta=1.500e-14 (<= 1.000e-10)\n"
+            "FAIL  stirling_gf   b                        delta=2.500e-01 (<= 1.000e-12)\n"
+            "suite=ode seed=7 cases=2 failures=1 worst_delta=2.500e-01\n"
+        )
+
+
+class TestOutputFile:
+    """--output writes the bytes that stdout would get."""
+
+    @pytest.mark.parametrize("argv", [
+        ("eval", "--x", "1", "--s", "3"),
+        ("compare", "--x", "1", "--s", "3"),
+        ("compare", "--x", "1", "--s", "3", "--format", "json"),
+        ("verify", "--suite", "bessel_eq1"),
+        ("table", "--x-min", "0", "--x-max", "1", "--steps", "3", "--s", "2", "--format", "csv"),
+        ("table", "--x-min", "0", "--x-max", "1", "--steps", "3", "--s", "2", "--format", "json"),
+        ("table", "--x-min", "0", "--x-max", "1", "--steps", "3", "--s", "2", "--format", "text"),
+    ], ids=["eval", "compare-text", "compare-json", "verify",
+            "table-csv", "table-json", "table-text"])
+    def test_file_matches_stdout(self, capsys, tmp_path, argv):
+        code, out, err = run_cli(capsys, *argv)
+        target = tmp_path / "out.txt"
+        assert run_cli(capsys, *argv, "--output", str(target)) == (code, "", err)
+        assert code == 0
+        assert target.read_bytes() == out.encode("utf-8")
+
+
+class TestTolerance:
+    """main resolves --tol, then ALPHA_TOL, once, for the commands with --tol."""
+
+    def test_verify_ignores_a_bad_env_value(self, capsys, monkeypatch):
+        monkeypatch.setenv("ALPHA_TOL", "not-a-number")
+        code, out, err = run_cli(capsys, "verify", "--suite", "stirling_gf")
+        assert (code, err) == (0, "")
+        assert "failures=0" in out
+
+    def test_bad_env_value_is_named_before_the_table_arguments(self, capsys, monkeypatch):
+        monkeypatch.setenv("ALPHA_TOL", "bad")
+        code, out, err = run_cli(
+            capsys, "table", "--x-min", "0", "--x-max", "1", "--steps", "0", "--s", "2"
+        )
+        assert (code, out) == (2, "")
+        assert err == "error: ALPHA_TOL must be a number, got 'bad'\n"
+
+
 class TestUnwritableOutput:
     @pytest.mark.parametrize("where", ["missing-dir", "directory"])
     def test_exits_2_with_one_error_line(self, capsys, tmp_path, where):

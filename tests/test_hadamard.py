@@ -493,3 +493,20 @@ class TestExpRangeGuards:
                 route(x)
         with pytest.raises(InvalidQueryError, match="not finite"):
             bessel_identity_check(x, 0.0)
+
+
+
+@pytest.mark.parametrize("route, args, name", [
+    (alpha2_quadrature, (1 + 1j,), "x"),
+    (alpha3_quadrature_real, (1 + 1j,), "x"),
+    (alpha3_quadrature_complex, (1 + 1j,), "x"),
+    (alpha_via_hadamard, (1 + 1j, 3), "x"),
+    (alpha3_torus_level, (1 + 1j,), "x"),
+    (bessel_identity_check, (1j, 0), "a"),
+    (bessel_identity_check, (0, 1j), "b"),
+], ids=["alpha2", "alpha3_real", "alpha3_complex", "lift", "torus_level",
+        "bessel_a", "bessel_b"])
+def test_quadrature_routes_refuse_non_real_arguments(route, args, name):
+    # each of these took float() of its argument and raised a bare TypeError
+    with pytest.raises(InvalidQueryError, match=f"^{name} must be real, got "):
+        route(*args)
