@@ -8,16 +8,24 @@ and never raise; the callers own the error contract.  The lift calls
 `alpha_sum` and `alphafn.series` calls `alpha_deriv_sum`, two names over
 one term loop, `_term_sum`; a tracer wrapping both counts each call once.
 
-Mean kernels take ``(params..., n, fresh=False)`` and return the
-equal-weight average of an integrand over ``n`` uniformly spaced circle (or
-torus) nodes ``theta_j = 2*pi*j/n``, accumulated in ascending node order for
-reproducibility.  With ``fresh=True`` they average over only the nodes that
-level ``n/2`` lacks, for the nested ladder of
-`alphafn.quadrature.nested_node_mean`.
+Mean kernels return the equal-weight average of an integrand over ``n``
+uniformly spaced circle (or torus) nodes ``theta_j = 2*pi*j/n``,
+accumulated in ascending node order for reproducibility.  There are two
+contracts:
+
+- the circle kernels `alpha2_mean`, `bessel_mean` and `exp_alpha_mean`
+  take ``(params..., n)`` and average over all n nodes; the circle routes
+  run one level each;
+- the torus kernels `alpha3_real_mean` and `alpha3_complex_mean` take
+  ``(params..., n, fresh=False)``; with ``fresh=True`` they average over
+  only the nodes that level ``n/2`` lacks, for the nested ladder of
+  `alphafn.quadrature.nested_node_mean`.
+
+A tracer reads ``n`` positionally, so it stays a positional parameter.
 
 `exp_alpha_mean`, the lift's kernel, is the one kernel with state across
 calls: `_lift_nodes` sums its x-free factor alpha(e^{-i th}, s-1) once per
-(s, n, fresh) and keeps the node tables in a bounded lru_cache.
+(s, n) and keeps the node tables in a bounded lru_cache.
 
 The torus kernels build one trig table per call, ``cos`` and ``sin`` of
 ``(TWO_PI * k) / n`` for k < n, and read both the row angle and the node
@@ -32,14 +40,14 @@ import functools
 import math
 import sys
 
-from .quadrature import TWO_PI, circle_nodes, torus_rows
+from .quadrature import TWO_PI, torus_rows
 
 # At |z| = 1 the ratio bound is at most 1/2 from n = 1 and t_n <= 1/n!, so
 # alpha_sum stops within 18 terms under this budget for any s fitting a double
 INNER_TOL = 1e-15
 INNER_MAX_TERMS = 500
-# (s, n, fresh) keys of the lift's node table kept across calls; compare's
-# lift takes s = 2..5 at levels 16..256, both halves of each ladder step
+# (s, n) keys of the lift's node table kept across calls; compare's lift
+# takes s = 2..5 at one level of 16..64 nodes each
 LIFT_CACHE_SIZE = 64
 
 
@@ -51,15 +59,17 @@ def _term_sum(x, s, k, tol, max_terms):
     d_n = (n+1)^s (n+1-k)/(n+1) for every k (the factor is exactly 1.0 at
     k = 0), never forming (n!)**s.  The ratio bound r_n = |x|/d_n only
     falls, so after term n the loop stops once t_n*r_n <= tol and
-    r_n <= 1/2, with the geometric tail bound t_n*r_n/(1-r_n).  Past
-    DBL_MAX (math.pow raises; the callers pass only an s that fits a
-    double) DBL_MAX still bounds the ratio for that stop, but d_n is NaN,
-    so no term can be followed further.  Where term_n * x overflows, the
-    step is retried as term_n * (x/d_n).  The loop gives up at the first
-    term that is still not finite or whose modulus passes DBL_MAX, after a
-    subnormal first coefficient, and at the budget, and reports the count
-    of terms added before it.  A sum whose magnitudes pass DBL_MAX is not
-    converged either, though every term is a double.
+    r_n <= 1/2, with the geometric tail bound t_n*r_n/(1-r_n).  Where
+    (n+1)^s passes DBL_MAX (math.pow raises; the callers pass only an s
+    that fits a double), the ratio is taken through its logarithm,
+    log|x| + log((n+1)/(n+1-k)) - s log(n+1), plus the least double so
+    that it still bounds a ratio that underflows, and the terms follow as
+    term_n * (x/|x|) * r_n under the same stop.  Where term_n * x
+    overflows, the step is retried as term_n * (x/d_n).  The loop gives up
+    at the first term that is still not finite or whose modulus passes
+    DBL_MAX, after a subnormal first coefficient, and at the budget, and
+    reports the count of terms added before it.  A sum whose magnitudes
+    pass DBL_MAX is not converged either, though every term is a double.
     A tail bound that underflows to 0 at x != 0 is raised to the least
     double, since the terms it drops are positive.
     """
@@ -80,9 +90,17 @@ def _term_sum(x, s, k, tol, max_terms):
         try:
             d = math.pow(n1, s) * ((n1 - k) / n1)
             r = ax / d
-        except OverflowError:  # (n+1)^s > DBL_MAX bounds the ratio, not the term
-            d = math.nan
-            r = ax * (n1 / (n1 - k)) / sys.float_info.max
+        except OverflowError:  # (n+1)^s > DBL_MAX: follow the ratio through logs
+            r = 0.0
+            if ax:
+                r = math.exp(math.log(ax) + math.log(n1 / (n1 - k)) - s * math.log(n1))
+                r += math.ulp(0.0)
+            if r <= 0.5 and t_mag * r <= tol:
+                break
+            term = term * (x / ax) * r
+            if not math.hypot(term.real, term.imag) <= sys.float_info.max:
+                return total, n1 - k, math.inf, abs_sum, False
+            continue
         if r <= 0.5 and t_mag * r <= tol:
             break
         step = term * x / d
@@ -110,26 +128,24 @@ def alpha_deriv_sum(x, s, k, tol, max_terms):
     return _term_sum(x, s, k, tol, max_terms)
 
 
-def alpha2_mean(x, n, fresh=False):
+def alpha2_mean(x, n):
     """Circle mean of exp((x+1)cos t)*cos((x-1)sin t) over n nodes."""
-    js = circle_nodes(n, fresh)
     xp1 = x + 1.0
     xm1 = x - 1.0
     total = 0.0
-    for j in js:
+    for j in range(n):
         t = (TWO_PI * j) / n
         total += math.exp(xp1 * math.cos(t)) * math.cos(xm1 * math.sin(t))
-    return total / len(js)
+    return total / n
 
 
-def bessel_mean(a, b, n, fresh=False):
+def bessel_mean(a, b, n):
     """Circle mean of exp(a*cos t + b*sin t) over n nodes."""
-    js = circle_nodes(n, fresh)
     total = 0.0
-    for j in js:
+    for j in range(n):
         t = (TWO_PI * j) / n
         total += math.exp(a * math.cos(t) + b * math.sin(t))
-    return total / len(js)
+    return total / n
 
 
 def _trig_table(n):
@@ -186,12 +202,12 @@ def alpha3_complex_mean(x, n, fresh=False):
 
 
 @functools.lru_cache(maxsize=LIFT_CACHE_SIZE)
-def _lift_nodes(s, n, fresh):
+def _lift_nodes(s, n):
     """exp_alpha_mean's nodes in ascending order as pairs (e^{i th},
     alpha(e^{-i th}, s-1)), the inner alpha summed within INNER_TOL and
     INNER_MAX_TERMS."""
     nodes = []
-    for j in circle_nodes(n, fresh):
+    for j in range(n):
         th = (TWO_PI * j) / n
         eith = complex(math.cos(th), math.sin(th))
         inner = alpha_sum(eith.conjugate(), s - 1, INNER_TOL, INNER_MAX_TERMS)[0]
@@ -199,11 +215,10 @@ def _lift_nodes(s, n, fresh):
     return tuple(nodes)
 
 
-def exp_alpha_mean(x, s, n, fresh=False):
+def exp_alpha_mean(x, s, n):
     """Circle mean of exp(x e^{i th}) * alpha(e^{-i th}, s-1) over n nodes,
-    the second factor taken from _lift_nodes(s, n, fresh)."""
-    nodes = _lift_nodes(s, n, fresh)
+    the second factor taken from _lift_nodes(s, n)."""
     total = 0j
-    for eith, inner in nodes:
+    for eith, inner in _lift_nodes(s, n):
         total += cmath.exp(x * eith) * inner
-    return total / len(nodes)
+    return total / n

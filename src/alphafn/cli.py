@@ -4,12 +4,12 @@ Each cmd_* returns its text and exit code.  `main` resolves the tolerance
 once, for the commands that take --tol: the --tol flag, then the ALPHA_TOL
 environment variable, then built-in defaults.  It then writes the text
 once, to stdout or --output.  --tol sets eval's route tolerance, compare's
-agreement tolerance (every route at its defaults) and table's lift ladder
+agreement tolerance (every route at its defaults) and table's lift
 tolerance (the series at its default).
 Exit codes: 0 success, 1 a comparison or verification failed, 2 invalid
 query, domain violation or unwritable --output, 3 a series or quadrature
-failed to converge.  All output is deterministic for fixed flags and seed;
-floats are printed with repr (shortest lossless form).
+failed to converge or certified no digit.  All output is deterministic for
+fixed flags and seed; floats are printed with repr (shortest lossless form).
 """
 
 from __future__ import annotations

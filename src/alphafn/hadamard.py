@@ -57,17 +57,90 @@ def _guard_exp_peak(peak: float, route: str) -> None:
 
 def _ladder(
     route: str, peak: float, cfg: QuadratureConfig | None,
-    kernel: Callable[..., complex], *args: float, torus: bool = False,
+    kernel: Callable[..., complex], *args: float,
 ) -> QuadratureResult:
-    """Guard the integrand's exp peak, then run the nested ladder on the
-    means kernel(*args, n, fresh=fresh); cfg None means the circle or torus
-    default.  The callers look kernel up on `kernels` at call time."""
+    """Guard the integrand's exp peak, then run the nested torus ladder on the
+    means kernel(*args, n, fresh=fresh); cfg None means DEFAULT_CONFIG_2D.
+    The callers look kernel up on `kernels` at call time."""
+    _guard_exp_peak(peak, route)
+    return converge(
+        nested_node_mean(lambda n, fresh: kernel(*args, n, fresh=fresh), torus=True),
+        DEFAULT_CONFIG_2D if cfg is None else cfg,
+    )
+
+
+def _circle_level(
+    route: str, ru: float, rv: float, cfg: QuadratureConfig | None,
+    kernel: Callable[..., complex], *args: float, g_error: float = 0.0,
+) -> QuadratureResult:
+    """One certified trapezoid level of a circle route.
+
+    kernel(*args, N) is the N-node mean of F(t) = f(u e^{it}) g(v e^{-it}),
+    whose coefficient magnitudes |a_m| |u|^m and |b_p| |v|^p are at most
+    ru^m/m! and rv^p/p!.  That mean keeps the terms of F with
+    m - p = 0 (mod N), the integral only m = p, so the error is at most the
+    aliasing sum over m - p = jN, j != 0 (Trefethen & Weideman, "The
+    exponentially convergent trapezoidal rule", SIAM Rev. 2014):
+        A_N <= e^{rv} T(ru, N) + e^{ru} T(rv, N),  T(r, N) = sum_{m>=N} r^m/m!.
+    N is the first of cfg.initial_nodes * 2^k up to cfg.max_nodes with
+    A_N <= cfg.tol (cfg None means DEFAULT_CONFIG_1D), and the kernel runs
+    that one level.  alias_bound = A_N + e^{ru} g_error, g_error being the
+    caller's bound on what the second factor's value leaves out at a node
+    (the lift's inner series tail), since |f(u e^{it})| <= e^{ru}.
+
+    rounding_bound = (N + 48 + 32 (ru + rv)) 2^-53 M, with M = e^{ru + rv}
+    >= |F| on the circle (after Higham, Accuracy and Stability of
+    Numerical Algorithms, ch. 3-4):
+      - the ascending sum of the N node values and the division by N add at
+        most N 2^-53 M;
+      - a node angle (TWO_PI j)/N is within 3 * 2pi 2^-53 < 19 * 2^-53 of
+        the exact one, and |F'| <= (ru + rv) M;
+      - cos and sin of it are within 2 * 2^-53, so the arguments of exp and
+        cos are within 8 (ru + rv) 2^-53 of exact, which exp and cos turn
+        into as much relative error;
+      - exp, cos and the products add a few 2^-53 M, and the lift's inner
+        series (at most 18 terms, sum|t_n| <= e) at most 36 * 2^-53 e^{ru} e
+        more, which 48 * 2^-53 M covers.
+    est_error = alias_bound + rounding_bound.  Raises
+    ToleranceNotReachedError (exit 3) when no level reaches tol, and when
+    est_error is not below |value|, since then no digit is certified.
+    """
+    peak = ru + rv
     _guard_exp_peak(peak, route)
     if cfg is None:
-        cfg = DEFAULT_CONFIG_2D if torus else DEFAULT_CONFIG_1D
-    return converge(
-        nested_node_mean(lambda n, fresh: kernel(*args, n, fresh=fresh), torus), cfg
-    )
+        cfg = DEFAULT_CONFIG_1D
+    e_ru, e_rv = math.exp(ru), math.exp(rv)
+    log_ru = math.log(ru) if ru else -math.inf
+    log_rv = math.log(rv) if rv else -math.inf
+    n = cfg.initial_nodes
+    while True:
+        # T(r, N) <= (r^N/N!)/(1 - r/(N+1)), the geometric bound for r < N + 1
+        alias = math.inf
+        if ru < n + 1 and rv < n + 1:
+            log_fact = math.lgamma(n + 1)
+            alias = (e_rv * math.exp(n * log_ru - log_fact) / (1.0 - ru / (n + 1))
+                     + e_ru * math.exp(n * log_rv - log_fact) / (1.0 - rv / (n + 1)))
+        if alias <= cfg.tol:
+            break
+        if 2 * n > cfg.max_nodes:
+            raise ToleranceNotReachedError(
+                f"{route}: no level of at most {cfg.max_nodes} nodes has an "
+                f"alias bound <= tol={cfg.tol:g} (N={n}: {alias:.3e})",
+                best=None,
+            )
+        n *= 2
+    value = complex(kernel(*args, n))
+    truncation = alias + e_ru * g_error
+    rounding = (n + 48.0 + 32.0 * peak) * _UNIT_ROUNDOFF * e_ru * e_rv
+    result = QuadratureResult(value, n, truncation + rounding, truncation, rounding)
+    if not result.est_error < abs(value.real) < math.inf:
+        raise ToleranceNotReachedError(
+            f"{route}: error bound {result.est_error:.3e} at N={n} is not below "
+            f"|value| = {abs(value.real):.3e}; no digit is certified",
+            best=result,
+        )
+    return result
+
 
 # Promised ceilings for the imaginary residue of results that are real in
 # exact arithmetic.  Scaled up for user configs looser than the defaults:
@@ -173,9 +246,14 @@ def alpha2_integrand(x: float, t: float) -> float:
 def alpha2_quadrature(
     x: float, cfg: QuadratureConfig | None = None
 ) -> QuadratureResult:
-    """alpha(x, 2) as the circle mean of alpha2_integrand."""
+    """alpha(x, 2) as the circle mean of alpha2_integrand, the real part of
+    exp(x e^{it}) exp(e^{-it}).
+
+    One certified level (_circle_level with ru = |x|, rv = 1): the result's
+    est_error = alias_bound + rounding_bound bounds its error.
+    """
     x = _real(x)
-    return _ladder("alpha2_quadrature", abs(x) + 1.0, cfg, kernels.alpha2_mean, x)
+    return _circle_level("alpha2_quadrature", abs(x), 1.0, cfg, kernels.alpha2_mean, x)
 
 
 def bessel_identity_check(
@@ -186,13 +264,27 @@ def bessel_identity_check(
     """Both sides of (1/2pi) int e^{a cos t + b sin t} dt = I0(sqrt(a^2+b^2)).
 
     Returns (quadrature lhs, series rhs); the window [0, 2pi) replaces the
-    symmetric one by periodicity.
+    symmetric one by periodicity.  The lhs is _bessel_quadrature's one
+    certified level.
     """
     a, b = _real(a, "a"), _real(b, "b")
-    lhs = _ladder("bessel_identity_check", math.hypot(a, b), cfg,
-                  kernels.bessel_mean, a, b)
+    lhs = _bessel_quadrature(a, b, cfg)
     rhs = bessel_i0(math.hypot(a, b))
     return lhs.value.real, rhs.value.real
+
+
+def _bessel_quadrature(
+    a: float, b: float, cfg: QuadratureConfig | None = None
+) -> QuadratureResult:
+    """I0(hypot(a, b)) as the circle mean of exp(a cos t + b sin t), one
+    certified level.
+
+    a cos t + b sin t = (c/2) e^{it} + (conj(c)/2) e^{-it} with c = a - ib,
+    so both factors are exp at radius r = hypot(a, b)/2 (_circle_level with
+    ru = rv = r); est_error = alias_bound + rounding_bound bounds the error.
+    """
+    r = math.hypot(a, b) / 2.0
+    return _circle_level("bessel", r, r, cfg, kernels.bessel_mean, a, b)
 
 
 def alpha3_integrand_complex(x: float, theta: float, t: float) -> complex:
@@ -243,7 +335,7 @@ def alpha3_quadrature_real(
     """
     x = _real(x)
     return _ladder("alpha3_quadrature_real", abs(x) + 2.0, cfg,
-                   kernels.alpha3_real_mean, x, torus=True)
+                   kernels.alpha3_real_mean, x)
 
 
 def alpha3_quadrature_complex(
@@ -258,7 +350,7 @@ def alpha3_quadrature_complex(
     """
     x = _real(x)
     return _ladder("alpha3_quadrature_complex", abs(x) + 2.0, cfg,
-                   kernels.alpha3_complex_mean, x, torus=True)
+                   kernels.alpha3_complex_mean, x)
 
 
 def _torus_alias_sum(wx: list[float], w1: list[float], n: int) -> float:
@@ -346,8 +438,12 @@ def alpha_via_hadamard(
 
     One circle integral of exp(x e^{i theta}) * alpha(e^{-i theta}, s-1)
     with the inner factor evaluated by the complex-argument series; both
-    factors are entire, so no radius precondition can fail.  The result's
-    imaginary residue must stay below max(1e-9, 10*cfg.tol).
+    factors are entire, so no radius precondition can fail.  It runs one
+    certified level (_circle_level with ru = |x| and rv = 1, since
+    1/(p!)^(s-1) <= 1/p!); alias_bound also holds the inner series' tail,
+    at most 2 INNER_TOL per node value, so 2 INNER_TOL e^{|x|} in the mean.
+    est_error = alias_bound + rounding_bound bounds the error.  The
+    result's imaginary residue must stay below max(1e-9, 10*cfg.tol).
     """
     if cfg is None:
         cfg = DEFAULT_CONFIG_1D
@@ -355,6 +451,7 @@ def alpha_via_hadamard(
         raise InvalidQueryError(f"the lift needs integer s >= 2, got {s!r}")
     _check_s_fits(s)
     x = _real(x)
-    result = _ladder("alpha_via_hadamard", abs(x), cfg, kernels.exp_alpha_mean, x, s)
+    result = _circle_level("alpha_via_hadamard", abs(x), 1.0, cfg, kernels.exp_alpha_mean,
+                           x, s, g_error=2.0 * kernels.INNER_TOL)
     _check_imag(result.value, max(_IMAG_LIMIT_LIFT, 10.0 * cfg.tol), "alpha_via_hadamard")
     return result

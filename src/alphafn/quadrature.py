@@ -2,8 +2,10 @@
 
 The node average (1/N) sum_j f(2*pi*j/N) equals the normalized integral
 (1/2pi) int_0^{2pi} f, and converges geometrically for integrands analytic
-in a strip around the real axis, so plain node doubling with an empirical
-error estimate is all the control needed.
+in a strip around the real axis, so node doubling with an empirical error
+estimate controls any such integrand.  Where the Taylor coefficients of the
+integrand's factors are known, `hadamard._circle_level` picks one level
+from a certified aliasing bound instead.
 
 The levels are nested: the nodes of level N are the even nodes of level 2N.
 Level 2N therefore evaluates only the nodes level N lacks (the odd j on the
@@ -59,13 +61,23 @@ DEFAULT_CONFIG_2D = QuadratureConfig(initial_nodes=16, max_nodes=512, tol=1e-10)
 
 @dataclass(frozen=True)
 class QuadratureResult:
-    """Converged node average; est_error is |value_N - value_{N/2}| of the
-    final doubling (0.0 when only one level fit inside the node budget, as
-    with initial_nodes == max_nodes for a level known to be exact)."""
+    """A node average over `nodes` nodes per dimension and its error.
+
+    From the doubling ladder (`converge`: the torus routes and
+    `hadamard_eval`), est_error is |value_N - value_{N/2}| of the final
+    doubling, an estimate (0.0 when only one level fit inside the node
+    budget, as with initial_nodes == max_nodes for a level known to be
+    exact), and the two bounds are None.  The circle routes
+    (`alpha2_quadrature`, the Bessel route and `alpha_via_hadamard`) run one
+    level certified by an aliasing bound instead: there est_error =
+    alias_bound + rounding_bound is a bound on |value - exact|.
+    """
 
     value: complex
     nodes: int
     est_error: float
+    alias_bound: float | None = None
+    rounding_bound: float | None = None
 
 
 def converge(node_mean: Callable[[int], complex], cfg: QuadratureConfig) -> QuadratureResult:

@@ -9,7 +9,7 @@ from typing import Callable, NamedTuple
 
 from .errors import InvalidQueryError
 from .hadamard import (
-    _ladder,
+    _bessel_quadrature,
     alpha2_quadrature,
     alpha3_quadrature_complex,
     alpha3_quadrature_real,
@@ -17,7 +17,6 @@ from .hadamard import (
 )
 from .quadrature import DEFAULT_CONFIG_1D, QuadratureConfig
 from .series import DEFAULT_TOL, AlphaQuery, _real, alpha_series
-from .backend import kernels
 
 # The often-quoted value for sum 1/(n!)^3 = 0F2(;1,1;1); it matches only
 # the fractional digits of the actual sum (n=0 alone contributes 1).
@@ -29,9 +28,10 @@ class MethodValue:
     """One evaluation route: its value and an error bound or estimate.
 
     info is the route's cost and error metadata that `eval` prints:
-    terms_used/tail_bound/rounding_bound for the series (its error is the
-    sum of the two bounds), nodes/est_error for the quadrature-backed
-    routes.  It stays out of equality and the JSON.
+    terms_used/tail_bound/rounding_bound for the series and
+    nodes/alias_bound/rounding_bound for the circle routes (each error is
+    the sum of the two bounds), nodes/est_error, a ladder estimate, for the
+    torus routes.  It stays out of equality and the JSON.
     """
 
     name: str
@@ -107,7 +107,9 @@ def _series(x, s, tol):
 
 
 def _quadrature(q, **info):
-    return q.value.real, q.est_error, dict(nodes=q.nodes, est_error=q.est_error, **info)
+    bounds = ({"est_error": q.est_error} if q.alias_bound is None
+              else {"alias_bound": q.alias_bound, "rounding_bound": q.rounding_bound})
+    return q.value.real, q.est_error, dict(nodes=q.nodes, **bounds, **info)
 
 
 def _torus_complex(x, s, tol):
@@ -117,13 +119,12 @@ def _torus_complex(x, s, tol):
 
 def _bessel(x, s, tol):
     a = 2.0 * math.sqrt(x)  # alpha(x, 2) = I0(a), the circle mean of exp(a cos t)
-    return _quadrature(_ladder("bessel", a, _cfg_1d(tol), kernels.bessel_mean, a, 0.0))
+    return _quadrature(_bessel_quadrature(a, 0.0, _cfg_1d(tol)))
 
 
 # Every route, in the order compare lists them.  The entries hold only the
-# helpers above and lambdas, which look the public routes and `kernels` up
-# by name at call time: rebinding such a name (as a tracer does) reaches
-# every caller of the table.
+# helpers above and lambdas, which look the routes up by name at call time:
+# rebinding such a name (as a tracer does) reaches every caller of the table.
 ROUTES = (
     Route("series", "series", lambda x, s: None, _series),
     Route("exp-closed-form", None, _only_s(1),  # math.exp is within one ulp

@@ -23,6 +23,9 @@ ALPHA_1_3 = 2.1297025489833064
 # e^-30 and e^-20 from mpmath at 40 digits
 EXP_MINUS_30 = 9.357622968840175e-14
 EXP_MINUS_20 = 2.061153622438558e-09
+# alpha(-12, 3) and alpha(12, 4) from mpmath's hyper at 40 digits
+ALPHA_MINUS_12_3 = 0.3637265696892947
+ALPHA_12_4 = 23.397044500139852
 
 
 def run_cli(capsys, *argv):
@@ -64,6 +67,21 @@ class TestEval:
         code, out, _ = run_cli(capsys, "eval", "--x", "1", "--s", "3", "--method", "hadamard")
         assert code == 0
         assert abs(printed_value(out) - ALPHA_1_3) <= 1e-9
+
+    def test_hadamard_bounds_cover_the_error(self, capsys):
+        # the ladder printed est_error = 6.3e-13 here for an error of 1.2e-11
+        code, out, _ = run_cli(capsys, "eval", "--x", "-12", "--s", "3", "--method", "hadamard")
+        assert code == 0
+        fields = dict(line.split(" = ") for line in out.splitlines()[1:])
+        assert set(fields) == {"nodes", "alias_bound", "rounding_bound"}
+        error = float(fields["alias_bound"]) + float(fields["rounding_bound"])
+        assert abs(printed_value(out) - ALPHA_MINUS_12_3) <= error
+
+    def test_hadamard_past_the_ladder_stall(self, capsys):
+        # the doubling ladder stalled at N = 1024 from about x = 10.3
+        code, out, _ = run_cli(capsys, "eval", "--x", "12", "--s", "4", "--method", "hadamard")
+        assert code == 0
+        assert math.isclose(printed_value(out), ALPHA_12_4, rel_tol=1e-10)
 
     def test_series_metadata(self, capsys):
         code, out, _ = run_cli(capsys, "eval", "--x", "1", "--s", "3")
@@ -205,6 +223,15 @@ class TestReadme:
 
 
 class TestCompare:
+    def test_s2_past_the_ladder_stall(self, capsys):
+        # every s = 2 circle route stalled here on the doubling ladder
+        code, out, _ = run_cli(capsys, "compare", "--x", "12", "--s", "2", "--format", "json")
+        assert code == 0
+        data = json.loads(out)
+        assert data["passed"] is True
+        assert [m["name"] for m in data["methods"]] == [
+            "series", "alpha2-closed-form", "bessel", "hadamard-iterated"]
+
     def test_s3_methods_and_note(self, capsys):
         code, out, _ = run_cli(capsys, "compare", "--x", "1", "--s", "3", "--format", "json")
         assert code == 0
@@ -516,7 +543,8 @@ class TestLargeS:
         "argv, code",
         [
             (("eval", "--x", "1", "--s", "1024"), 0),
-            (("eval", "--x", "1e200", "--s", "700"), 3),
+            # the ratio is 0.95 at n + 1 = 2, and the sum passes DBL_MAX
+            (("eval", "--x", "1.7e308", "--s", "1024"), 3),
             (("compare", "--x", "1", "--s", "1024"), 0),
             (("eval", "--x", "1", "--s", "1025", "--method", "hadamard"), 0),
         ],
@@ -531,6 +559,16 @@ class TestLargeS:
         else:
             assert proc.stderr.startswith("error: ")
             assert proc.stderr.count("\n") == 1
+
+    def test_ratio_past_dbl_max_is_followed(self, capsys):
+        # 3^700 passes DBL_MAX at the third term; the sum of mpmath's terms is
+        # 1.0000000000190109157e200
+        code, out, _ = run_cli(capsys, "eval", "--x", "1e200", "--s", "700")
+        assert code == 0
+        fields = dict(line.split(" = ") for line in out.splitlines()[1:])
+        error = float(fields["tail_bound"]) + float(fields["rounding_bound"])
+        assert abs(printed_value(out) - 1.0000000000190109157e200) <= error
+        assert math.isclose(printed_value(out), 1.0000000000190109157e200, rel_tol=1e-15)
 
     @pytest.mark.parametrize(
         "argv",

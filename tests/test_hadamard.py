@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 
 from alphafn import (
     EXP,
+    AlphaFnError,
     AnalyticFunction,
     DomainViolationError,
     ImaginaryResidueError,
@@ -36,6 +37,7 @@ from alphafn import (
     trapezoid_periodic_2d,
 )
 from alphafn import _kernels_py, verify
+from alphafn.hadamard import _bessel_quadrature
 
 TWO_PI = 2.0 * math.pi
 I0_OF_2 = 2.2795853023360673
@@ -252,11 +254,15 @@ class TestAlpha2Route:
             assert abs(quad - series) <= 1e-10, x
 
     def test_fused_kernel_equals_generic_rule(self):
-        cfg = QuadratureConfig(initial_nodes=16, max_nodes=256, tol=1e-12)
+        # at the route's one level, the generic rule over the same nodes
+        tol = 1e-12
         x = 0.75
-        fused = alpha2_quadrature(x, cfg)
-        generic = trapezoid_periodic_1d(lambda t: alpha2_integrand(x, t), cfg)
-        assert fused.nodes == generic.nodes
+        fused = alpha2_quadrature(x, QuadratureConfig(initial_nodes=16, max_nodes=256, tol=tol))
+        n = fused.nodes
+        generic = trapezoid_periodic_1d(
+            lambda t: alpha2_integrand(x, t), QuadratureConfig(n, n, tol)
+        )
+        assert generic.nodes == n
         assert abs(fused.value - generic.value) < 1e-13
 
 
@@ -462,6 +468,61 @@ class TestIteratedLift:
         # the inner series takes (n+1)**(s-1) with math.pow
         with pytest.raises(InvalidQueryError, match="fit a double"):
             alpha_via_hadamard(1.0, 2**1024)
+
+
+def alpha_mpmath_s(x, s):
+    with mpmath.workdps(40):
+        return mpmath.hyper([], [1] * (s - 1), x)
+
+
+class TestCertifiedCircleRoutes:
+    """Each circle route runs the one level its alias bound picks: wherever
+    it returns, est_error = alias_bound + rounding_bound covers its error
+    against mpmath, and everywhere else it raises an AlphaFnError."""
+
+    @staticmethod
+    def check(run, exact):
+        try:
+            res = run()
+        except AlphaFnError:
+            return
+        assert res.est_error == res.alias_bound + res.rounding_bound
+        with mpmath.workdps(40):
+            error = float(abs(mpmath.mpf(res.value.real) - exact))
+        assert error <= res.est_error, (res, error)
+
+    @settings(max_examples=150, deadline=None)
+    @given(x=st.floats(-20.0, 20.0), s=st.integers(2, 5))
+    def test_lift_and_alpha2_within_their_error(self, x, s):
+        exact = alpha_mpmath_s(x, s)
+        self.check(lambda: alpha_via_hadamard(x, s), exact)
+        if s == 2:
+            self.check(lambda: alpha2_quadrature(x), exact)
+
+    @settings(max_examples=150, deadline=None)
+    @given(a=st.floats(0.0, 20.0), b=st.floats(0.0, 20.0))
+    def test_bessel_within_its_error(self, a, b):
+        with mpmath.workdps(40):
+            exact = mpmath.besseli(0, mpmath.hypot(a, b))
+        self.check(lambda: _bessel_quadrature(a, b), exact)
+
+    def test_one_level_from_the_bound(self):
+        # the ladder ran 16 + 16 nodes at |x| <= 1, 16 + 16 + 32 at |x| <= 5
+        levels = [alpha_via_hadamard(x, 4).nodes for x in (0.5, -1.0, 3.0, -5.0, 8.0)]
+        assert levels == [16, 16, 32, 32, 64]
+        assert [alpha2_quadrature(x).nodes for x in (1.0, -5.0)] == [16, 32]
+
+    def test_refuses_past_the_node_budget(self):
+        with pytest.raises(ToleranceNotReachedError, match="alias bound") as excinfo:
+            alpha2_quadrature(30.0, QuadratureConfig(16, 64, 1e-12))
+        assert excinfo.value.best is None
+
+    def test_refuses_a_value_below_its_bound(self):
+        # alpha(x, 2) = J0(2 sqrt(-x)) is 0 to rounding at the first zero of J0
+        x = -((2.404825557695773 / 2.0) ** 2)
+        with pytest.raises(ToleranceNotReachedError, match="no digit is certified") as excinfo:
+            alpha2_quadrature(x)
+        assert abs(excinfo.value.best.value) < 1e-15 < excinfo.value.best.est_error
 
 
 class TestExpRangeGuards:

@@ -80,29 +80,26 @@ class TestLiftNodeCache:
     or not, each mean is the same double as the per-node composition."""
 
     @staticmethod
-    def composed(x, s, n, fresh):
+    def composed(x, s, n):
         total = 0j
-        count = 0
-        for j in (range(1, n, 2) if fresh else range(n)):
+        for j in range(n):
             th = (TWO_PI * j) / n
             eith = complex(math.cos(th), math.sin(th))
             inner = _kernels_py.alpha_sum(eith.conjugate(), s - 1, 1e-15, 500)[0]
             total += cmath.exp(x * eith) * inner
-            count += 1
-        return total / count
+        return total / n
 
     @pytest.mark.parametrize("s", [2, 3, 5, 1024, 2**60])
     def test_cold_and_warm_are_bit_identical(self, s):
         hexed = lambda z: (z.real.hex(), z.imag.hex())
         for n in (16, 32, 64):
-            for fresh in (False, True):
-                for x in (-7.5, 0.0, 0.7, 9.9):
-                    _kernels_py._lift_nodes.cache_clear()
-                    cold = _kernels_py.exp_alpha_mean(x, s, n, fresh)
-                    warm = _kernels_py.exp_alpha_mean(x, s, n, fresh)
-                    assert _kernels_py._lift_nodes.cache_info().hits == 1
-                    expected = hexed(self.composed(x, s, n, fresh))
-                    assert hexed(cold) == hexed(warm) == expected, (s, n, fresh, x)
+            for x in (-7.5, 0.0, 0.7, 9.9):
+                _kernels_py._lift_nodes.cache_clear()
+                cold = _kernels_py.exp_alpha_mean(x, s, n)
+                warm = _kernels_py.exp_alpha_mean(x, s, n)
+                assert _kernels_py._lift_nodes.cache_info().hits == 1
+                expected = hexed(self.composed(x, s, n))
+                assert hexed(cold) == hexed(warm) == expected, (s, n, x)
 
     def test_cache_stays_within_its_bound(self):
         cache = _kernels_py._lift_nodes
@@ -114,32 +111,22 @@ class TestLiftNodeCache:
         assert info.currsize <= info.maxsize == _kernels_py.LIFT_CACHE_SIZE
 
 
-# (name, mean(x, n, fresh), torus): the five mean kernels as node means of x
-MEAN_KERNELS = [
-    ("alpha2_mean", lambda x, n, fresh: _kernels_py.alpha2_mean(x, n, fresh=fresh), False),
-    ("bessel_mean", lambda x, n, fresh: _kernels_py.bessel_mean(x, 0.5, n, fresh=fresh), False),
-    ("alpha3_real_mean",
-     lambda x, n, fresh: _kernels_py.alpha3_real_mean(x, n, fresh=fresh), True),
-    ("alpha3_complex_mean",
-     lambda x, n, fresh: _kernels_py.alpha3_complex_mean(x, n, fresh=fresh), True),
-    ("exp_alpha_mean",
-     lambda x, n, fresh: _kernels_py.exp_alpha_mean(x, 3, n, fresh=fresh), False),
-]
-
-
 class TestNestedLevels:
     """Level n built from level n/2 plus the fresh nodes equals the plain
-    mean over all n nodes."""
+    mean over all n nodes, for the torus kernels, the ones a ladder runs."""
 
-    @pytest.mark.parametrize("name, mean, torus", MEAN_KERNELS, ids=[k[0] for k in MEAN_KERNELS])
-    def test_nested_level_equals_full_sum(self, name, mean, torus):
+    @pytest.mark.parametrize(
+        "mean", [_kernels_py.alpha3_real_mean, _kernels_py.alpha3_complex_mean],
+        ids=["alpha3_real_mean", "alpha3_complex_mean"],
+    )
+    def test_nested_level_equals_full_sum(self, mean):
         for n in (16, 32, 64):
             for x in (-2.0, -0.5, 0.75, 1.0, 3.0):
-                node_mean = nested_node_mean(lambda m, fresh: mean(x, m, fresh), torus)
+                node_mean = nested_node_mean(lambda m, fresh: mean(x, m, fresh), torus=True)
                 node_mean(n // 2)
                 nested = node_mean(n)
                 full = mean(x, n, False)
-                assert abs(nested - full) <= 1e-14 * abs(full), (name, n, x, nested, full)
+                assert abs(nested - full) <= 1e-14 * abs(full), (mean.__name__, n, x, nested, full)
 
 
 class TestTorusKernelsExact:

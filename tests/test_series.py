@@ -314,7 +314,8 @@ class TestDerivativeSeries:
 
 class TestLargeS:
     """(n+1)^s passes the double range at n + 1 = 2 for s >= 1024; the sum
-    then stops on the ratio bound |x|/DBL_MAX or reports no convergence."""
+    then follows the ratio through logs, and stops on it or reports no
+    convergence."""
 
     @staticmethod
     def exact(s, k):
@@ -358,12 +359,29 @@ class TestLargeS:
         error = abs(mpmath.mpf(res.value.real) - self.exact(1024, 0))
         assert error <= res.tail_bound + res.rounding_bound
 
-    def test_unbounded_ratio_does_not_converge(self):
-        # at x = 1e200 the ratio bound 1e200/DBL_MAX leaves a next term of 1e81
+    @pytest.mark.parametrize("x, s, k", [
+        (1e200, 700, 0),  # 3^700 passes DBL_MAX with term 2 at 1.9e189
+        (1e300, 1024, 1),
+        (-1e300, 1024, 0),
+        (complex(3e299, -4e299), 1500, 1),
+    ])
+    def test_ratio_past_dbl_max_is_followed(self, x, s, k):
+        # DBL_MAX alone bounded the ratio, which left next terms up to 1e81
+        res = alpha_derivative_series(x, s, k)
+        with mpmath.workdps(60):
+            z = mpmath.mpmathify(x)
+            exact = sum(
+                mpmath.factorial(n) / mpmath.factorial(n - k) * z ** (n - k)
+                / mpmath.factorial(n) ** s
+                for n in range(k, k + 8)
+            )
+            error = float(abs(mpmath.mpc(res.value) - exact))
+        assert error <= res.tail_bound + res.rounding_bound
+
+    def test_sum_past_dbl_max_does_not_converge(self):
+        # at n + 1 = 2 the ratio is 1.7e308/2^1024 = 0.95: two terms near DBL_MAX
         with pytest.raises(NonConvergenceError, match="passed the double range"):
-            alpha_series(1e200, 700)
-        with pytest.raises(NonConvergenceError, match="passed the double range"):
-            alpha_derivative_series(1e300, 1024, 1)
+            alpha_series(1.7e308, 1024)
 
     def test_budget_message_unchanged(self):
         with pytest.raises(NonConvergenceError, match="within 10 terms"):
