@@ -18,8 +18,8 @@ contracts:
   run one level each;
 - the torus kernels `alpha3_real_mean` and `alpha3_complex_mean` take
   ``(params..., n, fresh=False)``; with ``fresh=True`` they average over
-  only the nodes that level ``n/2`` lacks, for the nested ladder of
-  `alphafn.quadrature.nested_node_mean`.
+  only the nodes that level ``n/2`` lacks (`_torus_rows`), for the nested
+  ladder of `alphafn.hadamard._ladder`.
 
 A tracer reads ``n`` positionally, so it stays a positional parameter.
 
@@ -40,7 +40,7 @@ import functools
 import math
 import sys
 
-from .quadrature import TWO_PI, torus_rows
+from .quadrature import TWO_PI
 
 # At |z| = 1 the ratio bound is at most 1/2 from n = 1 and t_n <= 1/n!, so
 # alpha_sum stops within 18 terms under this budget for any s fitting a double
@@ -148,6 +148,14 @@ def bessel_mean(a, b, n):
     return total / n
 
 
+def _torus_rows(n, fresh=False):
+    """Rows (j, ks) of the level-n torus grid, ascending in j; with fresh,
+    only the nodes with j or k odd, which level n/2 lacks."""
+    every = range(n)
+    odd = range(1, n, 2) if fresh else every
+    return [(j, every if j % 2 else odd) for j in every]
+
+
 def _trig_table(n):
     """cos and sin of the level-n angles (TWO_PI * k) / n, k < n."""
     angles = [(TWO_PI * k) / n for k in range(n)]
@@ -164,7 +172,7 @@ def alpha3_real_mean(x, n, fresh=False):
     cos_t, sin_t = _trig_table(n)
     total = 0.0
     count = 0
-    for j, ks in torus_rows(n, fresh):
+    for j, ks in _torus_rows(n, fresh):
         cth = cos_t[j]
         sth = sin_t[j]
         x_cth = x * cth
@@ -189,7 +197,7 @@ def alpha3_complex_mean(x, n, fresh=False):
     cos_t, sin_t = _trig_table(n)
     total = 0j
     count = 0
-    for j, ks in torus_rows(n, fresh):
+    for j, ks in _torus_rows(n, fresh):
         eith = complex(cos_t[j], sin_t[j])
         emith = eith.conjugate()
         f1 = cmath.exp(x * eith)

@@ -31,7 +31,6 @@ from .quadrature import (
     QuadratureConfig,
     QuadratureResult,
     converge,
-    nested_node_mean,
     trapezoid_periodic_1d,
 )
 from .series import _UNIT_ROUNDOFF, _check_s_fits, _real, bessel_i0
@@ -55,22 +54,41 @@ def _guard_exp_peak(peak: float, route: str) -> None:
         )
 
 
+def _check_tol(tol: float) -> None:
+    if not (isinstance(tol, (int, float)) and tol > 0):
+        raise InvalidQueryError(f"tol must be positive, got {tol!r}")
+
+
 def _ladder(
     route: str, peak: float, cfg: QuadratureConfig | None,
     kernel: Callable[..., complex], *args: float,
 ) -> QuadratureResult:
-    """Guard the integrand's exp peak, then run the nested torus ladder on the
-    means kernel(*args, n, fresh=fresh); cfg None means DEFAULT_CONFIG_2D.
-    The callers look kernel up on `kernels` at call time."""
+    """Guard the integrand's exp peak, then run the doubling ladder on the
+    torus means kernel(*args, n); cfg None means DEFAULT_CONFIG_2D.
+
+    The levels are nested: level n's nodes are the even ones of level 2n,
+    so level 2n evaluates only the (j, k) with j or k odd,
+    kernel(*args, 2n, fresh=True), and combines them with level n's mean as
+    (prev + 3 fresh)/4, which saves a quarter of each level.  The callers
+    look kernel up on `kernels` at call time.
+    """
     _guard_exp_peak(peak, route)
-    return converge(
-        nested_node_mean(lambda n, fresh: kernel(*args, n, fresh=fresh), torus=True),
-        DEFAULT_CONFIG_2D if cfg is None else cfg,
-    )
+    last_n, last = 0, 0j
+
+    def node_mean(n: int) -> complex:
+        nonlocal last_n, last
+        if n == 2 * last_n:
+            value = (last + 3.0 * kernel(*args, n, fresh=True)) / 4.0
+        else:
+            value = kernel(*args, n)
+        last_n, last = n, value
+        return value
+
+    return converge(node_mean, DEFAULT_CONFIG_2D if cfg is None else cfg)
 
 
 def _circle_level(
-    route: str, ru: float, rv: float, cfg: QuadratureConfig | None,
+    route: str, ru: float, rv: float, tol: float | None,
     kernel: Callable[..., complex], *args: float, g_error: float = 0.0,
 ) -> QuadratureResult:
     """One certified trapezoid level of a circle route.
@@ -82,9 +100,10 @@ def _circle_level(
     aliasing sum over m - p = jN, j != 0 (Trefethen & Weideman, "The
     exponentially convergent trapezoidal rule", SIAM Rev. 2014):
         A_N <= e^{rv} T(ru, N) + e^{ru} T(rv, N),  T(r, N) = sum_{m>=N} r^m/m!.
-    N is the first of cfg.initial_nodes * 2^k up to cfg.max_nodes with
-    A_N <= cfg.tol (cfg None means DEFAULT_CONFIG_1D), and the kernel runs
-    that one level.  alias_bound = A_N + e^{ru} g_error, g_error being the
+    N is the first of 16 * 2^k up to 1024 (DEFAULT_CONFIG_1D's node counts)
+    with A_N <= tol (None means DEFAULT_CONFIG_1D.tol; a tol that is not a
+    positive number raises InvalidQueryError), and the kernel runs that one
+    level.  alias_bound = A_N + e^{ru} g_error, g_error being the
     caller's bound on what the second factor's value leaves out at a node
     (the lift's inner series tail), since |f(u e^{it})| <= e^{ru}.
 
@@ -105,14 +124,15 @@ def _circle_level(
     ToleranceNotReachedError (exit 3) when no level reaches tol, and when
     est_error is not below |value|, since then no digit is certified.
     """
+    if tol is None:
+        tol = DEFAULT_CONFIG_1D.tol
+    _check_tol(tol)
     peak = ru + rv
     _guard_exp_peak(peak, route)
-    if cfg is None:
-        cfg = DEFAULT_CONFIG_1D
     e_ru, e_rv = math.exp(ru), math.exp(rv)
     log_ru = math.log(ru) if ru else -math.inf
     log_rv = math.log(rv) if rv else -math.inf
-    n = cfg.initial_nodes
+    n = DEFAULT_CONFIG_1D.initial_nodes
     while True:
         # T(r, N) <= (r^N/N!)/(1 - r/(N+1)), the geometric bound for r < N + 1
         alias = math.inf
@@ -120,12 +140,12 @@ def _circle_level(
             log_fact = math.lgamma(n + 1)
             alias = (e_rv * math.exp(n * log_ru - log_fact) / (1.0 - ru / (n + 1))
                      + e_ru * math.exp(n * log_rv - log_fact) / (1.0 - rv / (n + 1)))
-        if alias <= cfg.tol:
+        if alias <= tol:
             break
-        if 2 * n > cfg.max_nodes:
+        if 2 * n > DEFAULT_CONFIG_1D.max_nodes:
             raise ToleranceNotReachedError(
-                f"{route}: no level of at most {cfg.max_nodes} nodes has an "
-                f"alias bound <= tol={cfg.tol:g} (N={n}: {alias:.3e})",
+                f"{route}: no level of at most {DEFAULT_CONFIG_1D.max_nodes} nodes "
+                f"has an alias bound <= tol={tol:g} (N={n}: {alias:.3e})",
                 best=None,
             )
         n *= 2
@@ -142,11 +162,10 @@ def _circle_level(
     return result
 
 
-# Promised ceilings for the imaginary residue of results that are real in
-# exact arithmetic.  Scaled up for user configs looser than the defaults:
-# the residue cannot be certified below the quadrature tolerance itself.
+# hadamard_eval's promised ceiling for the imaginary residue of a result
+# that is real in exact arithmetic, scaled up for configs looser than the
+# default: an uncertified ladder cannot pin the residue below its tolerance
 _IMAG_LIMIT_EVAL = 1e-10
-_IMAG_LIMIT_LIFT = 1e-9
 
 
 @dataclass(frozen=True)
@@ -243,39 +262,34 @@ def alpha2_integrand(x: float, t: float) -> float:
     return math.exp((x + 1.0) * math.cos(t)) * math.cos((x - 1.0) * math.sin(t))
 
 
-def alpha2_quadrature(
-    x: float, cfg: QuadratureConfig | None = None
-) -> QuadratureResult:
+def alpha2_quadrature(x: float, tol: float | None = None) -> QuadratureResult:
     """alpha(x, 2) as the circle mean of alpha2_integrand, the real part of
     exp(x e^{it}) exp(e^{-it}).
 
-    One certified level (_circle_level with ru = |x|, rv = 1): the result's
-    est_error = alias_bound + rounding_bound bounds its error.
+    One certified level (_circle_level with ru = |x|, rv = 1) for tol, None
+    meaning 1e-12: the result's est_error = alias_bound + rounding_bound
+    bounds its error.
     """
     x = _real(x)
-    return _circle_level("alpha2_quadrature", abs(x), 1.0, cfg, kernels.alpha2_mean, x)
+    return _circle_level("alpha2_quadrature", abs(x), 1.0, tol, kernels.alpha2_mean, x)
 
 
 def bessel_identity_check(
-    a: float,
-    b: float,
-    cfg: QuadratureConfig | None = None,
+    a: float, b: float, tol: float | None = None
 ) -> tuple[float, float]:
     """Both sides of (1/2pi) int e^{a cos t + b sin t} dt = I0(sqrt(a^2+b^2)).
 
     Returns (quadrature lhs, series rhs); the window [0, 2pi) replaces the
     symmetric one by periodicity.  The lhs is _bessel_quadrature's one
-    certified level.
+    level certified to tol, None meaning 1e-12.
     """
     a, b = _real(a, "a"), _real(b, "b")
-    lhs = _bessel_quadrature(a, b, cfg)
+    lhs = _bessel_quadrature(a, b, tol)
     rhs = bessel_i0(math.hypot(a, b))
     return lhs.value.real, rhs.value.real
 
 
-def _bessel_quadrature(
-    a: float, b: float, cfg: QuadratureConfig | None = None
-) -> QuadratureResult:
+def _bessel_quadrature(a: float, b: float, tol: float | None = None) -> QuadratureResult:
     """I0(hypot(a, b)) as the circle mean of exp(a cos t + b sin t), one
     certified level.
 
@@ -284,7 +298,7 @@ def _bessel_quadrature(
     ru = rv = r); est_error = alias_bound + rounding_bound bounds the error.
     """
     r = math.hypot(a, b) / 2.0
-    return _circle_level("bessel", r, r, cfg, kernels.bessel_mean, a, b)
+    return _circle_level("bessel", r, r, tol, kernels.bessel_mean, a, b)
 
 
 def alpha3_integrand_complex(x: float, theta: float, t: float) -> complex:
@@ -390,8 +404,7 @@ def alpha3_torus_level(
     DEFAULT_CONFIG_2D.max_nodes.
     """
     x = _real(x)
-    if not tol > 0:
-        raise InvalidQueryError(f"tol must be positive, got {tol!r}")
+    _check_tol(tol)
     ax = abs(x)
     _guard_exp_peak(ax + 2.0, "alpha3_torus_level")
     # wx[k] = |x|^k/k! and w1[k] = 1/k! for k <= K, the first K >= 2|x| - 1 at
@@ -429,29 +442,25 @@ def alpha3_torus_level(
         n += 1
 
 
-def alpha_via_hadamard(
-    x: float,
-    s: int,
-    cfg: QuadratureConfig | None = None,
-) -> QuadratureResult:
+def alpha_via_hadamard(x: float, s: int, tol: float | None = None) -> QuadratureResult:
     """alpha(x, s) through the coefficient-product lift, for s >= 2.
 
     One circle integral of exp(x e^{i theta}) * alpha(e^{-i theta}, s-1)
     with the inner factor evaluated by the complex-argument series; both
     factors are entire, so no radius precondition can fail.  It runs one
-    certified level (_circle_level with ru = |x| and rv = 1, since
+    level certified to tol, None meaning 1e-12 (_circle_level with
+    ru = |x| and rv = 1, since
     1/(p!)^(s-1) <= 1/p!); alias_bound also holds the inner series' tail,
     at most 2 INNER_TOL per node value, so 2 INNER_TOL e^{|x|} in the mean.
-    est_error = alias_bound + rounding_bound bounds the error.  The
-    result's imaginary residue must stay below max(1e-9, 10*cfg.tol).
+    est_error = alias_bound + rounding_bound bounds the error.  The exact
+    value is real, so an imaginary residue above est_error would prove the
+    bound wrong and raises ImaginaryResidueError.
     """
-    if cfg is None:
-        cfg = DEFAULT_CONFIG_1D
     if not isinstance(s, int) or s < 2:
         raise InvalidQueryError(f"the lift needs integer s >= 2, got {s!r}")
     _check_s_fits(s)
     x = _real(x)
-    result = _circle_level("alpha_via_hadamard", abs(x), 1.0, cfg, kernels.exp_alpha_mean,
+    result = _circle_level("alpha_via_hadamard", abs(x), 1.0, tol, kernels.exp_alpha_mean,
                            x, s, g_error=2.0 * kernels.INNER_TOL)
-    _check_imag(result.value, max(_IMAG_LIMIT_LIFT, 10.0 * cfg.tol), "alpha_via_hadamard")
+    _check_imag(result.value, result.est_error, "alpha_via_hadamard")
     return result

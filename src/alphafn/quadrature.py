@@ -3,17 +3,14 @@
 The node average (1/N) sum_j f(2*pi*j/N) equals the normalized integral
 (1/2pi) int_0^{2pi} f, and converges geometrically for integrands analytic
 in a strip around the real axis, so node doubling with an empirical error
-estimate controls any such integrand.  Where the Taylor coefficients of the
+estimate controls any such integrand: `converge` drives a node-count ->
+mean function through that ladder, and est_error is |value_N - value_{N/2}|
+between the last two levels.  Each level of the generic rules here
+evaluates all of its nodes.  Where the Taylor coefficients of the
 integrand's factors are known, `hadamard._circle_level` picks one level
-from a certified aliasing bound instead.
-
-The levels are nested: the nodes of level N are the even nodes of level 2N.
-Level 2N therefore evaluates only the nodes level N lacks (the odd j on the
-circle; the (j, k) with j or k odd on the torus) and combines their mean
-with the level-N mean, (prev + fresh)/2 on the circle and (prev + 3*fresh)/4
-on the torus.  This halves the integrand calls of a 1D ladder and saves a
-quarter of each torus level.  The error estimate is unchanged: est_error is
-still |value_N - value_{N/2}| between the last two levels.
+from a certified aliasing bound instead; `hadamard._ladder`, the s = 3
+torus routes' ladder, evaluates at each doubling only the nodes the
+previous level lacks.
 """
 
 from __future__ import annotations
@@ -30,7 +27,9 @@ TWO_PI = 2.0 * math.pi
 
 @dataclass(frozen=True)
 class QuadratureConfig:
-    """Node-doubling policy: start at initial_nodes, stop at max_nodes."""
+    """Node-doubling policy for `converge`: start at initial_nodes, stop at
+    max_nodes.  The circle routes take only a tol; DEFAULT_CONFIG_1D's node
+    counts are their level search's floor and cap."""
 
     initial_nodes: int = 16
     max_nodes: int = 1024
@@ -63,14 +62,15 @@ DEFAULT_CONFIG_2D = QuadratureConfig(initial_nodes=16, max_nodes=512, tol=1e-10)
 class QuadratureResult:
     """A node average over `nodes` nodes per dimension and its error.
 
-    From the doubling ladder (`converge`: the torus routes and
-    `hadamard_eval`), est_error is |value_N - value_{N/2}| of the final
-    doubling, an estimate (0.0 when only one level fit inside the node
-    budget, as with initial_nodes == max_nodes for a level known to be
-    exact), and the two bounds are None.  The circle routes
-    (`alpha2_quadrature`, the Bessel route and `alpha_via_hadamard`) run one
-    level certified by an aliasing bound instead: there est_error =
-    alias_bound + rounding_bound is a bound on |value - exact|.
+    From the doubling ladder (`converge`: the s = 3 torus routes, the
+    generic trapezoid rules and `hadamard_eval`), est_error is
+    |value_N - value_{N/2}| of the final doubling, an estimate (0.0 when
+    only one level fit inside the node budget, as with initial_nodes ==
+    max_nodes for a level known to be exact), and the two bounds are None.
+    The circle routes (`alpha2_quadrature`, the Bessel route and
+    `alpha_via_hadamard`) take a tol, not a config, and run one level
+    certified by an aliasing bound: there est_error = alias_bound +
+    rounding_bound is a bound on |value - exact|.
     """
 
     value: complex
@@ -116,64 +116,24 @@ def converge(node_mean: Callable[[int], complex], cfg: QuadratureConfig) -> Quad
         n, value = n2, value2
 
 
-def circle_nodes(n: int, fresh: bool = False) -> range:
-    """Indices j of the level-n nodes 2*pi*j/n; with fresh, only the odd j,
-    the nodes that level n/2 lacks."""
-    return range(1, n, 2) if fresh else range(n)
-
-
-def torus_rows(n: int, fresh: bool = False) -> list[tuple[int, range]]:
-    """Rows (j, ks) of the level-n torus grid, ascending in j; with fresh,
-    only the nodes with j or k odd, which level n/2 lacks."""
-    every = range(n)
-    odd = range(1, n, 2) if fresh else every
-    return [(j, every if j % 2 else odd) for j in every]
-
-
-def nested_node_mean(
-    mean: Callable[[int, bool], complex], torus: bool = False
-) -> Callable[[int], complex]:
-    """The node_mean for converge, reusing the previous level's mean.
-
-    mean(n, fresh) is the mean over the level-n nodes, or with fresh=True
-    over only the nodes level n/2 lacks.  When n is twice the previous
-    level, only those fresh nodes are evaluated.
-    """
-    last_n, last = 0, 0j
-
-    def node_mean(n: int) -> complex:
-        nonlocal last_n, last
-        if n == 2 * last_n:
-            fresh = mean(n, True)
-            value = (last + 3.0 * fresh) / 4.0 if torus else (last + fresh) / 2.0
-        else:
-            value = mean(n, False)
-        last_n, last = n, value
-        return value
-
-    return node_mean
-
-
 def trapezoid_periodic_1d(
     f: Callable[[float], complex],
     cfg: QuadratureConfig | None = None,
 ) -> QuadratureResult:
     """Normalized circle integral (1/2pi) int_0^{2pi} f(theta) dtheta.
 
-    Equal weights 1/N at theta_j = 2*pi*j/N; summed in ascending j, and
-    each level calls f only at the nodes the previous level lacks.
+    Equal weights 1/N at theta_j = 2*pi*j/N, summed in ascending j.
     """
     if cfg is None:
         cfg = DEFAULT_CONFIG_1D
 
-    def mean(n: int, fresh: bool) -> complex:
-        js = circle_nodes(n, fresh)
+    def mean(n: int) -> complex:
         total = 0j
-        for j in js:
+        for j in range(n):
             total += f((TWO_PI * j) / n)
-        return total / len(js)
+        return total / n
 
-    return converge(nested_node_mean(mean), cfg)
+    return converge(mean, cfg)
 
 
 def trapezoid_periodic_2d(
@@ -183,20 +143,17 @@ def trapezoid_periodic_2d(
     """Normalized torus integral (1/4pi^2) over [0,2pi)^2, tensor-product rule.
 
     Both dimensions share the same N and double together; nodes in the
-    result is the per-dimension count.  Summed ascending j then k, and each
-    level calls f only at the nodes the previous level lacks.
+    result is the per-dimension count.  Summed ascending j then k.
     """
     if cfg is None:
         cfg = DEFAULT_CONFIG_2D
 
-    def mean(n: int, fresh: bool) -> complex:
+    def mean(n: int) -> complex:
         total = 0j
-        count = 0
-        for j, ks in torus_rows(n, fresh):
+        for j in range(n):
             theta = (TWO_PI * j) / n
-            for k in ks:
+            for k in range(n):
                 total += f(theta, (TWO_PI * k) / n)
-            count += len(ks)
-        return total / count
+        return total / (n * n)
 
-    return converge(nested_node_mean(mean, torus=True), cfg)
+    return converge(mean, cfg)

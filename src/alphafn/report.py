@@ -4,7 +4,7 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Callable, NamedTuple
 
 from .errors import InvalidQueryError
@@ -15,7 +15,6 @@ from .hadamard import (
     alpha3_quadrature_real,
     alpha_via_hadamard,
 )
-from .quadrature import DEFAULT_CONFIG_1D, QuadratureConfig
 from .series import DEFAULT_TOL, AlphaQuery, _real, alpha_series
 
 # The often-quoted value for sum 1/(n!)^3 = 0F2(;1,1;1); it matches only
@@ -77,10 +76,6 @@ class Route(NamedTuple):
     run: Callable[[float, int, float | None], tuple[float, float, dict]]
 
 
-def _cfg_1d(tol: float | None) -> QuadratureConfig:
-    return DEFAULT_CONFIG_1D if tol is None else replace(DEFAULT_CONFIG_1D, tol=tol)
-
-
 def _only_s(k: int) -> Callable[[float, int], str | None]:
     return lambda x, s: None if s == k else f"route only valid for s = {k}"
 
@@ -119,7 +114,7 @@ def _torus_complex(x, s, tol):
 
 def _bessel(x, s, tol):
     a = 2.0 * math.sqrt(x)  # alpha(x, 2) = I0(a), the circle mean of exp(a cos t)
-    return _quadrature(_bessel_quadrature(a, 0.0, _cfg_1d(tol)))
+    return _quadrature(_bessel_quadrature(a, 0.0, tol))
 
 
 # Every route, in the order compare lists them.  The entries hold only the
@@ -136,7 +131,7 @@ ROUTES = (
     Route("hadamard-2d-real", None, _only_s(3),
           lambda x, s, tol: _quadrature(alpha3_quadrature_real(x))),
     Route("hadamard-iterated", "hadamard", _refuse_lift,
-          lambda x, s, tol: _quadrature(alpha_via_hadamard(x, s, _cfg_1d(tol)))),
+          lambda x, s, tol: _quadrature(alpha_via_hadamard(x, s, tol))),
 )
 METHODS = {route.method: route for route in ROUTES if route.method is not None}
 

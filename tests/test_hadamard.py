@@ -257,7 +257,7 @@ class TestAlpha2Route:
         # at the route's one level, the generic rule over the same nodes
         tol = 1e-12
         x = 0.75
-        fused = alpha2_quadrature(x, QuadratureConfig(initial_nodes=16, max_nodes=256, tol=tol))
+        fused = alpha2_quadrature(x, tol)
         n = fused.nodes
         generic = trapezoid_periodic_1d(
             lambda t: alpha2_integrand(x, t), QuadratureConfig(n, n, tol)
@@ -513,9 +513,42 @@ class TestCertifiedCircleRoutes:
         assert [alpha2_quadrature(x).nodes for x in (1.0, -5.0)] == [16, 32]
 
     def test_refuses_past_the_node_budget(self):
-        with pytest.raises(ToleranceNotReachedError, match="alias bound") as excinfo:
-            alpha2_quadrature(30.0, QuadratureConfig(16, 64, 1e-12))
+        # an exp peak of 601, inside the 700 guard, but no level up to the
+        # fixed cap of 1024 nodes aliases by at most tol
+        with pytest.raises(ToleranceNotReachedError,
+                           match="no level of at most 1024 nodes") as excinfo:
+            alpha2_quadrature(600.0)
         assert excinfo.value.best is None
+
+    def test_lift_residue_is_judged_by_its_bound(self):
+        # the exact value is real: a residue of 1.7e-9 is within the
+        # certified bound, though past the former absolute limit of 1e-9
+        res = alpha_via_hadamard(16.0, 3)
+        assert 1e-9 < abs(res.value.imag) <= res.est_error
+        with mpmath.workdps(40):
+            error = float(abs(mpmath.mpf(res.value.real) - alpha_mpmath_s(16.0, 3)))
+        assert error <= res.est_error
+
+    def test_lift_refuses_a_residue_past_its_bound(self, monkeypatch):
+        mean = _kernels_py.exp_alpha_mean
+        monkeypatch.setattr(_kernels_py, "exp_alpha_mean",
+                            lambda x, s, n: mean(x, s, n) + 1e-6j)
+        with pytest.raises(ImaginaryResidueError, match="alpha_via_hadamard"):
+            alpha_via_hadamard(1.0, 3)
+
+    @pytest.mark.parametrize("tol", [0.0, -1e-12, math.nan, QuadratureConfig()],
+                             ids=["zero", "negative", "nan", "config"])
+    def test_rejects_a_bad_tol(self, tol):
+        # the outside-input check QuadratureConfig made for the circle
+        # routes' old cfg argument: InvalidQueryError, not a TypeError
+        for run in (
+            lambda: alpha2_quadrature(1.0, tol),
+            lambda: alpha_via_hadamard(1.0, 3, tol),
+            lambda: bessel_identity_check(1.0, 2.0, tol),
+            lambda: _bessel_quadrature(1.0, 2.0, tol),
+        ):
+            with pytest.raises(InvalidQueryError, match="tol must be positive"):
+                run()
 
     def test_refuses_a_value_below_its_bound(self):
         # alpha(x, 2) = J0(2 sqrt(-x)) is 0 to rounding at the first zero of J0

@@ -9,7 +9,6 @@ import pytest
 
 from alphafn import _kernels_py
 from alphafn.hadamard import alpha3_integrand_complex, alpha3_integrand_real
-from alphafn.quadrature import nested_node_mean, torus_rows
 
 TWO_PI = 2.0 * math.pi
 
@@ -112,8 +111,9 @@ class TestLiftNodeCache:
 
 
 class TestNestedLevels:
-    """Level n built from level n/2 plus the fresh nodes equals the plain
-    mean over all n nodes, for the torus kernels, the ones a ladder runs."""
+    """Level n built from level n/2 plus the fresh nodes, as the torus
+    ladder combines them, (level n/2 + 3 fresh)/4, equals the plain mean
+    over all n nodes."""
 
     @pytest.mark.parametrize(
         "mean", [_kernels_py.alpha3_real_mean, _kernels_py.alpha3_complex_mean],
@@ -122,10 +122,8 @@ class TestNestedLevels:
     def test_nested_level_equals_full_sum(self, mean):
         for n in (16, 32, 64):
             for x in (-2.0, -0.5, 0.75, 1.0, 3.0):
-                node_mean = nested_node_mean(lambda m, fresh: mean(x, m, fresh), torus=True)
-                node_mean(n // 2)
-                nested = node_mean(n)
-                full = mean(x, n, False)
+                nested = (mean(x, n // 2) + 3.0 * mean(x, n, True)) / 4.0
+                full = mean(x, n)
                 assert abs(nested - full) <= 1e-14 * abs(full), (mean.__name__, n, x, nested, full)
 
 
@@ -143,7 +141,7 @@ class TestTorusKernelsExact:
             for fresh in (False, True):
                 for x in (-7.5, -2.0, -0.5, 0.0, 0.75, 1.0, 3.0, 7.25):
                     total, count = zero, 0
-                    for j, ks in torus_rows(n, fresh):
+                    for j, ks in _kernels_py._torus_rows(n, fresh):
                         for k in ks:
                             total += integrand(x, (TWO_PI * j) / n, (TWO_PI * k) / n)
                         count += len(ks)

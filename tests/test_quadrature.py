@@ -99,27 +99,6 @@ class TestTrapezoid1D:
         assert res.nodes == cfg.initial_nodes * ratio
         assert ratio & (ratio - 1) == 0  # power of two
 
-    def test_nested_ladder_calls_integrand_once_per_final_node(self):
-        # a degree-8 polynomial product: N=16 is already exact, N=32 confirms
-        ca = [0.5, -0.25, 1.0, 0.125, -0.75, 0.3, 0.2, -0.1, 0.9]
-        cb = [1.0, 0.4, -0.6, 0.7, 0.05, -0.3, 0.8, 0.15, -0.45]
-        u, v = 0.7, -0.6
-        calls = 0
-
-        def integrand(t):
-            nonlocal calls
-            calls += 1
-            point = cmath.exp(1j * t)
-            fu = sum(c * (u * point) ** k for k, c in enumerate(ca))
-            gv = sum(c * (v * point.conjugate()) ** k for k, c in enumerate(cb))
-            return fu * gv
-
-        res = trapezoid_periodic_1d(integrand)
-        expected = sum(a * b * (u * v) ** k for k, (a, b) in enumerate(zip(ca, cb)))
-        assert res.nodes == 32
-        assert calls == res.nodes
-        assert abs(res.value - expected) < 1e-14
-
 
 class TestTrapezoid2D:
     def test_constant_is_exact(self):
