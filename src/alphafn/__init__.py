@@ -29,15 +29,7 @@ from .hadamard import (
     bessel_identity_check,
     hadamard_eval,
 )
-from .quadrature import (
-    DEFAULT_CONFIG_1D,
-    DEFAULT_CONFIG_2D,
-    QuadratureConfig,
-    QuadratureResult,
-    converge,
-    trapezoid_periodic_1d,
-    trapezoid_periodic_2d,
-)
+from .quadrature import QuadratureResult, trapezoid_periodic_1d, trapezoid_periodic_2d
 from .report import ComparisonReport, MethodValue, compare_methods, evaluate_method
 from .series import (
     DEFAULT_MAX_TERMS,
@@ -64,8 +56,6 @@ __all__ = [
     "AnalyticFunction",
     "CaseResult",
     "ComparisonReport",
-    "DEFAULT_CONFIG_1D",
-    "DEFAULT_CONFIG_2D",
     "DEFAULT_MAX_TERMS",
     "DEFAULT_TOL",
     "DomainViolationError",
@@ -75,7 +65,6 @@ __all__ = [
     "MAX_N",
     "MethodValue",
     "NonConvergenceError",
-    "QuadratureConfig",
     "QuadratureResult",
     "SeriesResult",
     "ToleranceNotReachedError",
@@ -92,7 +81,6 @@ __all__ = [
     "bessel_i0",
     "bessel_identity_check",
     "compare_methods",
-    "converge",
     "evaluate_method",
     "hadamard_eval",
     "ode_residual",

@@ -26,14 +26,14 @@ from .errors import (
     ToleranceNotReachedError,
 )
 from .quadrature import (
-    DEFAULT_CONFIG_1D,
-    DEFAULT_CONFIG_2D,
-    QuadratureConfig,
+    CIRCLE_LADDER,
+    TORUS_LADDER,
     QuadratureResult,
     converge,
+    one_level,
     trapezoid_periodic_1d,
 )
-from .series import _UNIT_ROUNDOFF, _check_s_fits, _real, bessel_i0
+from .series import _UNIT_ROUNDOFF, _check_s_fits, _check_tol, _real, bessel_i0
 
 # exp overflows doubles just above 709; the closed-form integrands peak at
 # exp of the values guarded here, so reject inputs past this point with a
@@ -54,25 +54,23 @@ def _guard_exp_peak(peak: float, route: str) -> None:
         )
 
 
-def _check_tol(tol: float) -> None:
-    if not (isinstance(tol, (int, float)) and tol > 0):
-        raise InvalidQueryError(f"tol must be positive, got {tol!r}")
-
-
 def _ladder(
-    route: str, peak: float, cfg: QuadratureConfig | None,
+    route: str, peak: float, nodes: int | None,
     kernel: Callable[..., complex], *args: float,
 ) -> QuadratureResult:
-    """Guard the integrand's exp peak, then run the doubling ladder on the
-    torus means kernel(*args, n); cfg None means DEFAULT_CONFIG_2D.
+    """Guard the integrand's exp peak, then run the torus means
+    kernel(*args, n) through TORUS_LADDER, or at the one level of `nodes`
+    nodes per dimension when it is not None.
 
-    The levels are nested: level n's nodes are the even ones of level 2n,
-    so level 2n evaluates only the (j, k) with j or k odd,
+    The ladder's levels are nested: level n's nodes are the even ones of
+    level 2n, so level 2n evaluates only the (j, k) with j or k odd,
     kernel(*args, 2n, fresh=True), and combines them with level n's mean as
     (prev + 3 fresh)/4, which saves a quarter of each level.  The callers
     look kernel up on `kernels` at call time.
     """
     _guard_exp_peak(peak, route)
+    if nodes is not None:
+        return one_level(lambda n: kernel(*args, n), nodes)
     last_n, last = 0, 0j
 
     def node_mean(n: int) -> complex:
@@ -84,7 +82,7 @@ def _ladder(
         last_n, last = n, value
         return value
 
-    return converge(node_mean, DEFAULT_CONFIG_2D if cfg is None else cfg)
+    return converge(node_mean, TORUS_LADDER)
 
 
 def _circle_level(
@@ -100,8 +98,8 @@ def _circle_level(
     aliasing sum over m - p = jN, j != 0 (Trefethen & Weideman, "The
     exponentially convergent trapezoidal rule", SIAM Rev. 2014):
         A_N <= e^{rv} T(ru, N) + e^{ru} T(rv, N),  T(r, N) = sum_{m>=N} r^m/m!.
-    N is the first of 16 * 2^k up to 1024 (DEFAULT_CONFIG_1D's node counts)
-    with A_N <= tol (None means DEFAULT_CONFIG_1D.tol; a tol that is not a
+    N is the first of 16 * 2^k up to 1024 (CIRCLE_LADDER's node counts)
+    with A_N <= tol (None means CIRCLE_LADDER's 1e-12; a tol that is not a
     positive number raises InvalidQueryError), and the kernel runs that one
     level.  alias_bound = A_N + e^{ru} g_error, g_error being the
     caller's bound on what the second factor's value leaves out at a node
@@ -124,15 +122,15 @@ def _circle_level(
     ToleranceNotReachedError (exit 3) when no level reaches tol, and when
     est_error is not below |value|, since then no digit is certified.
     """
+    n, max_nodes, default_tol = CIRCLE_LADDER
     if tol is None:
-        tol = DEFAULT_CONFIG_1D.tol
+        tol = default_tol
     _check_tol(tol)
     peak = ru + rv
     _guard_exp_peak(peak, route)
     e_ru, e_rv = math.exp(ru), math.exp(rv)
     log_ru = math.log(ru) if ru else -math.inf
     log_rv = math.log(rv) if rv else -math.inf
-    n = DEFAULT_CONFIG_1D.initial_nodes
     while True:
         # T(r, N) <= (r^N/N!)/(1 - r/(N+1)), the geometric bound for r < N + 1
         alias = math.inf
@@ -142,9 +140,9 @@ def _circle_level(
                      + e_ru * math.exp(n * log_rv - log_fact) / (1.0 - rv / (n + 1)))
         if alias <= tol:
             break
-        if 2 * n > DEFAULT_CONFIG_1D.max_nodes:
+        if 2 * n > max_nodes:
             raise ToleranceNotReachedError(
-                f"{route}: no level of at most {DEFAULT_CONFIG_1D.max_nodes} nodes "
+                f"{route}: no level of at most {max_nodes} nodes "
                 f"has an alias bound <= tol={tol:g} (N={n}: {alias:.3e})",
                 best=None,
             )
@@ -163,8 +161,7 @@ def _circle_level(
 
 
 # hadamard_eval's promised ceiling for the imaginary residue of a result
-# that is real in exact arithmetic, scaled up for configs looser than the
-# default: an uncertified ladder cannot pin the residue below its tolerance
+# that is real in exact arithmetic, per unit of the largest integrand value
 _IMAG_LIMIT_EVAL = 1e-10
 
 
@@ -218,19 +215,19 @@ def hadamard_eval(
     g: AnalyticFunction,
     u: float,
     v: float,
-    cfg: QuadratureConfig | None = None,
+    nodes: int | None = None,
 ) -> QuadratureResult:
     """Evaluate h(u v) = (1/2pi) int f(u e^{i t}) g(v e^{-i t}) dt, h being
     the coefficient-wise product of f and g.
 
-    u and v must lie strictly inside the respective radii.  The value is
-    returned as complex: its imaginary part is a consistency diagnostic
-    and must stay below max(1e-10, 10*cfg.tol) * max(1, max_j |F(t_j)|)
-    for real-coefficient input, F being the integrand at the nodes the
-    ladder evaluated: rounding in the node sum scales with them.
+    u and v must lie strictly inside the respective radii.  nodes None runs
+    trapezoid_periodic_1d's doubling ladder (CIRCLE_LADDER), an int the one
+    level of that many nodes, for example one known to be exact.  The value
+    is returned as complex: its imaginary part is a consistency diagnostic
+    and must stay below 1e-10 * max(1, max_j |F(t_j)|) for real-coefficient
+    input, F being the integrand at the nodes evaluated: rounding in the
+    node sum scales with them.
     """
-    if cfg is None:
-        cfg = DEFAULT_CONFIG_1D
     if not abs(u) < f.radius:
         raise DomainViolationError(
             f"|u|={abs(u)!r} is not inside the first factor's radius {f.radius!r}"
@@ -251,8 +248,8 @@ def hadamard_eval(
             peak = size
         return value
 
-    result = trapezoid_periodic_1d(integrand, cfg)
-    _check_imag(result.value, max(_IMAG_LIMIT_EVAL, 10.0 * cfg.tol) * peak, "hadamard_eval")
+    result = trapezoid_periodic_1d(integrand, nodes)
+    _check_imag(result.value, _IMAG_LIMIT_EVAL * peak, "hadamard_eval")
     return result
 
 
@@ -337,33 +334,28 @@ def alpha3_integrand_real(x: float, theta: float, t: float) -> float:
     )
 
 
-def alpha3_quadrature_real(
-    x: float, cfg: QuadratureConfig | None = None
-) -> QuadratureResult:
+def alpha3_quadrature_real(x: float, nodes: int | None = None) -> QuadratureResult:
     """alpha(x, 3) as the torus mean of the expanded real integrand.
 
-    cfg None runs the doubling ladder of DEFAULT_CONFIG_2D.  For one
-    certified level, pass QuadratureConfig(n, n, tol) with n from
-    alpha3_torus_level(x, tol): the error is then at most its
-    alias_bound + rounding_bound.
+    nodes None runs the doubling ladder of TORUS_LADDER.  For one certified
+    level, pass nodes=n with n from alpha3_torus_level(x, tol): the error
+    is then at most its alias_bound + rounding_bound.
     """
     x = _real(x)
-    return _ladder("alpha3_quadrature_real", abs(x) + 2.0, cfg,
+    return _ladder("alpha3_quadrature_real", abs(x) + 2.0, nodes,
                    kernels.alpha3_real_mean, x)
 
 
-def alpha3_quadrature_complex(
-    x: float, cfg: QuadratureConfig | None = None
-) -> QuadratureResult:
+def alpha3_quadrature_complex(x: float, nodes: int | None = None) -> QuadratureResult:
     """alpha(x, 3) as the torus mean of the complex-product integrand.
 
     The imaginary part of the returned value is the torus average of the
-    integrand's imaginary component and is reported, not dropped.  cfg is
-    read as by alpha3_quadrature_real, and alpha3_torus_level's level and
-    bounds hold for this integrand too.
+    integrand's imaginary component and is reported, not dropped.  nodes
+    is read as by alpha3_quadrature_real, and alpha3_torus_level's level
+    and bounds hold for this integrand too.
     """
     x = _real(x)
-    return _ladder("alpha3_quadrature_complex", abs(x) + 2.0, cfg,
+    return _ladder("alpha3_quadrature_complex", abs(x) + 2.0, nodes,
                    kernels.alpha3_complex_mean, x)
 
 
@@ -383,9 +375,7 @@ def _torus_alias_sum(wx: list[float], w1: list[float], n: int) -> float:
     return total
 
 
-def alpha3_torus_level(
-    x: float, tol: float = DEFAULT_CONFIG_2D.tol
-) -> tuple[int, float, float]:
+def alpha3_torus_level(x: float, tol: float = TORUS_LADDER[2]) -> tuple[int, float, float]:
     """The smallest one-level torus grid for either alpha3_quadrature route.
 
     Returns (n, alias_bound, rounding_bound).  The n x n trapezoid mean of
@@ -398,10 +388,10 @@ def alpha3_torus_level(
     the smallest n >= 4 with alias_bound <= tol.  rounding_bound =
     2 n^2 2^-53 e^{|x|+2} covers the rounding of n^2 node values of modulus
     at most e^{|x|+2} and of their sum; more nodes cannot lower it, so it is
-    left out of the search.
-    Pass QuadratureConfig(n, n, tol) to run that one level.  Raises
-    ToleranceNotReachedError (best None) when n would pass
-    DEFAULT_CONFIG_2D.max_nodes.
+    left out of the search.  tol defaults to TORUS_LADDER's 1e-10.
+    Pass nodes=n to either route to run that one level.  Raises
+    ToleranceNotReachedError (best None) when n would pass TORUS_LADDER's
+    512 max nodes.
     """
     x = _real(x)
     _check_tol(tol)
@@ -428,11 +418,12 @@ def alpha3_torus_level(
     n = 4
     while n < len(wx) and wx[n] + 2.0 * w1[n] > tol:
         n += 1
+    max_nodes = TORUS_LADDER[1]
     while True:
-        if n > DEFAULT_CONFIG_2D.max_nodes:
+        if n > max_nodes:
             raise ToleranceNotReachedError(
                 f"alpha3_torus_level: no grid of at most "
-                f"{DEFAULT_CONFIG_2D.max_nodes}^2 nodes reaches tol={tol:g} "
+                f"{max_nodes}^2 nodes reaches tol={tol:g} "
                 f"at x={x!r}",
                 best=None,
             )

@@ -15,7 +15,7 @@ from .hadamard import (
     alpha3_quadrature_real,
     alpha_via_hadamard,
 )
-from .series import DEFAULT_TOL, AlphaQuery, _real, alpha_series
+from .series import DEFAULT_TOL, AlphaQuery, _check_tol, _real, alpha_series
 
 # The often-quoted value for sum 1/(n!)^3 = 0F2(;1,1;1); it matches only
 # the fractional digits of the actual sum (n=0 alone contributes 1).
@@ -158,8 +158,7 @@ def compare_methods(x: float, s: int, tolerance: float | None = None) -> Compari
     """
     query = AlphaQuery(complex(x), s)
     tolerance = 1e-8 if tolerance is None else tolerance
-    if not tolerance > 0:
-        raise InvalidQueryError(f"tolerance must be positive, got {tolerance!r}")
+    _check_tol(tolerance, "tolerance")
     x = _real(x)
     methods = [
         MethodValue(r.name, *r.run(x, s, None)) for r in ROUTES if r.refuse(x, s) is None

@@ -28,6 +28,13 @@ def _check_s_fits(s: int) -> None:
         )
 
 
+def _check_tol(tol, name: str = "tol") -> None:
+    """A tolerance must be a positive real number: InvalidQueryError, not
+    a TypeError from the comparison, for anything else."""
+    if not (isinstance(tol, (int, float)) and tol > 0):
+        raise InvalidQueryError(f"{name} must be positive, got {tol!r}")
+
+
 def _real(x, name: str = "x") -> float:
     """x as a float, for the routes that take real arguments only."""
     z = complex(x)
@@ -102,10 +109,9 @@ def _reciprocal_result(positive: SeriesResult) -> SeriesResult:
 def _summed(x, s: int, k: int, tol: float, max_terms: int) -> SeriesResult:
     """The k-th derivative of alpha(., s) at x, k = 0 being alpha itself."""
     x = _check_query(x, s)
-    if not tol > 0:
-        raise InvalidQueryError(f"tol must be positive, got {tol!r}")
-    if max_terms < 2:
-        raise InvalidQueryError(f"max_terms must be >= 2, got {max_terms!r}")
+    _check_tol(tol)
+    if not (isinstance(max_terms, int) and max_terms >= 2):
+        raise InvalidQueryError(f"max_terms must be an integer >= 2, got {max_terms!r}")
     if not isinstance(k, int) or k < 0:
         raise InvalidQueryError(f"k must be an integer >= 0, got {k!r}")
     # every derivative of e^x is e^x: at s = 1, x < 0 sum S = e^{-x}, return 1/S

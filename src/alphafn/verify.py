@@ -22,7 +22,7 @@ from .hadamard import (
     bessel_identity_check,
     hadamard_eval,
 )
-from .quadrature import TWO_PI, QuadratureConfig
+from .quadrature import TWO_PI
 from .series import alpha_series
 from .stirling import ode_residual, stirling2, stirling_genfunc_residual
 
@@ -66,7 +66,7 @@ def suite_theorem1(seed: int = 0, trials: int = 200) -> list[CaseResult]:
         f = AnalyticFunction.from_coefficients(ca)
         g = AnalyticFunction.from_coefficients(cb)
         n = max(4, len(ca), len(cb))
-        got = hadamard_eval(f, g, u, v, QuadratureConfig(n, n, 1e-12)).value.real
+        got = hadamard_eval(f, g, u, v, nodes=n).value.real
         expected = sum(
             a * b * (u * v) ** n for n, (a, b) in enumerate(zip(ca, cb))
         )
@@ -168,12 +168,11 @@ def suite_expansion_s3(seed: int = 0) -> list[CaseResult]:
         cases.append(_case("expansion_s3", f"pointwise-x={x:g}", worst, bound))
     for x in xs:
         n, alias, rounding = alpha3_torus_level(x, 1e-10)
-        cfg = QuadratureConfig(n, n, 1e-10)
         series = alpha_series(x, 3)
         reference = series.value.real
         threshold = min(1e-9, alias + rounding + series.tail_bound + series.rounding_bound)
-        qc = alpha3_quadrature_complex(x, cfg)
-        qr = alpha3_quadrature_real(x, cfg)
+        qc = alpha3_quadrature_complex(x, nodes=n)
+        qr = alpha3_quadrature_real(x, nodes=n)
         cases.append(
             _case("expansion_s3", f"torus-real-x={x:g}", abs(qr.value.real - reference), threshold)
         )

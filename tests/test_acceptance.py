@@ -14,7 +14,6 @@ from fractions import Fraction
 
 from alphafn import (
     AnalyticFunction,
-    QuadratureConfig,
     alpha2_integrand,
     alpha3_integrand_complex,
     alpha3_integrand_real,
@@ -116,17 +115,12 @@ def test_04_bessel_identity(capsys):
 
 
 def test_05_s3_torus_quadrature(capsys):
-    cfg = QuadratureConfig(initial_nodes=16, max_nodes=128, tol=1e-10)
     worst_real = worst_complex = worst_imag = worst_fused = 0.0
     max_nodes = 0
     for x in (-1.0, 0.0, 0.5, 1.0, 2.0):
         series = alpha_series(x, 3).value.real
-        real_form = trapezoid_periodic_2d(
-            lambda a, b: alpha3_integrand_real(x, a, b), cfg
-        )
-        complex_form = trapezoid_periodic_2d(
-            lambda a, b: alpha3_integrand_complex(x, a, b), cfg
-        )
+        real_form = trapezoid_periodic_2d(lambda a, b: alpha3_integrand_real(x, a, b))
+        complex_form = trapezoid_periodic_2d(lambda a, b: alpha3_integrand_complex(x, a, b))
         max_nodes = max(max_nodes, real_form.nodes, complex_form.nodes)
         worst_real = max(worst_real, abs(real_form.value.real - series))
         worst_complex = max(worst_complex, abs(complex_form.value.real - series))
@@ -134,8 +128,8 @@ def test_05_s3_torus_quadrature(capsys):
         # the fused kernel route must reproduce the generic rule
         worst_fused = max(
             worst_fused,
-            abs(alpha3_quadrature_real(x, cfg).value - real_form.value),
-            abs(alpha3_quadrature_complex(x, cfg).value - complex_form.value),
+            abs(alpha3_quadrature_real(x).value - real_form.value),
+            abs(alpha3_quadrature_complex(x).value - complex_form.value),
         )
     with capsys.disabled():
         check(
@@ -232,8 +226,7 @@ def test_10_spectral_convergence(capsys):
     reference = bessel_i0(2.0, tol=1e-15).value.real
     errors = {}
     for n in (8, 16, 32):
-        cfg = QuadratureConfig(initial_nodes=n, max_nodes=n, tol=1.0)
-        value = trapezoid_periodic_1d(lambda t: math.exp(2.0 * math.cos(t)), cfg)
+        value = trapezoid_periodic_1d(lambda t: math.exp(2.0 * math.cos(t)), nodes=n)
         errors[n] = abs(value.value.real - reference)
     with capsys.disabled():
         check(

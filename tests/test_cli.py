@@ -127,8 +127,8 @@ class TestEval:
     @pytest.mark.parametrize("method, tol", [("hadamard", -1.0), ("bessel", 0.0),
                                              ("hadamard", math.nan)])
     def test_library_rejects_bad_tol_through_the_config(self, method, tol):
-        # the circle routes' level search makes the check QuadratureConfig
-        # made, with the same message
+        # the circle routes' level search checks the tol, with the message
+        # the series and compare_methods give
         with pytest.raises(InvalidQueryError, match="tol must be positive"):
             evaluate_method(1.0, 2, method, tol)
 

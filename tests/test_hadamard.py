@@ -20,7 +20,6 @@ from alphafn import (
     DomainViolationError,
     ImaginaryResidueError,
     InvalidQueryError,
-    QuadratureConfig,
     ToleranceNotReachedError,
     alpha2_integrand,
     alpha2_quadrature,
@@ -38,6 +37,7 @@ from alphafn import (
 )
 from alphafn import _kernels_py, verify
 from alphafn.hadamard import _bessel_quadrature
+from alphafn.quadrature import CIRCLE_LADDER
 
 TWO_PI = 2.0 * math.pi
 I0_OF_2 = 2.2795853023360673
@@ -131,7 +131,7 @@ class TestHadamardEval:
         # 1e-10 limit refused it
         ones = AnalyticFunction.from_coefficients([1.0] * 25)
         u, v = 1.4999, -1.4999
-        res = hadamard_eval(ones, ones, u, v, QuadratureConfig(25, 25, 1e-12))
+        res = hadamard_eval(ones, ones, u, v, nodes=25)
         expected = sum((u * v) ** n for n in range(25))
         assert math.isclose(res.value.real, expected, rel_tol=1e-13)
 
@@ -140,10 +140,9 @@ def convolution(ca, cb, u, v):
     return sum(a * b * (u * v) ** n for n, (a, b) in enumerate(zip(ca, cb)))
 
 
-def one_level(*coefficient_lists):
-    """One trapezoid level of more nodes than any of the degrees."""
-    n = max(4, *map(len, coefficient_lists))
-    return QuadratureConfig(n, n, 1e-12)
+def exact_nodes(*coefficient_lists):
+    """The node count of one trapezoid level, more than any of the degrees."""
+    return max(4, *map(len, coefficient_lists))
 
 
 def counted_polynomial(coefficients, calls):
@@ -169,7 +168,7 @@ class TestExactPolynomialLevel:
         f_calls, g_calls = [], []
         f = counted_polynomial(ca, f_calls)
         g = counted_polynomial(cb, g_calls)
-        res = hadamard_eval(f, g, 0.8, -0.9, one_level(ca, cb))
+        res = hadamard_eval(f, g, 0.8, -0.9, nodes=exact_nodes(ca, cb))
         assert res.nodes == 9
         assert res.est_error == 0.0
         assert len(f_calls) == 9
@@ -179,7 +178,7 @@ class TestExactPolynomialLevel:
     def test_constant_pair_uses_the_minimum_of_4_nodes(self):
         f = AnalyticFunction.from_coefficients([2.0])
         g = AnalyticFunction.from_coefficients([-1.5])
-        res = hadamard_eval(f, g, 0.3, 0.4, one_level([2.0], [-1.5]))
+        res = hadamard_eval(f, g, 0.3, 0.4, nodes=exact_nodes([2.0], [-1.5]))
         assert res.nodes == 4
         assert res.value == -3.0
 
@@ -189,16 +188,16 @@ class TestExactPolynomialLevel:
         poly = AnalyticFunction.from_coefficients(ca)
         u, v = 0.9, 0.8
         exact = 1.0 + (u * v) ** 8
-        aliased = hadamard_eval(poly, poly, u, v, QuadratureConfig(8, 8, 1e-12))
+        aliased = hadamard_eval(poly, poly, u, v, nodes=8)
         assert math.isclose(aliased.value.real, exact + u**8 + v**8, rel_tol=1e-14)
-        exact_level = hadamard_eval(poly, poly, u, v, one_level(ca, ca))
+        exact_level = hadamard_eval(poly, poly, u, v, nodes=exact_nodes(ca, ca))
         assert math.isclose(exact_level.value.real, exact, rel_tol=1e-14)
 
     def test_theorem1_runs_one_level_per_pair(self, monkeypatch):
         seen = []
 
-        def recording(f, g, u, v, cfg=None):
-            res = hadamard_eval(f, g, u, v, cfg)
+        def recording(f, g, u, v, nodes=None):
+            res = hadamard_eval(f, g, u, v, nodes)
             seen.append(res)
             return res
 
@@ -225,11 +224,7 @@ class TestExactPolynomialLevel:
         )
         f = AnalyticFunction.from_coefficients(ca)
         g = AnalyticFunction.from_coefficients(cb)
-        # at |u|, |v| near 1.5 and degree 24 the integrand reaches 1e9, so
-        # ask for the same relative accuracy the assertion grants
-        n = one_level(ca, cb).max_nodes
-        cfg = QuadratureConfig(n, n, max(1e-12, 1e-14 * scale))
-        res = hadamard_eval(f, g, u, v, cfg)
+        res = hadamard_eval(f, g, u, v, nodes=exact_nodes(ca, cb))
         error = abs(res.value - convolution(ca, cb, u, v))
         assert error <= 1e-13 * scale + sys.float_info.min
 
@@ -259,9 +254,7 @@ class TestAlpha2Route:
         x = 0.75
         fused = alpha2_quadrature(x, tol)
         n = fused.nodes
-        generic = trapezoid_periodic_1d(
-            lambda t: alpha2_integrand(x, t), QuadratureConfig(n, n, tol)
-        )
+        generic = trapezoid_periodic_1d(lambda t: alpha2_integrand(x, t), n)
         assert generic.nodes == n
         assert abs(fused.value - generic.value) < 1e-13
 
@@ -323,33 +316,28 @@ class TestAlpha3Integrands:
 
 
 class TestAlpha3Quadrature:
-    CFG = QuadratureConfig(initial_nodes=16, max_nodes=128, tol=1e-10)
-
     def test_real_form_matches_series(self):
         for x in (-1.0, 0.0, 0.5, 1.0, 2.0):
             series = alpha_series(x, 3).value.real
-            res = alpha3_quadrature_real(x, self.CFG)
+            res = alpha3_quadrature_real(x)
             assert res.nodes <= 128
             assert abs(res.value.real - series) <= 1e-9, x
 
     def test_complex_form_matches_series_with_tiny_imag(self):
         for x in (-1.0, 0.0, 0.5, 1.0, 2.0):
             series = alpha_series(x, 3).value.real
-            res = alpha3_quadrature_complex(x, self.CFG)
+            res = alpha3_quadrature_complex(x)
             assert abs(res.value.real - series) <= 1e-9, x
             assert abs(res.value.imag) <= 1e-10, x
 
     def test_fused_kernels_equal_generic_rule(self):
-        cfg = QuadratureConfig(initial_nodes=16, max_nodes=64, tol=1e-10)
         x = 1.0
-        fused = alpha3_quadrature_real(x, cfg)
-        generic = trapezoid_periodic_2d(lambda a, b: alpha3_integrand_real(x, a, b), cfg)
-        assert fused.nodes == generic.nodes
+        fused = alpha3_quadrature_real(x)
+        generic = trapezoid_periodic_2d(lambda a, b: alpha3_integrand_real(x, a, b))
+        assert fused.nodes == generic.nodes <= 64
         assert abs(fused.value - generic.value) < 1e-13
-        fused_c = alpha3_quadrature_complex(x, cfg)
-        generic_c = trapezoid_periodic_2d(
-            lambda a, b: alpha3_integrand_complex(x, a, b), cfg
-        )
+        fused_c = alpha3_quadrature_complex(x)
+        generic_c = trapezoid_periodic_2d(lambda a, b: alpha3_integrand_complex(x, a, b))
         assert abs(fused_c.value - generic_c.value) < 1e-13
 
 
@@ -391,8 +379,8 @@ class TestAlpha3TorusLevel:
         seen = []
 
         def recording(route):
-            def run(x, cfg=None):
-                res = route(x, cfg)
+            def run(x, nodes=None):
+                res = route(x, nodes)
                 seen.append(res.nodes)
                 return res
             return run
@@ -536,11 +524,11 @@ class TestCertifiedCircleRoutes:
         with pytest.raises(ImaginaryResidueError, match="alpha_via_hadamard"):
             alpha_via_hadamard(1.0, 3)
 
-    @pytest.mark.parametrize("tol", [0.0, -1e-12, math.nan, QuadratureConfig()],
+    @pytest.mark.parametrize("tol", [0.0, -1e-12, math.nan, CIRCLE_LADDER],
                              ids=["zero", "negative", "nan", "config"])
     def test_rejects_a_bad_tol(self, tol):
-        # the outside-input check QuadratureConfig made for the circle
-        # routes' old cfg argument: InvalidQueryError, not a TypeError
+        # a ladder tuple where a tol goes is InvalidQueryError, not a
+        # TypeError from the comparison
         for run in (
             lambda: alpha2_quadrature(1.0, tol),
             lambda: alpha_via_hadamard(1.0, 3, tol),

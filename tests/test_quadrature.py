@@ -8,51 +8,52 @@ import math
 import pytest
 
 from alphafn import (
+    EXP,
     AnalyticFunction,
     InvalidQueryError,
-    QuadratureConfig,
     ToleranceNotReachedError,
+    alpha3_quadrature_complex,
+    alpha3_quadrature_real,
     bessel_i0,
-    converge,
     hadamard_eval,
     trapezoid_periodic_1d,
     trapezoid_periodic_2d,
 )
+from alphafn.quadrature import CIRCLE_LADDER, TORUS_LADDER, converge, one_level
 
 I0_OF_2 = 2.2795853023360673
 
-
-def single_level(n: int) -> QuadratureConfig:
-    """Pin the rule to exactly n nodes (no doubling)."""
-    return QuadratureConfig(initial_nodes=n, max_nodes=n, tol=1.0)
+# every function that takes a node count, called with nodes
+TAKES_NODES = {
+    "one_level": lambda nodes: one_level(lambda n: 1.0, nodes),
+    "trapezoid_periodic_1d": lambda nodes: trapezoid_periodic_1d(math.cos, nodes),
+    "hadamard_eval": lambda nodes: hadamard_eval(EXP, EXP, 0.5, 0.5, nodes=nodes),
+    "alpha3_quadrature_real": lambda nodes: alpha3_quadrature_real(1.0, nodes=nodes),
+    "alpha3_quadrature_complex": lambda nodes: alpha3_quadrature_complex(1.0, nodes=nodes),
+}
 
 
 class TestConfig:
+    """A caller sets only the node count of one level; the doubling
+    ladders are the module's constants."""
+
     def test_defaults_valid(self):
-        cfg = QuadratureConfig()
-        assert cfg.initial_nodes == 16
-
-    def test_rejects_small_initial(self):
-        with pytest.raises(InvalidQueryError):
-            QuadratureConfig(initial_nodes=2)
-
-    def test_rejects_max_below_initial(self):
-        with pytest.raises(InvalidQueryError):
-            QuadratureConfig(initial_nodes=16, max_nodes=8)
+        # converge does not check its ladder, so the constants must be sound
+        for initial, max_nodes, tol in (CIRCLE_LADDER, TORUS_LADDER):
+            assert isinstance(initial, int) and isinstance(max_nodes, int)
+            assert 4 <= initial <= max_nodes // 2
+            assert tol > 0
 
     def test_rejects_float_node_count(self):
-        # a float count would fail later, in range() at the first level
-        with pytest.raises(InvalidQueryError, match="must be integers, got 16.0 and 64"):
-            QuadratureConfig(16.0, 64, 1e-12)
+        # a float count would fail later, in range() at the level
+        with pytest.raises(InvalidQueryError, match="must be an integer >= 4, got 16.0"):
+            trapezoid_periodic_1d(math.cos, 16.0)
 
-    def test_rejects_infinite_max_nodes(self):
-        # an unbounded budget would let an unreachable tol double without end
-        with pytest.raises(InvalidQueryError, match="must be integers, got 16 and inf"):
-            QuadratureConfig(16, math.inf, 1e-12)
-
-    def test_rejects_nonpositive_tol(self):
-        with pytest.raises(InvalidQueryError):
-            QuadratureConfig(tol=0.0)
+    @pytest.mark.parametrize("nodes", [0, 3, 16.0, "16", True, math.inf])
+    @pytest.mark.parametrize("run", TAKES_NODES.values(), ids=TAKES_NODES.keys())
+    def test_rejects_bad_nodes(self, run, nodes):
+        with pytest.raises(InvalidQueryError, match="nodes must be an integer >= 4"):
+            run(nodes)
 
 
 class TestTrapezoid1D:
@@ -69,12 +70,10 @@ class TestTrapezoid1D:
         # node mean of e^{i m t} is 1 when m % N == 0, else 0
         for n in (8, 16):
             for m in range(-3, 4):
-                res = trapezoid_periodic_1d(
-                    lambda t, m=m: cmath.exp(1j * m * t), single_level(n)
-                )
+                res = trapezoid_periodic_1d(lambda t, m=m: cmath.exp(1j * m * t), n)
                 expected = 1.0 if m % n == 0 else 0.0
                 assert abs(res.value - expected) < 1e-14, (n, m)
-        aliased = trapezoid_periodic_1d(lambda t: cmath.exp(8j * t), single_level(8))
+        aliased = trapezoid_periodic_1d(lambda t: cmath.exp(8j * t), 8)
         assert abs(aliased.value - 1.0) < 1e-14
 
     def test_entire_integrand_hits_i0(self):
@@ -85,18 +84,16 @@ class TestTrapezoid1D:
         reference = bessel_i0(2.0, tol=1e-15).value.real
         errors = {}
         for n in (8, 16, 32):
-            res = trapezoid_periodic_1d(
-                lambda t: math.exp(2.0 * math.cos(t)), single_level(n)
-            )
+            res = trapezoid_periodic_1d(lambda t: math.exp(2.0 * math.cos(t)), n)
             errors[n] = abs(res.value.real - reference)
         assert errors[32] <= 1e-12
         assert errors[16] / errors[8] <= 1e-3
 
     def test_nodes_are_doublings_of_initial(self):
-        cfg = QuadratureConfig(initial_nodes=16, max_nodes=1024, tol=1e-12)
-        res = trapezoid_periodic_1d(lambda t: math.exp(2.0 * math.cos(t)), cfg)
-        ratio = res.nodes // cfg.initial_nodes
-        assert res.nodes == cfg.initial_nodes * ratio
+        initial = CIRCLE_LADDER[0]
+        res = trapezoid_periodic_1d(lambda t: math.exp(2.0 * math.cos(t)))
+        ratio = res.nodes // initial
+        assert res.nodes == initial * ratio
         assert ratio & (ratio - 1) == 0  # power of two
 
 
@@ -121,43 +118,44 @@ class TestTrapezoid2D:
 
 class TestConverge:
     def test_tolerance_not_reached_carries_best(self):
-        cfg = QuadratureConfig(initial_nodes=4, max_nodes=8, tol=1e-18)
         with pytest.raises(ToleranceNotReachedError) as excinfo:
-            converge(lambda n: 1.0 / n, cfg)
+            converge(lambda n: 1.0 / n, (4, 8, 1e-18))
         best = excinfo.value.best
         assert best.nodes == 8
         assert abs(best.value - 0.125) < 1e-15
         assert abs(best.est_error - 0.125) < 1e-15
 
     def test_single_level_reports_zero_estimate(self):
-        res = converge(lambda n: 7.0, QuadratureConfig(16, 16, 1e-12))
+        # one level has no second to compare with: one_level, not converge
+        res = one_level(lambda n: 7.0, 16)
         assert res.nodes == 16
         assert res.est_error == 0.0
 
     def test_estimate_is_last_doubling_delta(self):
         values = {4: 1.0, 8: 0.5, 16: 0.4999}
-        cfg = QuadratureConfig(initial_nodes=4, max_nodes=16, tol=1e-3)
-        res = converge(lambda n: values[n], cfg)
+        res = converge(lambda n: values[n], (4, 16, 1e-3))
         assert res.nodes == 16
         assert abs(res.est_error - 0.0001) < 1e-12
 
-    @pytest.mark.parametrize("cfg", [QuadratureConfig(4, 4, 1e-12), QuadratureConfig()],
-                             ids=["single-level", "default"])
-    def test_nonfinite_level_mean_raises_at_once(self, cfg):
+    @pytest.mark.parametrize(
+        "run, first",
+        [(lambda mean: one_level(mean, 4), 4),
+         (lambda mean: converge(mean, CIRCLE_LADDER), CIRCLE_LADDER[0])],
+        ids=["single-level", "default"])
+    def test_nonfinite_level_mean_raises_at_once(self, run, first):
         levels = []
 
         def node_mean(n):
             levels.append(n)
             return math.nan
 
-        with pytest.raises(ToleranceNotReachedError, match=f"N={cfg.initial_nodes} ") as excinfo:
-            converge(node_mean, cfg)
+        with pytest.raises(ToleranceNotReachedError, match=f"N={first} ") as excinfo:
+            run(node_mean)
         assert excinfo.value.best is None
-        assert levels == [cfg.initial_nodes]
+        assert levels == [first]
 
-    @pytest.mark.parametrize("cfg", [QuadratureConfig(4, 4, 1e-12), None],
-                             ids=["single-level", "default"])
-    def test_nonfinite_integrand_fails_hadamard_eval(self, cfg):
+    @pytest.mark.parametrize("nodes", [4, None], ids=["single-level", "default"])
+    def test_nonfinite_integrand_fails_hadamard_eval(self, nodes):
         # nan for Re z < 0, so the first level's mean is nan: no value, no
         # further level
         calls = []
@@ -168,6 +166,19 @@ class TestConverge:
 
         g = AnalyticFunction(cmath.exp, math.inf)
         with pytest.raises(ToleranceNotReachedError, match="is not finite") as excinfo:
-            hadamard_eval(AnalyticFunction(f, math.inf), g, 0.5, 0.5, cfg)
+            hadamard_eval(AnalyticFunction(f, math.inf), g, 0.5, 0.5, nodes)
         assert excinfo.value.best is None
-        assert len(calls) == (cfg or QuadratureConfig()).initial_nodes
+        assert len(calls) == (nodes or CIRCLE_LADDER[0])
+
+    @pytest.mark.parametrize("nodes", [4, None], ids=["single-level", "default"])
+    def test_overflowing_node_is_refused_like_a_nonfinite_level(self, nodes):
+        # cmath.exp(1e300 e^{it}) and math.exp(1e3 cos t) raise OverflowError
+        # at the first node; the level is refused with no value, naming N
+        first = nodes or CIRCLE_LADDER[0]
+        for run in (
+            lambda: hadamard_eval(EXP, EXP, 1e300, 1.0, nodes),
+            lambda: trapezoid_periodic_1d(lambda t: math.exp(1e3 * math.cos(t)), nodes),
+        ):
+            with pytest.raises(ToleranceNotReachedError, match=f"N={first} overflowed") as excinfo:
+                run()
+            assert excinfo.value.best is None

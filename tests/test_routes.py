@@ -9,7 +9,7 @@ import mpmath
 import pytest
 
 from alphafn.cli import main
-from alphafn import InvalidQueryError
+from alphafn import InvalidQueryError, alpha_series
 from alphafn.report import compare_methods, evaluate_method
 
 S2_FULL = ["series", "alpha2-closed-form", "bessel", "hadamard-iterated"]
@@ -82,3 +82,20 @@ def test_exp_closed_form_error_bounds_its_rounding(x):
 def test_report_refuses_non_real_x(run):
     with pytest.raises(InvalidQueryError, match=r"x must be real, got \(1\+1j\)"):
         run(1 + 1j)
+
+
+@pytest.mark.parametrize("run, message", [
+    (lambda: alpha_series(1.0, 3, "1e-3"), "tol must be positive, got '1e-3'"),
+    (lambda: alpha_series(1.0, 3, 1j), r"tol must be positive, got 1j"),
+    (lambda: alpha_series(1.0, 3, 1e-13, 10.5), "max_terms must be an integer >= 2, got 10.5"),
+    (lambda: alpha_series(1.0, 3, 1e-13, "500"), "max_terms must be an integer >= 2, got '500'"),
+    (lambda: compare_methods(1.0, 3, "x"), "tolerance must be positive, got 'x'"),
+    (lambda: evaluate_method(1.0, 3, "series", "x"), "tol must be positive, got 'x'"),
+    (lambda: evaluate_method(1.0, 3, "hadamard", "x"), "tol must be positive, got 'x'"),
+], ids=["series-str", "series-complex", "series-float-budget", "series-str-budget",
+        "compare", "eval-series", "eval-hadamard"])
+def test_one_tolerance_check(run, message):
+    # one check for every entry point: InvalidQueryError, never a TypeError
+    # from comparing a non-number with 0, nor a failure inside range()
+    with pytest.raises(InvalidQueryError, match=message):
+        run()
