@@ -32,7 +32,6 @@ from .hadamard import (
 from .quadrature import QuadratureResult, trapezoid_periodic_1d, trapezoid_periodic_2d
 from .report import ComparisonReport, MethodValue, compare_methods, evaluate_method
 from .series import (
-    DEFAULT_MAX_TERMS,
     DEFAULT_TOL,
     AlphaQuery,
     SeriesResult,
@@ -56,7 +55,6 @@ __all__ = [
     "AnalyticFunction",
     "CaseResult",
     "ComparisonReport",
-    "DEFAULT_MAX_TERMS",
     "DEFAULT_TOL",
     "DomainViolationError",
     "EXP",

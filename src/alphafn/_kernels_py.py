@@ -37,21 +37,21 @@ evaluating the integrand node by node.
 
 import cmath
 import functools
+import itertools
 import math
 import sys
 
 from .quadrature import TWO_PI
 
 # At |z| = 1 the ratio bound is at most 1/2 from n = 1 and t_n <= 1/n!, so
-# alpha_sum stops within 18 terms under this budget for any s fitting a double
+# alpha_sum stops within 18 terms at this tol for any s fitting a double
 INNER_TOL = 1e-15
-INNER_MAX_TERMS = 500
 # (s, n) keys of the lift's node table kept across calls; compare's lift
 # takes s = 2..5 at one level of 16..64 nodes each
 LIFT_CACHE_SIZE = 64
 
 
-def _term_sum(x, s, k, tol, max_terms):
+def _term_sum(x, s, k, tol):
     """Sum the k-th term-wise derivative of alpha, k = 0 being alpha itself.
 
     Term n >= k, n!/(n-k)! x^(n-k)/(n!)^s, starts at (k!)^(1-s), the empty
@@ -65,11 +65,12 @@ def _term_sum(x, s, k, tol, max_terms):
     log|x| + log((n+1)/(n+1-k)) - s log(n+1), plus the least double so
     that it still bounds a ratio that underflows, and the terms follow as
     term_n * (x/|x|) * r_n under the same stop.  Where term_n * x
-    overflows, the step is retried as term_n * (x/d_n).  The loop gives up
-    at the first term that is still not finite or whose modulus passes
-    DBL_MAX, after a subnormal first coefficient, and at the budget, and
-    reports the count of terms added before it.  A sum whose magnitudes
-    pass DBL_MAX is not converged either, though every term is a double.
+    overflows, the step is retried as term_n * (x/d_n).  Since r_n falls
+    to 0, every finite x ends at the stop or gives up at the first term
+    that is still not finite or whose modulus passes DBL_MAX, reporting the
+    count of terms added before it; after a subnormal first coefficient it
+    gives up unless the first term stops.  A sum whose magnitudes pass
+    DBL_MAX is not converged either, though every term is a double.
     A tail bound that underflows to 0 at x != 0 is raised to the least
     double, since the terms it drops are positive.
     """
@@ -79,11 +80,10 @@ def _term_sum(x, s, k, tol, max_terms):
     for i in range(2, k + 1):
         c *= math.pow(i, 1 - s)
     term = complex(c)
-    if c < sys.float_info.min:
-        max_terms = 1
     total = 0j
     abs_sum = 0.0
-    for n1 in range(k + 1, k + 1 + max_terms):  # n1 = n + 1
+    steps = itertools.count(k + 1) if c >= sys.float_info.min else (k + 1,)
+    for n1 in steps:  # n1 = n + 1
         total += term
         t_mag = abs(term)
         abs_sum += t_mag
@@ -110,22 +110,22 @@ def _term_sum(x, s, k, tol, max_terms):
             if not math.hypot(step.real, step.imag) <= sys.float_info.max:
                 return total, n1 - k, math.inf, abs_sum, False
         term = step
-    else:
-        return total, max_terms, math.inf, abs_sum, False
+    else:  # only the first term of a subnormal coefficient is summed
+        return total, 1, math.inf, abs_sum, False
     tail = t_mag * r / (1.0 - r)
     if not tail and ax:
         tail = math.ulp(0.0)
     return total, n1 - k, tail, abs_sum, math.isfinite(abs_sum)
 
 
-def alpha_sum(x, s, tol, max_terms):
+def alpha_sum(x, s, tol):
     """Sum x^n/(n!)^s by _term_sum at k = 0."""
-    return _term_sum(x, s, 0, tol, max_terms)
+    return _term_sum(x, s, 0, tol)
 
 
-def alpha_deriv_sum(x, s, k, tol, max_terms):
+def alpha_deriv_sum(x, s, k, tol):
     """Sum the k-th term-wise derivative: sum_{n>=k} n!/(n-k)! x^(n-k)/(n!)^s."""
-    return _term_sum(x, s, k, tol, max_terms)
+    return _term_sum(x, s, k, tol)
 
 
 def alpha2_mean(x, n):
@@ -212,13 +212,12 @@ def alpha3_complex_mean(x, n, fresh=False):
 @functools.lru_cache(maxsize=LIFT_CACHE_SIZE)
 def _lift_nodes(s, n):
     """exp_alpha_mean's nodes in ascending order as pairs (e^{i th},
-    alpha(e^{-i th}, s-1)), the inner alpha summed within INNER_TOL and
-    INNER_MAX_TERMS."""
+    alpha(e^{-i th}, s-1)), the inner alpha summed within INNER_TOL."""
     nodes = []
     for j in range(n):
         th = (TWO_PI * j) / n
         eith = complex(math.cos(th), math.sin(th))
-        inner = alpha_sum(eith.conjugate(), s - 1, INNER_TOL, INNER_MAX_TERMS)[0]
+        inner = alpha_sum(eith.conjugate(), s - 1, INNER_TOL)[0]
         nodes.append((eith, inner))
     return tuple(nodes)
 

@@ -22,6 +22,7 @@ import sys
 
 from .errors import AlphaFnError, InvalidQueryError
 from .report import METHODS, compare_methods, evaluate_method
+from .series import _check_tol
 from .verify import SUITE_NAMES, run_suite, worst_delta
 
 EXIT_OK = 0
@@ -33,8 +34,7 @@ EXIT_NO_CONVERGENCE = 3
 def _resolve_tol(flag_value: float | None) -> float | None:
     """Flag beats ALPHA_TOL beats None (meaning built-in defaults)."""
     if flag_value is not None:
-        if not flag_value > 0:
-            raise InvalidQueryError(f"--tol must be positive, got {flag_value!r}")
+        _check_tol(flag_value, "--tol")
         return flag_value
     env = os.environ.get("ALPHA_TOL")
     if env is not None:
@@ -42,8 +42,7 @@ def _resolve_tol(flag_value: float | None) -> float | None:
             value = float(env)
         except ValueError:
             raise InvalidQueryError(f"ALPHA_TOL must be a number, got {env!r}")
-        if not value > 0:
-            raise InvalidQueryError(f"ALPHA_TOL must be positive, got {env!r}")
+        _check_tol(value, "ALPHA_TOL")
         return value
     return None
 

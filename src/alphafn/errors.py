@@ -14,7 +14,8 @@ class DomainViolationError(AlphaFnError, ValueError):
 
 
 class NonConvergenceError(AlphaFnError, ArithmeticError):
-    """A series did not meet both stopping conditions within the term budget."""
+    """A series passed the double range before its stop, or a report route's
+    error bound is not below |value|, so that it certifies no digit."""
 
 
 class ToleranceNotReachedError(AlphaFnError, ArithmeticError):

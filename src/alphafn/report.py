@@ -7,7 +7,7 @@ import math
 from dataclasses import dataclass, field
 from typing import Callable, NamedTuple
 
-from .errors import InvalidQueryError
+from .errors import InvalidQueryError, NonConvergenceError
 from .hadamard import (
     _bessel_quadrature,
     alpha2_quadrature,
@@ -136,8 +136,22 @@ ROUTES = (
 METHODS = {route.method: route for route in ROUTES if route.method is not None}
 
 
+def _certified(route: Route, x: float, s: int, tol: float | None) -> MethodValue:
+    """route's MethodValue at (x, s), refused with NonConvergenceError (exit
+    3) where its error is not below |value|, since then no digit is
+    certified: the rule hadamard._circle_level applies to one level."""
+    method = MethodValue(route.name, *route.run(x, s, tol))
+    if not method.error < abs(method.value) < math.inf:
+        raise NonConvergenceError(
+            f"{route.name}: error bound {method.error:.3e} is not below "
+            f"|value| = {abs(method.value):.3e}; no digit is certified"
+        )
+    return method
+
+
 def evaluate_method(x: float, s: int, method: str, tol: float | None = None) -> MethodValue:
-    """Evaluate alpha(x, s) by the route named method in `eval`."""
+    """Evaluate alpha(x, s) by the route named method in `eval`;
+    NonConvergenceError where the route's error is not below |value|."""
     route = METHODS.get(method)
     if route is None:
         raise InvalidQueryError(f"unknown method {method!r}")
@@ -145,7 +159,7 @@ def evaluate_method(x: float, s: int, method: str, tol: float | None = None) -> 
     reason = route.refuse(x, s)
     if reason is not None:
         raise InvalidQueryError(reason)
-    return MethodValue(route.name, *route.run(x, s, tol))
+    return _certified(route, x, s, tol)
 
 
 def compare_methods(x: float, s: int, tolerance: float | None = None) -> ComparisonReport:
@@ -154,15 +168,14 @@ def compare_methods(x: float, s: int, tolerance: float | None = None) -> Compari
 
     The routes agree when the largest pairwise delta is at most
     tolerance * max(1, max |value|): absolute near zero, relative for
-    large values.  tolerance None means 1e-8.
+    large values.  tolerance None means 1e-8.  A route that certifies no
+    digit raises, as in evaluate_method.
     """
     query = AlphaQuery(complex(x), s)
     tolerance = 1e-8 if tolerance is None else tolerance
     _check_tol(tolerance, "tolerance")
     x = _real(x)
-    methods = [
-        MethodValue(r.name, *r.run(x, s, None)) for r in ROUTES if r.refuse(x, s) is None
-    ]
+    methods = [_certified(r, x, s, None) for r in ROUTES if r.refuse(x, s) is None]
     notes = [
         f"torus-averaged imaginary residue {m.info['imag']:.3e} exceeds 1e-10"
         for m in methods

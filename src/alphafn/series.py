@@ -16,7 +16,6 @@ from .backend import kernels
 from .errors import InvalidQueryError, NonConvergenceError
 
 DEFAULT_TOL = 1e-13
-DEFAULT_MAX_TERMS = 500
 _UNIT_ROUNDOFF = 2.0**-53
 
 
@@ -100,62 +99,55 @@ def _reciprocal_result(positive: SeriesResult) -> SeriesResult:
     scale = total * (total - tail - rounding)
     if not scale > 0:  # only with a tol so loose that S itself is unknown
         return SeriesResult(complex(1.0 / total), positive.terms_used, math.inf, math.inf)
+    if scale == math.inf:  # S(S - E) passes DBL_MAX below x = -354.9: divide twice
+        tail, rounding, scale = tail / total, rounding / total, total - tail - rounding
     return SeriesResult(
         complex(1.0 / total), positive.terms_used, tail / scale,
         rounding / scale + _UNIT_ROUNDOFF / total,
     )
 
 
-def _summed(x, s: int, k: int, tol: float, max_terms: int) -> SeriesResult:
+def _summed(x, s: int, k: int, tol: float) -> SeriesResult:
     """The k-th derivative of alpha(., s) at x, k = 0 being alpha itself."""
     x = _check_query(x, s)
     _check_tol(tol)
-    if not (isinstance(max_terms, int) and max_terms >= 2):
-        raise InvalidQueryError(f"max_terms must be an integer >= 2, got {max_terms!r}")
     if not isinstance(k, int) or k < 0:
         raise InvalidQueryError(f"k must be an integer >= 0, got {k!r}")
     # every derivative of e^x is e^x: at s = 1, x < 0 sum S = e^{-x}, return 1/S
     reciprocal = s == 1 and x.imag == 0 and x.real < 0
     value, terms, tail, abs_sum, ok = kernels.alpha_deriv_sum(
-        -x if reciprocal else x, s, 0 if reciprocal else k, tol, max_terms
+        -x if reciprocal else x, s, 0 if reciprocal else k, tol
     )
     if not ok:
-        reason = f" within {max_terms} terms"
-        if terms < max_terms or not math.isfinite(abs_sum):  # past the double range
-            reason = f": after {terms} terms the series passed the double range"
         what = f"alpha^({k})" if k else "alpha"
-        raise NonConvergenceError(f"{what}({x!r}, {s}) did not reach tol={tol:g}{reason}")
+        raise NonConvergenceError(
+            f"{what}({x!r}, {s}) did not reach tol={tol:g}: "
+            f"after {terms} terms the series passed the double range"
+        )
     result = SeriesResult(value, terms, tail, 2 * terms * _UNIT_ROUNDOFF * abs_sum)
     return _reciprocal_result(result) if reciprocal else result
 
 
-def alpha_series(
-    x: complex | float,
-    s: int,
-    tol: float = DEFAULT_TOL,
-    max_terms: int = DEFAULT_MAX_TERMS,
-) -> SeriesResult:
+def alpha_series(x: complex | float, s: int, tol: float = DEFAULT_TOL) -> SeriesResult:
     """Evaluate alpha(x, s) by direct summation.
 
     Terms are generated forward by term_{n+1} = term_n * x/(n+1)**s.
     Summation stops once the next term is bounded by ``tol`` and the term
     ratio has fallen to 1/2 or below, which makes the attached tail bound
-    rigorous.  Raises NonConvergenceError when ``max_terms`` is exhausted
-    first (|x| too large for the budget).
+    rigorous.  The ratio falls to 0, so no term budget is needed: raises
+    NonConvergenceError only where a term or the sum of the magnitudes
+    passes the double range.  The bounds are honest but may exceed
+    |value|, as for large negative x at s >= 2, where the terms cancel.
 
     At s = 1 and real x < 0 the alternating terms would cancel, so the
     all-positive series S = e^{-x} is summed instead and 1/S returned, with
     both bounds carried through the reciprocal.
     """
-    return _summed(x, s, 0, tol, max_terms)
+    return _summed(x, s, 0, tol)
 
 
 def alpha_derivative_series(
-    x: complex | float,
-    s: int,
-    k: int,
-    tol: float = DEFAULT_TOL,
-    max_terms: int = DEFAULT_MAX_TERMS,
+    x: complex | float, s: int, k: int, tol: float = DEFAULT_TOL
 ) -> SeriesResult:
     """Evaluate the k-th derivative of alpha(., s) at x, term by term.
 
@@ -166,15 +158,11 @@ def alpha_derivative_series(
     At s = 1 and real x < 0 every derivative of e^x is e^x, so this returns
     alpha_series' reciprocal result for every k instead of an alternating sum.
     """
-    return _summed(x, s, k, tol, max_terms)
+    return _summed(x, s, k, tol)
 
 
-def bessel_i0(
-    z: float,
-    tol: float = DEFAULT_TOL,
-    max_terms: int = DEFAULT_MAX_TERMS,
-) -> SeriesResult:
+def bessel_i0(z: float, tol: float = DEFAULT_TOL) -> SeriesResult:
     """Modified Bessel function I0(z) = sum (z^2/4)^n/(n!)^2 = alpha(z^2/4, 2)."""
     if not math.isfinite(z):
         raise InvalidQueryError(f"z must be finite, got {z!r}")
-    return alpha_series(z * z / 4.0, 2, tol, max_terms)
+    return alpha_series(z * z / 4.0, 2, tol)

@@ -9,6 +9,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import mpmath
 import pytest
 
 import alphafn
@@ -139,17 +140,17 @@ class TestEval:
         assert math.isclose(printed_value(out), EXP_MINUS_30, rel_tol=1e-14)
 
     def test_nonconvergence_exits_3(self, capsys):
-        code, _, err = run_cli(capsys, "eval", "--x", "300", "--s", "1")
+        code, _, err = run_cli(capsys, "eval", "--x", "1e6", "--s", "2")
         assert code == 3
         assert "error:" in err
 
     @pytest.mark.parametrize("x, s, reason", [
-        # the terms overflow (sum|t_n| is nan) long before the budget ends
+        # the terms overflow (sum|t_n| is nan)
         ("1e6", "2", "passed the double range"),
         ("1e200", "1", "passed the double range"),
-        # sum|t_n| stays finite (1.04e211, 1.94e130): the budget was the limit
-        ("6e4", "2", "within 500 terms"),
-        ("300", "1", "within 500 terms"),
+        # the terms cancel: the rounding bound passes |value|
+        ("-1e4", "3", "no digit is certified"),
+        ("-6e4", "2", "no digit is certified"),
     ])
     def test_nonconvergence_names_its_reason(self, capsys, x, s, reason):
         code, out, err = run_cli(capsys, "eval", "--x", x, "--s", s)
@@ -159,6 +160,19 @@ class TestEval:
         assert err.count("\n") == 1
         assert reason in err
 
+
+    @pytest.mark.parametrize("x, s, exact", [
+        # e^300 and I0(2 sqrt(6e4)) take 841 and 677 terms, with no budget
+        ("300", "1", mpmath.exp(300)),
+        ("6e4", "2", mpmath.besseli(0, 2 * mpmath.sqrt(60000))),
+    ], ids=["e^300", "I0"])
+    def test_many_terms_print_within_their_bounds(self, capsys, x, s, exact):
+        code, out, err = run_cli(capsys, "eval", "--x", x, "--s", s)
+        assert code == 0
+        assert err == ""
+        fields = dict(line.split(" = ") for line in out.splitlines()[1:])
+        error = float(fields["tail_bound"]) + float(fields["rounding_bound"])
+        assert abs(mpmath.mpf(printed_value(out)) - exact) <= error
 
     def test_overflow_names_the_first_nonfinite_term(self, capsys):
         # 1e6^112/(112!)^2 = 2.6e307 is the last term below DBL_MAX, and
@@ -264,6 +278,13 @@ class TestCompare:
         assert code == 0
         names = [m["name"] for m in json.loads(out)["methods"]]
         assert "bessel" in names
+
+    def test_series_with_no_certified_digit_exits_3(self, capsys):
+        # the series runs first and fails before the torus routes' range check
+        code, out, err = run_cli(capsys, "compare", "--x=-1e4", "--s", "3")
+        assert code == 3
+        assert out == ""
+        assert err.startswith("error: series: ") and err.endswith("no digit is certified\n")
 
     def test_unattainable_tolerance_exits_1(self, capsys):
         code, out, _ = run_cli(capsys, "compare", "--x", "1", "--s", "3", "--tol", "1e-16")

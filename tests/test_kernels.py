@@ -42,36 +42,45 @@ class TestPythonKernelsAgainstCompositions:
         total = 0j
         for j in range(n):
             eith = cmath.exp(1j * ((TWO_PI * j) / n))
-            inner = _kernels_py.alpha_sum(eith.conjugate(), s - 1, 1e-15, 500)[0]
+            inner = _kernels_py.alpha_sum(eith.conjugate(), s - 1, 1e-15)[0]
             total += cmath.exp(x * eith) * inner
         assert close(_kernels_py.exp_alpha_mean(x, s, n), total / n, 1e-14)
 
     @pytest.mark.parametrize("s1", [1, 2, 49, 50, 1023, 1024, 10**6, 2**60])
     def test_inner_series_converges_on_the_circle(self, s1):
         # exp_alpha_mean keeps only the value of each inner sum; at |z| = 1
-        # the ratio bound is at most 1/2 from n = 1, so the budget suffices
+        # the ratio bound is at most 1/2 from n = 1, so the sum stops early
         n = 16
         for j in range(n):
             th = (TWO_PI * j) / n
             z = complex(math.cos(th), -math.sin(th))
-            _, terms, _, _, ok = _kernels_py.alpha_sum(
-                z, s1, _kernels_py.INNER_TOL, _kernels_py.INNER_MAX_TERMS
-            )
+            _, terms, _, _, ok = _kernels_py.alpha_sum(z, s1, _kernels_py.INNER_TOL)
             assert ok and terms <= 18, (s1, j, terms)
 
     def test_alpha_sum_stops_at_the_first_nonfinite_term(self):
         # 1e200^2/2! passes DBL_MAX, so term 2 cannot be formed
-        value, terms, tail, abs_sum, ok = _kernels_py.alpha_sum(1e200 + 0j, 1, 1e-13, 500)
+        value, terms, tail, abs_sum, ok = _kernels_py.alpha_sum(1e200 + 0j, 1, 1e-13)
         assert not ok
         assert terms == 2
         assert math.isinf(tail)
         assert value == abs_sum == 1e200 + 1
 
-    def test_alpha_sum_flags_budget_exhaustion(self):
-        value, terms, tail, abs_sum, ok = _kernels_py.alpha_sum(300 + 0j, 1, 1e-13, 100)
-        assert not ok
-        assert terms == 100
-        assert math.isinf(tail)
+    def test_term_loop_ends_without_a_budget(self):
+        # the ratio bound only falls, so every finite x ends at the stop or
+        # past DBL_MAX: s = 1..7, k in {0, 1, 3}, real, imaginary and complex
+        # x from well inside to past the overflow edge |x|^(1/s) ~ 710/s
+        worst = 0
+        for s in range(1, 8):
+            for f in (0.2, 0.6, 0.9, 0.97, 1.0, 1.03, 1.2):
+                for phase in (1, -1, 1j, cmath.exp(0.7j), cmath.exp(2.5j)):
+                    x = (710.0 * f / s) ** s * phase
+                    for k in (0, 1, 3):
+                        for tol in (1e-13, 5e-324):
+                            terms = _kernels_py.alpha_deriv_sum(x, s, k, tol)[1]
+                            worst = max(worst, terms)
+        assert worst <= 2600
+        # the most terms found: e^709, the last e^n below DBL_MAX, to 5e-324
+        assert _kernels_py.alpha_sum(709.0, 1, 5e-324)[1] == 2570
 
 
 class TestLiftNodeCache:
@@ -84,7 +93,7 @@ class TestLiftNodeCache:
         for j in range(n):
             th = (TWO_PI * j) / n
             eith = complex(math.cos(th), math.sin(th))
-            inner = _kernels_py.alpha_sum(eith.conjugate(), s - 1, 1e-15, 500)[0]
+            inner = _kernels_py.alpha_sum(eith.conjugate(), s - 1, 1e-15)[0]
             total += cmath.exp(x * eith) * inner
         return total / n
 

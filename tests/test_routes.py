@@ -9,7 +9,7 @@ import mpmath
 import pytest
 
 from alphafn.cli import main
-from alphafn import InvalidQueryError, alpha_series
+from alphafn import InvalidQueryError, NonConvergenceError, alpha_series
 from alphafn.report import compare_methods, evaluate_method
 
 S2_FULL = ["series", "alpha2-closed-form", "bessel", "hadamard-iterated"]
@@ -87,15 +87,23 @@ def test_report_refuses_non_real_x(run):
 @pytest.mark.parametrize("run, message", [
     (lambda: alpha_series(1.0, 3, "1e-3"), "tol must be positive, got '1e-3'"),
     (lambda: alpha_series(1.0, 3, 1j), r"tol must be positive, got 1j"),
-    (lambda: alpha_series(1.0, 3, 1e-13, 10.5), "max_terms must be an integer >= 2, got 10.5"),
-    (lambda: alpha_series(1.0, 3, 1e-13, "500"), "max_terms must be an integer >= 2, got '500'"),
     (lambda: compare_methods(1.0, 3, "x"), "tolerance must be positive, got 'x'"),
     (lambda: evaluate_method(1.0, 3, "series", "x"), "tol must be positive, got 'x'"),
     (lambda: evaluate_method(1.0, 3, "hadamard", "x"), "tol must be positive, got 'x'"),
-], ids=["series-str", "series-complex", "series-float-budget", "series-str-budget",
-        "compare", "eval-series", "eval-hadamard"])
+], ids=["series-str", "series-complex", "compare", "eval-series", "eval-hadamard"])
 def test_one_tolerance_check(run, message):
     # one check for every entry point: InvalidQueryError, never a TypeError
-    # from comparing a non-number with 0, nor a failure inside range()
+    # from comparing a non-number with 0
     with pytest.raises(InvalidQueryError, match=message):
         run()
+
+
+@pytest.mark.parametrize("x, s", [(-1e4, 3), (-6e4, 2)])
+def test_report_refuses_a_value_with_no_certified_digit(x, s):
+    # the terms cancel: the library returns the value with its honest
+    # bound, which exceeds |value|, and the report refuses it
+    res = alpha_series(x, s)
+    assert res.tail_bound + res.rounding_bound > abs(res.value)
+    for run in (lambda: evaluate_method(x, s, "series"), lambda: compare_methods(x, s)):
+        with pytest.raises(NonConvergenceError, match="^series: .*no digit is certified$"):
+            run()

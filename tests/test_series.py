@@ -119,8 +119,9 @@ class TestAlphaSeries:
         assert abs(loose.value - tight.value) <= loose.tail_bound
 
     def test_non_convergence(self):
-        with pytest.raises(NonConvergenceError):
-            alpha_series(300.0, 1, max_terms=100)
+        # I0(2000) is past the double range
+        with pytest.raises(NonConvergenceError, match="passed the double range"):
+            alpha_series(1e6, 2)
 
     def test_invalid_s(self):
         with pytest.raises(InvalidQueryError):
@@ -129,7 +130,8 @@ class TestAlphaSeries:
     def test_invalid_budget(self):
         with pytest.raises(InvalidQueryError):
             alpha_series(1.0, 2, tol=-1.0)
-        with pytest.raises(InvalidQueryError):
+        # the stop rules end the loop: there is no term budget to set
+        with pytest.raises(TypeError):
             alpha_series(1.0, 2, max_terms=1)
 
     @settings(max_examples=100, deadline=None)
@@ -308,8 +310,9 @@ class TestDerivativeSeries:
             alpha_derivative_series(1.0, 2, k=-1)
 
     def test_non_convergence(self):
-        with pytest.raises(NonConvergenceError):
-            alpha_derivative_series(400.0, 1, k=2, max_terms=80)
+        # e^800 is past the double range
+        with pytest.raises(NonConvergenceError, match="passed the double range"):
+            alpha_derivative_series(800.0, 1, k=2)
 
 
 class TestLargeS:
@@ -383,10 +386,6 @@ class TestLargeS:
         with pytest.raises(NonConvergenceError, match="passed the double range"):
             alpha_series(1.7e308, 1024)
 
-    def test_budget_message_unchanged(self):
-        with pytest.raises(NonConvergenceError, match="within 10 terms"):
-            alpha_series(100.0, 1, max_terms=10)
-
     @pytest.mark.parametrize("s", [2**1024, 2**1024 + 1, 10**400])
     def test_s_past_double_range_is_invalid(self, s):
         # math.pow cannot take such an s; the value is not 1 + x + ...
@@ -398,22 +397,38 @@ class TestLargeS:
             compare_methods(1.0, s)
 
 
+class TestNoTermBudget:
+    """The stop rules alone end the loop, so values a double holds are
+    summed however many terms they take, within their bounds of mpmath."""
+
+    @pytest.mark.parametrize("x, s", [
+        (300.0, 1), (709.0, 1), (-400.0, 1), (-700.0, 1), (-709.7, 1),
+        (300j, 1), (complex(200, -500), 1),
+        (6e4, 2), (-6e4, 2), (1e5, 2), (6e4j, 2), (complex(-3e4, 4e4), 2),
+        (13088638.63, 3), (-1e4, 3), (-13088638.63, 3), (1e6j, 3), (complex(5e6, -5e6), 3),
+        (-1e6, 4), (complex(-2e9, 2e9), 5), (-1e12, 6), (1e14, 7),
+    ])
+    @pytest.mark.parametrize("tol", [1e-13, 5e-324])
+    def test_value_within_its_bounds(self, x, s, tol):
+        # at s = 1, x < -354.9 the reciprocal's S(S - E) passes DBL_MAX
+        res = alpha_series(x, s, tol)
+        error = abs(mpmath.mpc(res.value) - alpha_mpmath(x, s))
+        assert float(error) <= res.tail_bound + res.rounding_bound
+
+
 class TestDoubleRangeEdge:
     """Terms near DBL_MAX: term * x may overflow where term * (x/d) does not."""
 
     @pytest.mark.parametrize("x, s, terms", [
         (975972745.3164062, 4, 484),
         (56525842918.5, 5, 387),
+        (13088638.63, 3, 647),
     ])
     def test_overflowing_product_is_followed(self, x, s, terms):
         res = alpha_series(x, s)
         assert res.terms_used == terms
         error = abs(mpmath.mpf(res.value.real) - alpha_mpmath(x, s))
         assert float(error) <= res.tail_bound + res.rounding_bound
-
-    def test_budget_is_the_limit_past_the_overflowing_product(self):
-        with pytest.raises(NonConvergenceError, match="within 500 terms"):
-            alpha_series(13088638.63, 3)
 
     def test_complex_step_past_dbl_max_is_refused(self):
         # term * (x/d) has finite parts but a modulus past DBL_MAX
@@ -434,8 +449,8 @@ class TestDoubleRangeEdge:
             error = abs(mpmath.mpf(res.value.real) - alpha_mpmath(x, s))
             assert float(error) <= res.tail_bound + res.rounding_bound, x
             values += 1
-        # s = 3 runs out of terms; from s = 4 the sum is followed up to DBL_MAX
-        assert values > 0 or s == 3
+        # the sum is followed up to DBL_MAX for every s
+        assert values > 0
 
 
 class TestBesselI0:
