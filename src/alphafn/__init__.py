@@ -24,12 +24,11 @@ from .hadamard import (
     alpha3_integrand_real,
     alpha3_quadrature_complex,
     alpha3_quadrature_real,
-    alpha3_torus_level,
     alpha_via_hadamard,
     bessel_identity_check,
     hadamard_eval,
 )
-from .quadrature import QuadratureResult, trapezoid_periodic_1d, trapezoid_periodic_2d
+from .quadrature import QuadratureResult, trapezoid_periodic_1d
 from .report import ComparisonReport, MethodValue, compare_methods, evaluate_method
 from .series import (
     DEFAULT_TOL,
@@ -72,7 +71,6 @@ __all__ = [
     "alpha3_integrand_real",
     "alpha3_quadrature_complex",
     "alpha3_quadrature_real",
-    "alpha3_torus_level",
     "alpha_derivative_series",
     "alpha_series",
     "alpha_via_hadamard",
@@ -86,6 +84,5 @@ __all__ = [
     "stirling2",
     "stirling_genfunc_residual",
     "trapezoid_periodic_1d",
-    "trapezoid_periodic_2d",
     "__version__",
 ]

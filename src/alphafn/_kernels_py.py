@@ -17,9 +17,10 @@ contracts:
   take ``(params..., n)`` and average over all n nodes; the circle routes
   run one level each;
 - the torus kernels `alpha3_real_mean` and `alpha3_complex_mean` take
-  ``(params..., n, fresh=False)``; with ``fresh=True`` they average over
-  only the nodes that level ``n/2`` lacks (`_torus_rows`), for the nested
-  ladder of `alphafn.hadamard._ladder`.
+  ``(params..., n, fresh=False)``; the torus routes run one full level
+  each.  With ``fresh=True`` they average over only the nodes that level
+  ``n/2`` lacks (`_torus_rows`), for compare's nested torus ladder,
+  `alphafn.hadamard._ladder`.
 
 A tracer reads ``n`` positionally, so it stays a positional parameter.
 

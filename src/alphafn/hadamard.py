@@ -30,7 +30,6 @@ from .quadrature import (
     TORUS_LADDER,
     QuadratureResult,
     converge,
-    one_level,
     trapezoid_periodic_1d,
 )
 from .series import _UNIT_ROUNDOFF, _check_s_fits, _check_tol, _real, bessel_i0
@@ -54,35 +53,48 @@ def _guard_exp_peak(peak: float, route: str) -> None:
         )
 
 
-def _ladder(
-    route: str, peak: float, nodes: int | None,
-    kernel: Callable[..., complex], *args: float,
-) -> QuadratureResult:
-    """Guard the integrand's exp peak, then run the torus means
-    kernel(*args, n) through TORUS_LADDER, or at the one level of `nodes`
-    nodes per dimension when it is not None.
+def _ladder(route: str, x: float, kernel_name: str) -> QuadratureResult:
+    """compare's s = 3 torus route: guard the integrand's exp peak, then run
+    the torus means kernels.<kernel_name>(x, n) through TORUS_LADDER.
 
-    The ladder's levels are nested: level n's nodes are the even ones of
-    level 2n, so level 2n evaluates only the (j, k) with j or k odd,
-    kernel(*args, 2n, fresh=True), and combines them with level n's mean as
-    (prev + 3 fresh)/4, which saves a quarter of each level.  The callers
-    look kernel up on `kernels` at call time.
+    est_error is the ladder's |value_N - value_{N/2}|, an estimate.  The
+    ladder's levels are nested: level n's nodes are the even ones of level
+    2n, so level 2n evaluates only the (j, k) with j or k odd,
+    kernel(x, 2n, fresh=True), and combines them with level n's mean as
+    (prev + 3 fresh)/4, which saves a quarter of each level.  The kernel is
+    looked up on `kernels` at call time.
     """
-    _guard_exp_peak(peak, route)
-    if nodes is not None:
-        return one_level(lambda n: kernel(*args, n), nodes)
+    _guard_exp_peak(abs(x) + 2.0, route)
+    kernel = getattr(kernels, kernel_name)
     last_n, last = 0, 0j
 
     def node_mean(n: int) -> complex:
         nonlocal last_n, last
         if n == 2 * last_n:
-            value = (last + 3.0 * kernel(*args, n, fresh=True)) / 4.0
+            value = (last + 3.0 * kernel(x, n, fresh=True)) / 4.0
         else:
-            value = kernel(*args, n)
+            value = kernel(x, n)
         last_n, last = n, value
         return value
 
     return converge(node_mean, TORUS_LADDER)
+
+
+def _certified(
+    route: str, value: complex, n: int, truncation: float, rounding: float
+) -> QuadratureResult:
+    """QuadratureResult(value, n, truncation + rounding, truncation,
+    rounding) of one certified level, refused with ToleranceNotReachedError
+    (best that result) when est_error is not below |value|, since then no
+    digit is certified."""
+    result = QuadratureResult(value, n, truncation + rounding, truncation, rounding)
+    if not result.est_error < abs(value.real) < math.inf:
+        raise ToleranceNotReachedError(
+            f"{route}: error bound {result.est_error:.3e} at N={n} is not below "
+            f"|value| = {abs(value.real):.3e}; no digit is certified",
+            best=result,
+        )
+    return result
 
 
 def _circle_level(
@@ -119,8 +131,8 @@ def _circle_level(
         series (at most 18 terms, sum|t_n| <= e) at most 36 * 2^-53 e^{ru} e
         more, which 48 * 2^-53 M covers.
     est_error = alias_bound + rounding_bound.  Raises
-    ToleranceNotReachedError (exit 3) when no level reaches tol, and when
-    est_error is not below |value|, since then no digit is certified.
+    ToleranceNotReachedError (exit 3) when no level reaches tol, and
+    _certified's refusal when no digit is certified.
     """
     n, max_nodes, default_tol = CIRCLE_LADDER
     if tol is None:
@@ -147,17 +159,8 @@ def _circle_level(
                 best=None,
             )
         n *= 2
-    value = complex(kernel(*args, n))
-    truncation = alias + e_ru * g_error
     rounding = (n + 48.0 + 32.0 * peak) * _UNIT_ROUNDOFF * e_ru * e_rv
-    result = QuadratureResult(value, n, truncation + rounding, truncation, rounding)
-    if not result.est_error < abs(value.real) < math.inf:
-        raise ToleranceNotReachedError(
-            f"{route}: error bound {result.est_error:.3e} at N={n} is not below "
-            f"|value| = {abs(value.real):.3e}; no digit is certified",
-            best=result,
-        )
-    return result
+    return _certified(route, complex(kernel(*args, n)), n, alias + e_ru * g_error, rounding)
 
 
 # hadamard_eval's promised ceiling for the imaginary residue of a result
@@ -334,29 +337,22 @@ def alpha3_integrand_real(x: float, theta: float, t: float) -> float:
     )
 
 
-def alpha3_quadrature_real(x: float, nodes: int | None = None) -> QuadratureResult:
-    """alpha(x, 3) as the torus mean of the expanded real integrand.
-
-    nodes None runs the doubling ladder of TORUS_LADDER.  For one certified
-    level, pass nodes=n with n from alpha3_torus_level(x, tol): the error
-    is then at most its alias_bound + rounding_bound.
-    """
-    x = _real(x)
-    return _ladder("alpha3_quadrature_real", abs(x) + 2.0, nodes,
-                   kernels.alpha3_real_mean, x)
+def alpha3_quadrature_real(x: float, tol: float = TORUS_LADDER[2]) -> QuadratureResult:
+    """alpha(x, 3) as the torus mean of the expanded real integrand, at the
+    one n x n level _torus_level certifies to alias by at most tol
+    (default 1e-10): est_error = alias_bound + rounding_bound bounds the
+    error."""
+    return _torus_level("alpha3_quadrature_real", x, tol, kernels.alpha3_real_mean)
 
 
-def alpha3_quadrature_complex(x: float, nodes: int | None = None) -> QuadratureResult:
-    """alpha(x, 3) as the torus mean of the complex-product integrand.
+def alpha3_quadrature_complex(x: float, tol: float = TORUS_LADDER[2]) -> QuadratureResult:
+    """alpha(x, 3) as the torus mean of the complex-product integrand, at
+    the level and with the bounds of alpha3_quadrature_real.
 
     The imaginary part of the returned value is the torus average of the
-    integrand's imaginary component and is reported, not dropped.  nodes
-    is read as by alpha3_quadrature_real, and alpha3_torus_level's level
-    and bounds hold for this integrand too.
+    integrand's imaginary component and is reported, not dropped.
     """
-    x = _real(x)
-    return _ladder("alpha3_quadrature_complex", abs(x) + 2.0, nodes,
-                   kernels.alpha3_complex_mean, x)
+    return _torus_level("alpha3_quadrature_complex", x, tol, kernels.alpha3_complex_mean)
 
 
 def _torus_alias_sum(wx: list[float], w1: list[float], n: int) -> float:
@@ -375,11 +371,13 @@ def _torus_alias_sum(wx: list[float], w1: list[float], n: int) -> float:
     return total
 
 
-def alpha3_torus_level(x: float, tol: float = TORUS_LADDER[2]) -> tuple[int, float, float]:
-    """The smallest one-level torus grid for either alpha3_quadrature route.
+def _torus_level(
+    route: str, x: float, tol: float, kernel: Callable[..., complex]
+) -> QuadratureResult:
+    """kernel(x, n), the mean of either paper integrand over the smallest
+    certified n x n torus grid, as _certified's result.
 
-    Returns (n, alias_bound, rounding_bound).  The n x n trapezoid mean of
-    either paper integrand is the mean of
+    The n x n trapezoid mean of either paper integrand is the mean of
     E = exp(x e^{i th} + e^{-i th} e^{it} + e^{-it}), which is
     sum x^a/(a! b! c!) over a = b = c (mod n); alpha(x, 3) keeps only
     a = b = c.  So |mean - alpha(x, 3)| <= alias_bound, the sum of
@@ -388,15 +386,13 @@ def alpha3_torus_level(x: float, tol: float = TORUS_LADDER[2]) -> tuple[int, flo
     the smallest n >= 4 with alias_bound <= tol.  rounding_bound =
     2 n^2 2^-53 e^{|x|+2} covers the rounding of n^2 node values of modulus
     at most e^{|x|+2} and of their sum; more nodes cannot lower it, so it is
-    left out of the search.  tol defaults to TORUS_LADDER's 1e-10.
-    Pass nodes=n to either route to run that one level.  Raises
-    ToleranceNotReachedError (best None) when n would pass TORUS_LADDER's
-    512 max nodes.
+    left out of the search.  Raises ToleranceNotReachedError (best None)
+    when n would pass TORUS_LADDER's 512 max nodes.
     """
     x = _real(x)
     _check_tol(tol)
     ax = abs(x)
-    _guard_exp_peak(ax + 2.0, "alpha3_torus_level")
+    _guard_exp_peak(ax + 2.0, route)
     # wx[k] = |x|^k/k! and w1[k] = 1/k! for k <= K, the first K >= 2|x| - 1 at
     # which the triples with an index past K weigh at most tol/1024 in all:
     # by the union bound tail(wx) e^2 + 2 e^{|x|+1} tail(w1), with the
@@ -422,14 +418,14 @@ def alpha3_torus_level(x: float, tol: float = TORUS_LADDER[2]) -> tuple[int, flo
     while True:
         if n > max_nodes:
             raise ToleranceNotReachedError(
-                f"alpha3_torus_level: no grid of at most "
-                f"{max_nodes}^2 nodes reaches tol={tol:g} "
-                f"at x={x!r}",
+                f"{route}: no grid of at most {max_nodes}^2 nodes "
+                f"reaches tol={tol:g} at x={x!r}",
                 best=None,
             )
         alias = _torus_alias_sum(wx, w1, n) + omitted
         if alias <= tol:
-            return n, alias, 2.0 * n * n * _UNIT_ROUNDOFF * math.exp(ax + 2.0)
+            rounding = 2.0 * n * n * _UNIT_ROUNDOFF * math.exp(ax + 2.0)
+            return _certified(route, complex(kernel(x, n)), n, alias, rounding)
         n += 1
 
 

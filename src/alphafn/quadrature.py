@@ -7,11 +7,13 @@ estimate controls any such integrand: `converge` drives a node-count ->
 mean function through a ladder (initial nodes, max nodes, tol), and
 est_error is |value_N - value_{N/2}| between the last two levels.  Where
 one level is known to suffice, `one_level` runs just that node count.
-Each level of the generic rules here evaluates all of its nodes.  Where
-the Taylor coefficients of the integrand's factors are known,
-`hadamard._circle_level` picks one level from a certified aliasing bound
-instead; `hadamard._ladder`, the s = 3 torus routes' ladder, evaluates at
-each doubling only the nodes the previous level lacks.
+Each level of the generic rule here evaluates all of its nodes.  Where
+the Taylor coefficients of the integrand's factors are known, the routes
+pick one level from a certified aliasing bound instead
+(`hadamard._circle_level` on the circle, `hadamard._torus_level` on the
+s = 3 torus); only compare's torus ladder, `hadamard._ladder`, still
+doubles, evaluating at each doubling only the nodes the previous level
+lacks.
 """
 
 from __future__ import annotations
@@ -27,7 +29,8 @@ TWO_PI = 2.0 * math.pi
 
 # (initial nodes, max nodes, tol) of the doubling ladder: the generic
 # circle rule's, whose node counts also bound the circle routes' level
-# search, and the torus rules'
+# search, and compare's torus ladder's, whose max nodes and tol are also
+# the torus routes' node cap and default tol
 CIRCLE_LADDER = (16, 1024, 1e-12)
 TORUS_LADDER = (16, 512, 1e-10)
 
@@ -36,14 +39,14 @@ TORUS_LADDER = (16, 512, 1e-10)
 class QuadratureResult:
     """A node average over `nodes` nodes per dimension and its error.
 
-    From the doubling ladder (`converge`: the s = 3 torus routes, the
-    generic trapezoid rules and `hadamard_eval`), est_error is
+    From the doubling ladder (`converge`: `trapezoid_periodic_1d`,
+    `hadamard_eval` and compare's s = 3 torus ladder), est_error is
     |value_N - value_{N/2}| of the final doubling, an estimate, and the two
     bounds are None.  From one level asked for by its node count
-    (`nodes=n`, for a level known to be exact or certified elsewhere),
-    est_error is 0.0 and the bounds are None.  The circle routes
-    (`alpha2_quadrature`, the Bessel route and `alpha_via_hadamard`) take a
-    tol and run one level certified by an aliasing bound: there
+    (`nodes=n`, for a level known to be exact), est_error is 0.0 and the
+    bounds are None.  The quadrature routes (`alpha2_quadrature`, the
+    Bessel route, `alpha_via_hadamard` and both `alpha3_quadrature_*`) take
+    a tol and run one level certified by an aliasing bound: there
     est_error = alias_bound + rounding_bound is a bound on |value - exact|.
     """
 
@@ -121,21 +124,3 @@ def trapezoid_periodic_1d(
 
     return converge(mean, CIRCLE_LADDER) if nodes is None else one_level(mean, nodes)
 
-
-def trapezoid_periodic_2d(f: Callable[[float, float], complex]) -> QuadratureResult:
-    """Normalized torus integral (1/4pi^2) over [0,2pi)^2, tensor-product rule.
-
-    Both dimensions share the same N and double together through
-    TORUS_LADDER; nodes in the result is the per-dimension count.  Summed
-    ascending j then k.
-    """
-
-    def mean(n: int) -> complex:
-        total = 0j
-        for j in range(n):
-            theta = (TWO_PI * j) / n
-            for k in range(n):
-                total += f(theta, (TWO_PI * k) / n)
-        return total / (n * n)
-
-    return converge(mean, TORUS_LADDER)

@@ -8,13 +8,7 @@ from dataclasses import dataclass, field
 from typing import Callable, NamedTuple
 
 from .errors import InvalidQueryError, NonConvergenceError
-from .hadamard import (
-    _bessel_quadrature,
-    alpha2_quadrature,
-    alpha3_quadrature_complex,
-    alpha3_quadrature_real,
-    alpha_via_hadamard,
-)
+from .hadamard import _bessel_quadrature, _ladder, alpha2_quadrature, alpha_via_hadamard
 from .series import DEFAULT_TOL, AlphaQuery, _check_tol, _real, alpha_series
 
 # The often-quoted value for sum 1/(n!)^3 = 0F2(;1,1;1); it matches only
@@ -30,7 +24,8 @@ class MethodValue:
     terms_used/tail_bound/rounding_bound for the series and
     nodes/alias_bound/rounding_bound for the circle routes (each error is
     the sum of the two bounds), nodes/est_error, a ladder estimate, for the
-    torus routes.  It stays out of equality and the JSON.
+    two torus entries, which run hadamard._ladder.  It stays out of
+    equality and the JSON.
     """
 
     name: str
@@ -108,7 +103,7 @@ def _quadrature(q, **info):
 
 
 def _torus_complex(x, s, tol):
-    q = alpha3_quadrature_complex(x)
+    q = _ladder("alpha3_quadrature_complex", x, "alpha3_complex_mean")
     return _quadrature(q, imag=q.value.imag)
 
 
@@ -128,8 +123,8 @@ ROUTES = (
           lambda x, s, tol: _quadrature(alpha2_quadrature(x))),
     Route("bessel", "bessel", _refuse_bessel, _bessel),
     Route("hadamard-2d-complex", None, _only_s(3), _torus_complex),
-    Route("hadamard-2d-real", None, _only_s(3),
-          lambda x, s, tol: _quadrature(alpha3_quadrature_real(x))),
+    Route("hadamard-2d-real", None, _only_s(3), lambda x, s, tol: _quadrature(
+        _ladder("alpha3_quadrature_real", x, "alpha3_real_mean"))),
     Route("hadamard-iterated", "hadamard", _refuse_lift,
           lambda x, s, tol: _quadrature(alpha_via_hadamard(x, s, tol))),
 )

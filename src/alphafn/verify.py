@@ -18,7 +18,6 @@ from .hadamard import (
     alpha3_integrand_real,
     alpha3_quadrature_complex,
     alpha3_quadrature_real,
-    alpha3_torus_level,
     bessel_identity_check,
     hadamard_eval,
 )
@@ -149,11 +148,10 @@ def suite_stirling_gf(seed: int = 0) -> list[CaseResult]:
 def suite_expansion_s3(seed: int = 0) -> list[CaseResult]:
     """Real expansion vs complex product for the s=3 torus integrand.
 
-    Pointwise on a 16 x 16 grid, then both torus routes against the series.
-    Each x runs one trapezoid level, the n x n grid alpha3_torus_level
-    certifies to alias by at most 1e-10, not the doubling ladder.  Each
+    Pointwise on a 16 x 16 grid, then both torus routes against the series,
+    each at its one level certified to alias by at most 1e-10.  Each
     route's real part is held to 1e-9 and to its own bound: the level's
-    alias and rounding bounds plus the series' tail and rounding bounds.
+    est_error plus the series' tail and rounding bounds.
     """
     cases = []
     xs = (-1.0, 0.0, 0.5, 1.0, 2.0)
@@ -167,12 +165,11 @@ def suite_expansion_s3(seed: int = 0) -> list[CaseResult]:
         bound = 1e-12 * (1.0 + math.exp(abs(x) + 2.0))
         cases.append(_case("expansion_s3", f"pointwise-x={x:g}", worst, bound))
     for x in xs:
-        n, alias, rounding = alpha3_torus_level(x, 1e-10)
         series = alpha_series(x, 3)
         reference = series.value.real
-        threshold = min(1e-9, alias + rounding + series.tail_bound + series.rounding_bound)
-        qc = alpha3_quadrature_complex(x, nodes=n)
-        qr = alpha3_quadrature_real(x, nodes=n)
+        qc = alpha3_quadrature_complex(x, 1e-10)
+        qr = alpha3_quadrature_real(x, 1e-10)
+        threshold = min(1e-9, qr.est_error + series.tail_bound + series.rounding_bound)
         cases.append(
             _case("expansion_s3", f"torus-real-x={x:g}", abs(qr.value.real - reference), threshold)
         )

@@ -27,13 +27,11 @@ from alphafn import (
     alpha3_integrand_real,
     alpha3_quadrature_complex,
     alpha3_quadrature_real,
-    alpha3_torus_level,
     alpha_series,
     alpha_via_hadamard,
     bessel_identity_check,
     hadamard_eval,
     trapezoid_periodic_1d,
-    trapezoid_periodic_2d,
 )
 from alphafn import _kernels_py, verify
 from alphafn.hadamard import _bessel_quadrature
@@ -330,57 +328,55 @@ class TestAlpha3Quadrature:
             assert abs(res.value.real - series) <= 1e-9, x
             assert abs(res.value.imag) <= 1e-10, x
 
-    def test_fused_kernels_equal_generic_rule(self):
-        x = 1.0
-        fused = alpha3_quadrature_real(x)
-        generic = trapezoid_periodic_2d(lambda a, b: alpha3_integrand_real(x, a, b))
-        assert fused.nodes == generic.nodes <= 64
-        assert abs(fused.value - generic.value) < 1e-13
-        fused_c = alpha3_quadrature_complex(x)
-        generic_c = trapezoid_periodic_2d(lambda a, b: alpha3_integrand_complex(x, a, b))
-        assert abs(fused_c.value - generic_c.value) < 1e-13
-
 
 def alpha3_mpmath(x):
     with mpmath.workdps(40):
         return mpmath.hyper([], [1, 1], x)
 
 
+# each torus route by the name of the fused kernel it runs
+TORUS_ROUTES = {
+    "alpha3_real_mean": alpha3_quadrature_real,
+    "alpha3_complex_mean": alpha3_quadrature_complex,
+}
+
+
 class TestAlpha3TorusLevel:
-    """alpha3_torus_level's n x n grid is within alias_bound + rounding_bound
-    of alpha(x, 3) on both torus kernels, and is the smallest such grid."""
+    """Each torus route runs the smallest n x n grid whose alias bound is
+    at most tol, and its value is within est_error = alias_bound +
+    rounding_bound of alpha(x, 3)."""
 
     @pytest.mark.parametrize("tol", [1e-4, 1e-10])
-    @pytest.mark.parametrize(
-        "kernel", [_kernels_py.alpha3_real_mean, _kernels_py.alpha3_complex_mean]
-    )
+    @pytest.mark.parametrize("kernel", TORUS_ROUTES)
     def test_bound_holds_on_both_kernels(self, kernel, tol):
         for i in range(-16, 17):
             x = i / 2.0
-            n, alias_bound, rounding_bound = alpha3_torus_level(x, tol)
-            assert alias_bound <= tol
-            error = abs(mpmath.mpc(kernel(x, n)) - alpha3_mpmath(x))
-            assert float(error) <= alias_bound + rounding_bound, (x, n)
+            res = TORUS_ROUTES[kernel](x, tol)
+            assert res.alias_bound <= tol
+            assert res.est_error == res.alias_bound + res.rounding_bound
+            error = abs(mpmath.mpc(res.value) - alpha3_mpmath(x))
+            assert float(error) <= res.est_error, (x, res.nodes)
 
     def test_level_is_the_smallest_at_nonnegative_x(self):
         # for x >= 0 every aliased term is positive, so the grid's error is
         # the aliasing sum itself, and one node fewer must exceed tol
         tol = 1e-4
         for x in (0.0, 0.5, 1.0, 2.0, 4.0, 8.0):
-            n, _, _ = alpha3_torus_level(x, tol)
+            n = alpha3_quadrature_real(x, tol).nodes
+            assert alpha3_quadrature_complex(x, tol).nodes == n
             coarser = _kernels_py.alpha3_real_mean(x, n - 1)
             assert float(abs(coarser - alpha3_mpmath(x))) > tol, x
 
     def test_levels_at_the_verify_points(self):
-        levels = [alpha3_torus_level(x, 1e-10)[0] for x in (-1.0, 0.0, 0.5, 1.0, 2.0)]
+        levels = [alpha3_quadrature_real(x).nodes for x in (-1.0, 0.0, 0.5, 1.0, 2.0)]
         assert levels == [14, 14, 14, 14, 18]
 
     def test_expansion_s3_runs_one_level_per_x(self, monkeypatch):
         seen = []
 
         def recording(route):
-            def run(x, nodes=None):
-                res = route(x, nodes)
+            def run(x, tol):
+                res = route(x, tol)
                 seen.append(res.nodes)
                 return res
             return run
@@ -405,17 +401,47 @@ class TestAlpha3TorusLevel:
         assert [case.name for case in failed] == ["pointwise-x=0.5"]
         assert math.isnan(failed[0].delta)
 
+    @settings(max_examples=100, deadline=None)
+    @given(x=st.floats(-20.0, 20.0))
+    def test_both_routes_within_their_error(self, x):
+        # past |x| ~ 15 the rounding bound 2 n^2 2^-53 e^{|x|+2} outgrows
+        # the alias bound; at x = +-20 it is 4.1e-3, the error below 1e-7
+        exact = alpha3_mpmath(x)
+        for route in TORUS_ROUTES.values():
+            try:
+                res = route(x)
+            except ToleranceNotReachedError as exc:
+                # only where alpha(x, 3) is too near 0 for the bound, so
+                # |exact| <= |value| + error <= 2 est_error
+                assert "no digit is certified" in str(exc)
+                assert abs(exact) <= 2.0 * exc.best.est_error
+                continue
+            with mpmath.workdps(40):
+                error = float(abs(mpmath.mpf(res.value.real) - exact))
+            assert error <= res.est_error, (x, res)
+
+    def test_refuses_a_value_with_no_certified_digit(self):
+        # at x = -30 the rounding bound 175 exceeds |alpha(-30, 3)| = 4.8
+        with pytest.raises(ToleranceNotReachedError, match="no digit is certified") as excinfo:
+            alpha3_quadrature_real(-30.0)
+        assert excinfo.value.best.est_error > abs(excinfo.value.best.value)
+
     def test_raises_past_the_node_cap(self):
-        with pytest.raises(ToleranceNotReachedError):
-            alpha3_torus_level(200.0, 1e-10)
+        for route in TORUS_ROUTES.values():
+            with pytest.raises(ToleranceNotReachedError, match="no grid of at most 512") as excinfo:
+                route(200.0, 1e-10)
+            assert excinfo.value.best is None
 
     def test_rejects_bad_arguments(self):
-        with pytest.raises(InvalidQueryError):
-            alpha3_torus_level(1.0, 0.0)
-        with pytest.raises(InvalidQueryError, match="not finite"):
-            alpha3_torus_level(math.nan)
-        with pytest.raises(InvalidQueryError):
-            alpha3_torus_level(720.0)
+        for route in TORUS_ROUTES.values():
+            with pytest.raises(InvalidQueryError, match="tol must be positive"):
+                route(1.0, 0.0)
+            with pytest.raises(InvalidQueryError, match="not finite"):
+                route(math.nan)
+            with pytest.raises(InvalidQueryError):
+                route(720.0)
+            with pytest.raises(TypeError):
+                route(1.0, nodes=14)
 
 
 class TestIteratedLift:
@@ -583,11 +609,9 @@ class TestExpRangeGuards:
     (alpha3_quadrature_real, (1 + 1j,), "x"),
     (alpha3_quadrature_complex, (1 + 1j,), "x"),
     (alpha_via_hadamard, (1 + 1j, 3), "x"),
-    (alpha3_torus_level, (1 + 1j,), "x"),
     (bessel_identity_check, (1j, 0), "a"),
     (bessel_identity_check, (0, 1j), "b"),
-], ids=["alpha2", "alpha3_real", "alpha3_complex", "lift", "torus_level",
-        "bessel_a", "bessel_b"])
+], ids=["alpha2", "alpha3_real", "alpha3_complex", "lift", "bessel_a", "bessel_b"])
 def test_quadrature_routes_refuse_non_real_arguments(route, args, name):
     # each of these took float() of its argument and raised a bare TypeError
     with pytest.raises(InvalidQueryError, match=f"^{name} must be real, got "):

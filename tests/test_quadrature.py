@@ -12,12 +12,9 @@ from alphafn import (
     AnalyticFunction,
     InvalidQueryError,
     ToleranceNotReachedError,
-    alpha3_quadrature_complex,
-    alpha3_quadrature_real,
     bessel_i0,
     hadamard_eval,
     trapezoid_periodic_1d,
-    trapezoid_periodic_2d,
 )
 from alphafn.quadrature import CIRCLE_LADDER, TORUS_LADDER, converge, one_level
 
@@ -28,8 +25,6 @@ TAKES_NODES = {
     "one_level": lambda nodes: one_level(lambda n: 1.0, nodes),
     "trapezoid_periodic_1d": lambda nodes: trapezoid_periodic_1d(math.cos, nodes),
     "hadamard_eval": lambda nodes: hadamard_eval(EXP, EXP, 0.5, 0.5, nodes=nodes),
-    "alpha3_quadrature_real": lambda nodes: alpha3_quadrature_real(1.0, nodes=nodes),
-    "alpha3_quadrature_complex": lambda nodes: alpha3_quadrature_complex(1.0, nodes=nodes),
 }
 
 
@@ -95,25 +90,6 @@ class TestTrapezoid1D:
         ratio = res.nodes // initial
         assert res.nodes == initial * ratio
         assert ratio & (ratio - 1) == 0  # power of two
-
-
-class TestTrapezoid2D:
-    def test_constant_is_exact(self):
-        res = trapezoid_periodic_2d(lambda a, b: 1.0)
-        assert res.value == 1.0
-
-    def test_zero_mean_product(self):
-        res = trapezoid_periodic_2d(lambda a, b: math.cos(a) * math.sin(b))
-        assert abs(res.value) < 1e-15
-
-    def test_separable_factorizes(self):
-        g = lambda a: math.exp(math.cos(a))
-        h = lambda b: 2.0 + math.sin(b)
-        joint = trapezoid_periodic_2d(lambda a, b: g(a) * h(b)).value.real
-        split = (
-            trapezoid_periodic_1d(g).value.real * trapezoid_periodic_1d(h).value.real
-        )
-        assert abs(joint - split) <= 1e-13 * abs(split)
 
 
 class TestConverge:

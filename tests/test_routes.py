@@ -107,3 +107,35 @@ def test_report_refuses_a_value_with_no_certified_digit(x, s):
     for run in (lambda: evaluate_method(x, s, "series"), lambda: compare_methods(x, s)):
         with pytest.raises(NonConvergenceError, match="^series: .*no digit is certified$"):
             run()
+
+
+# compare's two torus entries still run the doubling ladder, whose levels
+# end at 32, 64 and 128 nodes here: (value, error) by float.hex, and nodes
+TORUS_LADDER_PINS = {
+    1.0: {
+        "hadamard-2d-complex": ("0x1.109a17d70baaap+1", "0x1.5b00005baf9bap-43", 32),
+        "hadamard-2d-real": ("0x1.109a17d70baabp+1", "0x1.5a00000000000p-43", 32),
+    },
+    -4.0: {
+        "hadamard-2d-complex": ("-0x1.474291d9990cdp+0", "0x1.4bdfb7dc95227p-51", 64),
+        "hadamard-2d-real": ("-0x1.474291d9990ccp+0", "0x1.0000000000000p-51", 64),
+    },
+    8.0: {
+        "hadamard-2d-complex": ("0x1.3afb48abc371ep+4", "0x1.af5df01ec8e1dp-42", 128),
+        "hadamard-2d-real": ("0x1.3afb48abc3706p+4", "0x1.5000000000000p-42", 128),
+    },
+    -8.0: {
+        "hadamard-2d-complex": ("-0x1.17a44ddec3dc1p+0", "0x1.62be844ac61afp-45", 128),
+        "hadamard-2d-real": ("-0x1.17a44ddec3dbap+0", "0x1.3e00000000000p-45", 128),
+    },
+}
+
+
+@pytest.mark.parametrize("x", sorted(TORUS_LADDER_PINS))
+def test_compare_torus_entries_are_pinned(x):
+    got = {
+        m.name: (m.value.hex(), m.error.hex(), m.info["nodes"])
+        for m in compare_methods(x, 3).method_values
+        if m.name.startswith("hadamard-2d")
+    }
+    assert got == TORUS_LADDER_PINS[x]
