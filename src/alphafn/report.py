@@ -161,10 +161,13 @@ def compare_methods(x: float, s: int, tolerance: float | None = None) -> Compari
     """Run every route of ROUTES that applies to (x, s), in table order,
     and report pairwise agreement.
 
-    The routes agree when the largest pairwise delta is at most
-    tolerance * max(1, max |value|): absolute near zero, relative for
-    large values.  tolerance None means 1e-8.  A route that certifies no
-    digit raises, as in evaluate_method.
+    The routes agree when every pair's delta is within the sum of their
+    errors plus tolerance * max(1, max |value|), absolute near zero and
+    relative for large values: |v_i - v_j| <= e_i + e_j + tolerance * scale.
+    Two routes whose error intervals overlap agree, however far apart
+    their values.  tolerance None means 1e-8.  A route that certifies no digit
+    raises, as in evaluate_method.  max_pairwise_delta is max - min of the
+    values.
     """
     query = AlphaQuery(complex(x), s)
     tolerance = 1e-8 if tolerance is None else tolerance
@@ -185,13 +188,17 @@ def compare_methods(x: float, s: int, tolerance: float | None = None) -> Compari
         )
 
     values = [m.value for m in methods]
-    max_delta = max(values) - min(values)
-    scale = max(1.0, max(abs(v) for v in values))
+    slack = tolerance * max(1.0, max(abs(v) for v in values))
+    passed = all(
+        abs(a.value - b.value) <= a.error + b.error + slack
+        for i, a in enumerate(methods)
+        for b in methods[i + 1:]
+    )
     return ComparisonReport(
         query=query,
         method_values=methods,
-        max_pairwise_delta=max_delta,
+        max_pairwise_delta=max(values) - min(values),
         tolerance=tolerance,
-        passed=max_delta <= tolerance * scale,
+        passed=passed,
         notes=notes,
     )

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
 import os
@@ -13,9 +14,10 @@ import mpmath
 import pytest
 
 import alphafn
-from alphafn import cli
+from alphafn import alpha_via_hadamard, cli
 from alphafn.cli import main
 from alphafn.errors import InvalidQueryError
+from alphafn.hadamard import _ladder
 from alphafn.report import compare_methods, evaluate_method
 from alphafn.verify import CaseResult
 
@@ -27,6 +29,8 @@ EXP_MINUS_20 = 2.061153622438558e-09
 # alpha(-12, 3) and alpha(12, 4) from mpmath's hyper at 40 digits
 ALPHA_MINUS_12_3 = 0.3637265696892947
 ALPHA_12_4 = 23.397044500139852
+# alpha(-30, 4) from mpmath's hyper at 40 digits
+ALPHA_MINUS_30_4 = 8.7435644430977974
 
 
 def run_cli(capsys, *argv):
@@ -286,10 +290,61 @@ class TestCompare:
         assert out == ""
         assert err.startswith("error: series: ") and err.endswith("no digit is certified\n")
 
-    def test_unattainable_tolerance_exits_1(self, capsys):
-        code, out, _ = run_cli(capsys, "compare", "--x", "1", "--s", "3", "--tol", "1e-16")
+    def test_disagreement_past_the_error_bounds_exits_1(self, capsys, monkeypatch):
+        # the lift moved by 1e-6 keeps its bound of ~4e-13, so the pair
+        # (series, lift) lies apart by more than e_i + e_j + tol * scale
+        def shifted(x, s, tol=None):
+            res = alpha_via_hadamard(x, s, tol)
+            return dataclasses.replace(res, value=res.value + 1e-6)
+
+        monkeypatch.setattr("alphafn.report.alpha_via_hadamard", shifted)
+        code, out, _ = run_cli(capsys, "compare", "--x", "1", "--s", "4")
         assert code == 1
         assert "passed = False" in out
+
+    def test_tight_tolerance_passes_within_the_error_bounds(self, capsys):
+        # at tol 1e-16 the deltas, up to 6.5e-14, exceed tol * scale, but
+        # every pair lies within the sum of its two error bounds
+        code, out, _ = run_cli(
+            capsys, "compare", "--x", "1", "--s", "2", "--tol", "1e-16", "--format", "json")
+        assert code == 0
+        report_json = json.loads(out)
+        assert report_json["passed"] is True
+        assert report_json["max_pairwise_delta"] > 1e-16 * I0_OF_2
+
+    def test_verdict_reads_the_error_bounds(self, capsys):
+        # the lift's rounding bound at (-30, 4) is 3.77: its value is 1.1e-4
+        # off, within that bound, so the routes agree although the delta
+        # is 1e4 times tol * scale
+        code, out, _ = run_cli(capsys, "compare", "--x=-30", "--s", "4", "--format", "json")
+        assert code == 0
+        data = json.loads(out)
+        assert data["passed"] is True
+        (series, lift) = data["methods"]
+        assert math.isclose(series["value"], ALPHA_MINUS_30_4, rel_tol=1e-15)
+        assert abs(lift["value"] - ALPHA_MINUS_30_4) <= lift["error"]
+        assert data["max_pairwise_delta"] > 1e3 * data["tolerance"] * ALPHA_MINUS_30_4
+        assert data["max_pairwise_delta"] <= series["error"] + lift["error"]
+
+    def test_verdict_checks_every_pair(self, monkeypatch):
+        # the torus entries moved by 1e-6 with their ~1e-13 errors disagree
+        # with the series, although the extremes (series, lift) agree within
+        # the lift's error, widened to 1e-5
+        def shifted_ladder(route, x, kernel_name):
+            res = _ladder(route, x, kernel_name)
+            return dataclasses.replace(res, value=res.value + 1e-6)
+
+        def widened_lift(x, s, tol=None):
+            res = alpha_via_hadamard(x, s, tol)
+            return dataclasses.replace(res, value=res.value + 2e-6, est_error=1e-5)
+
+        monkeypatch.setattr("alphafn.report._ladder", shifted_ladder)
+        monkeypatch.setattr("alphafn.report.alpha_via_hadamard", widened_lift)
+        rep = compare_methods(1.0, 3)
+        values = {m.name: m.value for m in rep.method_values}
+        assert values["hadamard-iterated"] == max(values.values())
+        assert values["series"] == min(values.values())
+        assert rep.passed is False
 
     def test_large_agreeing_values_pass(self, capsys):
         # series and exp agree to ~1e-16 relative; the delta is judged

@@ -33,7 +33,7 @@ from alphafn import (
     hadamard_eval,
     trapezoid_periodic_1d,
 )
-from alphafn import _kernels_py, verify
+from alphafn import _kernels_py, hadamard, verify
 from alphafn.hadamard import _bessel_quadrature
 from alphafn.quadrature import CIRCLE_LADDER
 
@@ -225,6 +225,96 @@ class TestExactPolynomialLevel:
         res = hadamard_eval(f, g, u, v, nodes=exact_nodes(ca, cb))
         error = abs(res.value - convolution(ca, cb, u, v))
         assert error <= 1e-13 * scale + sys.float_info.min
+
+
+def closure_hadamard_eval(f, g, u, v, nodes=None):
+    """hadamard_eval as a per-node integrand closure through
+    trapezoid_periodic_1d, the reference for the root-table mean."""
+    f, g = f.evaluator, g.evaluator
+    peak = 1.0
+
+    def integrand(theta):
+        nonlocal peak
+        point = cmath.exp(1j * theta)
+        value = f(u * point) * g(v * point.conjugate())
+        size = abs(value)
+        if size > peak:
+            peak = size
+        return value
+
+    result = trapezoid_periodic_1d(integrand, nodes)
+    hadamard._check_imag(result.value, hadamard._IMAG_LIMIT_EVAL * peak, "hadamard_eval")
+    return result
+
+
+def bits(result):
+    """A QuadratureResult as float.hex strings and its node count."""
+    value = complex(result.value)
+    return (value.real.hex(), value.imag.hex(), result.nodes, float(result.est_error).hex(),
+            result.alias_bound, result.rounding_bound)
+
+
+def outcome(evaluate, *args, **kwargs):
+    """bits() of evaluate's result, or its exception's type and message."""
+    try:
+        return bits(evaluate(*args, **kwargs))
+    except Exception as exc:  # noqa: BLE001 -- the refusal is the outcome
+        return type(exc), str(exc)
+
+
+class TestRootTableMean:
+    """hadamard_eval's mean over the cached root table gives the doubles of
+    the per-node closure through trapezoid_periodic_1d, and refuses what
+    it refused."""
+
+    @pytest.mark.parametrize("nodes", range(4, 12))
+    def test_polynomial_levels_are_bit_identical(self, nodes):
+        rng = random.Random(nodes)
+        for _ in range(25):
+            ca = [rng.uniform(-1, 1) for _ in range(rng.randint(1, 11))]
+            cb = [rng.uniform(-1, 1) for _ in range(rng.randint(1, 11))]
+            u, v = rng.uniform(-1.5, 1.5), rng.uniform(-1.5, 1.5)
+            f = AnalyticFunction.from_coefficients(ca)
+            g = AnalyticFunction.from_coefficients(cb)
+            got = bits(hadamard_eval(f, g, u, v, nodes=nodes))
+            assert got == bits(closure_hadamard_eval(f, g, u, v, nodes=nodes))
+            assert got[2:] == (nodes, "0x0.0p+0", None, None)
+
+    @pytest.mark.parametrize("u, v", [(0.0, 1.0), (1.0, 1.0), (0.5, 2.0), (-1.7, 0.4),
+                                      (2.0, -3.0), (5.0, 5.0), (-9.0, 7.5)])
+    def test_exp_pair_on_the_ladder_is_bit_identical(self, u, v):
+        got = hadamard_eval(EXP, EXP, u, v)
+        assert bits(got) == bits(closure_hadamard_eval(EXP, EXP, u, v))
+        assert got.nodes in (32, 64, 128) and got.est_error <= CIRCLE_LADDER[2]
+
+    def test_refusals_are_unchanged(self):
+        twisted = AnalyticFunction(lambda z: cmath.exp(1j * z), math.inf)
+        nan_at_zero = AnalyticFunction(lambda z: math.nan if z.imag == 0 else 1.0, math.inf)
+        huge = AnalyticFunction(lambda z: complex(1.5e308, 1.5e308), math.inf)
+        one = AnalyticFunction.from_coefficients([1.0])
+        ones = AnalyticFunction.from_coefficients([1.0] * 9)
+        for f, g, u, v, nodes, error in (
+            (EXP, EXP, 800.0, 1.0, None, ToleranceNotReachedError),  # cmath.exp overflows
+            (huge, one, 1.0, 1.0, 4, ToleranceNotReachedError),  # abs(F(t_j)) overflows
+            (ones, ones, 1e40, 1e40, 9, ToleranceNotReachedError),  # inf - inf, a NaN mean
+            (nan_at_zero, EXP, 1.0, 1.0, 4, ToleranceNotReachedError),
+            (twisted, EXP, 1.0, 1.0, None, ImaginaryResidueError),  # a genuine imag part
+            (twisted, EXP, 1.0, 1.0, 8, ImaginaryResidueError),
+            (EXP, EXP, 1.0, 1.0, 3, InvalidQueryError),  # fewer than 4 nodes
+            (EXP, EXP, 1.0, 1.0, 16.0, InvalidQueryError),
+        ):
+            got = outcome(hadamard_eval, f, g, u, v, nodes)
+            assert got == outcome(closure_hadamard_eval, f, g, u, v, nodes)
+            assert got[0] is error, (u, v, nodes, got)
+
+    def test_root_table_is_a_bounded_cache(self):
+        hadamard._roots.cache_clear()
+        hadamard_eval(EXP, EXP, 1.0, 1.0)
+        hadamard_eval(EXP, EXP, 0.5, 0.25)
+        info = hadamard._roots.cache_info()
+        assert info.maxsize == hadamard.ROOT_CACHE_SIZE
+        assert (info.misses, info.currsize) == (2, 2)  # the 16- and 32-node tables
+        assert info.hits == 2
 
 
 class TestAlpha2Route:
@@ -431,6 +521,33 @@ class TestAlpha3TorusLevel:
             with pytest.raises(ToleranceNotReachedError, match="no grid of at most 512") as excinfo:
                 route(200.0, 1e-10)
             assert excinfo.value.best is None
+
+    def test_refusal_names_its_route_after_a_cache_hit(self):
+        # the search is shared per (|x|, tol), so the second route's
+        # refusal comes from the cache and must still name that route and x
+        hadamard._torus_search.cache_clear()
+        for x in (-210.0, 210.0):
+            for name in ("alpha3_quadrature_real", "alpha3_quadrature_complex"):
+                hits = hadamard._torus_search.cache_info().hits
+                with pytest.raises(ToleranceNotReachedError) as excinfo:
+                    getattr(hadamard, name)(x, 1e-11)
+                assert str(excinfo.value) == (
+                    f"{name}: no grid of at most 512^2 nodes reaches tol=1e-11 at x={x!r}")
+                assert excinfo.value.best is None
+                first = x < 0 and name == "alpha3_quadrature_real"
+                assert hadamard._torus_search.cache_info().hits == hits + (not first)
+
+    @pytest.mark.parametrize("x", [-7.25, -1.0, 0.0, 2.0, 13.5])
+    def test_both_routes_share_one_level(self, x):
+        hadamard._torus_search.cache_clear()
+        real = alpha3_quadrature_real(x, 1e-9)
+        complex_ = alpha3_quadrature_complex(x, 1e-9)
+        mirrored = alpha3_quadrature_real(-x, 1e-9)
+        info = hadamard._torus_search.cache_info()
+        assert (info.misses, info.hits) == (1, 2)
+        assert real.nodes == complex_.nodes == mirrored.nodes
+        assert real.alias_bound == complex_.alias_bound == mirrored.alias_bound
+        assert real.rounding_bound == complex_.rounding_bound == mirrored.rounding_bound
 
     def test_rejects_bad_arguments(self):
         for route in TORUS_ROUTES.values():

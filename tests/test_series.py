@@ -474,3 +474,81 @@ class TestBesselI0:
     def test_rejects_non_finite(self):
         with pytest.raises(InvalidQueryError):
             bessel_i0(math.nan)
+
+# float.hex of the real part of alpha^(k)(x, s) at PINNED_XS, from the
+# complex term loop that every x took before real x was summed in floats
+PINNED_XS = (-30.0, -2.5, -0.0, 0.75, 6.38, 30.0)
+PINNED_HEX = {
+    (1, 0): ("0x1.a56e0c2ac7f72p-44", "0x1.50385c094f443p-4", "0x1.0000000000000p+0",
+             "0x1.0ef9db467dce0p+1", "0x1.26f6bf1fe2af7p+9", "0x1.370470aec28efp+43"),
+    (1, 1): ("0x1.a56e0c2ac7f72p-44", "0x1.50385c094f443p-4", "0x1.0000000000000p+0",
+             "0x1.0ef9db467dce0p+1", "0x1.26f6bf1fe2af7p+9", "0x1.370470aec28efp+43"),
+    (1, 2): ("0x1.a56e0c2ac7f72p-44", "0x1.50385c094f443p-4", "0x1.0000000000000p+0",
+             "0x1.0ef9db467dce0p+1", "0x1.26f6bf1fe2af7p+9", "0x1.370470aec28efp+43"),
+    (1, 3): ("0x1.a56e0c2ac7f72p-44", "0x1.50385c094f443p-4", "0x1.0000000000000p+0",
+             "0x1.0ef9db467dce0p+1", "0x1.26f6bf1fe2af7p+9", "0x1.370470aec28efp+43"),
+    (2, 0): ("-0x1.6ec0dd28e214ep-3", "-0x1.3d7c6193f784fp-2", "0x1.0000000000000p+0",
+             "0x1.e7251a5446d82p+0", "0x1.c877c0aaed1acp+4", "0x1.b42c851c1fffap+12"),
+    (2, 1): ("-0x1.fb19ce22858c6p-6", "0x1.660a0c53c4fd9p-3", "0x1.0000000000000p+0",
+             "0x1.6cc7621d2e9a2p+0", "0x1.43540a6f6f9cdp+3", "0x1.2fa13669c0d05p+10"),
+    (2, 2): ("0x1.439714af90744p-8", "0x1.8d3452fe48ecdp-3", "0x1.0000000000000p-1",
+             "0x1.464f4092eb24dp-1", "0x1.71a8e4a083073p+1", "0x1.8048c3bd88508p+7"),
+    (2, 3): ("0x1.64be95967a21cp-10", "0x1.5d187aed6f56bp-4", "0x1.5555555555555p-3",
+             "0x1.9a56bb1824e44p-3", "0x1.5b54d9c8fa6ddp-1", "0x1.bacab65a63b37p+4"),
+    (3, 0): ("0x1.34ae9c0e7080bp+2", "-0x1.939e6ef3b9ed3p-1", "0x1.0000000000000p+0",
+             "0x1.d281824fe060fp+0", "0x1.b97cdc54c9962p+3", "0x1.574a6722a313bp+8"),
+    (3, 1): ("0x1.6c6939196f0dfp-3", "0x1.d45f978a82bfdp-2", "0x1.0000000000000p+0",
+             "0x1.32080f6c95f6bp+0", "0x1.9ec70dbd42f56p+1", "0x1.f96eb8c193b6ep+4"),
+    (3, 2): ("-0x1.d1cc29e53f5a0p-5", "0x1.7c865ec1b6314p-3", "0x1.0000000000000p-2",
+             "0x1.15d69eb9a8fb1p-2", "0x1.dce0050b5e50bp-2", "0x1.201ac10b7d31cp+1"),
+    (3, 3): ("-0x1.1310e53e7b018p-11", "0x1.83796b3e9b2fap-6", "0x1.c71c71c71c71cp-6",
+             "0x1.dcc444d343b20p-6", "0x1.4a9401fcbfb73p-5", "0x1.f0a6e529e9a58p-4"),
+    (4, 0): ("0x1.17cb47a8b25a5p+3", "-0x1.1f0e702eab8d0p+0", "0x1.0000000000000p+0",
+             "0x1.c915655a405a5p+0", "0x1.4424771f7001dp+3", "0x1.ba9425651f286p+6"),
+    (4, 1): ("-0x1.f24615488fb06p-1", "0x1.674fba656485ap-1", "0x1.0000000000000p+0",
+             "0x1.1855aacb75199p+0", "0x1.e517cad80c0b8p+0", "0x1.cb73afac34d50p+2"),
+    (4, 2): ("0x1.089122434b162p-6", "0x1.d1832a4159283p-4", "0x1.0000000000000p-3",
+             "0x1.072721e917bdep-3", "0x1.3f8f0505defbap-3", "0x1.325102e510f31p-2"),
+    (4, 3): ("0x1.62f525cebba9ep-9", "0x1.23ac7234fb313p-8", "0x1.2f684bda12f68p-8",
+             "0x1.32f94099d6f2fp-8", "0x1.4e6ecee490c36p-8", "0x1.cf80ff9d1bd6ep-8"),
+    (5, 0): ("-0x1.0fc6291d567b9p+2", "-0x1.4e835db20925dp+0", "0x1.0000000000000p+0",
+             "0x1.c4838ee398b55p+0", "0x1.15f094e5afbdap+3", "0x1.f59973c1b18dfp+5"),
+    (5, 1): ("-0x1.15156e908f447p-1", "0x1.b13b0587e00e9p-1", "0x1.0000000000000p+0",
+             "0x1.0c0e3c720d042p+0", "0x1.6a22382fc0c31p+0", "0x1.9e33948e6f5efp+1"),
+    (5, 2): ("0x1.4d4e02c811119p-5", "0x1.f0464b6f073d3p-5", "0x1.0000000000000p-4",
+             "0x1.025fb43d3a450p-4", "0x1.146a8374b8077p-4", "0x1.6475b3cfa405dp-4"),
+    (5, 3): ("0x1.6643cbcd4beccp-11", "0x1.9099b9a16868dp-11", "0x1.948b0fcd6e9e0p-11",
+             "0x1.95baa6b60cd0ep-11", "0x1.9ead3e0d3bf24p-11", "0x1.c518e234d2000p-11"),
+    (6, 0): ("-0x1.f06215cbe33f5p+3", "-0x1.6715ef3a1535ep+0", "0x1.0000000000000p+0",
+             "0x1.c24097bb425edp+0", "0x1.00b0cac8088f5p+3", "0x1.6d29e1e627845p+5"),
+    (6, 1): ("0x1.eaba4f5d1493dp-4", "0x1.d834a1cd4aa87p-1", "0x1.0000000000000p+0",
+             "0x1.06025ef68552cp+0", "0x1.33b61fda1a3fep+0", "0x1.fef5b7f5536dap+0"),
+    (6, 2): ("0x1.c1b68d04d633bp-6", "0x1.fabd2b14bf33fp-6", "0x1.0000000000000p-5",
+             "0x1.00ca587ecee0ap-5", "0x1.06be0561719d5p-5", "0x1.2011c328c9691p-5"),
+    (6, 3): ("0x1.05d5058b1e1b5p-13", "0x1.0d098c850f9e0p-13", "0x1.0db20a88f4696p-13",
+             "0x1.0de49d789cb90p-13", "0x1.0f60a508b14f2p-13", "0x1.15a27a8db1c2fp-13"),
+}
+
+
+class TestRealTermLoop:
+    """A real x is summed in floats, which round as complex arithmetic with
+    zero imaginary parts does: the values are the pinned doubles, and
+    SeriesResult.value stays a complex with a +0.0 imaginary part."""
+
+    @pytest.mark.parametrize(("s", "k"), sorted(PINNED_HEX))
+    def test_values_are_the_pinned_doubles(self, s, k):
+        results = [alpha_derivative_series(x, s, k) for x in PINNED_XS]
+        if k == 0:
+            assert [alpha_series(x, s) for x in PINNED_XS] == results
+        assert tuple(float.hex(r.value.real) for r in results) == PINNED_HEX[s, k]
+        for r in results:
+            assert type(r.value) is complex
+            assert math.copysign(1.0, r.value.imag) == 1.0 and r.value.imag == 0.0
+
+    def test_zero_imaginary_part_takes_the_real_loop(self):
+        # complex(x, 0.0) and complex(x, -0.0) are real x: the same result
+        for x in PINNED_XS:
+            for s in (1, 3, 6):
+                real = alpha_derivative_series(x, s, 2)
+                assert alpha_derivative_series(complex(x, 0.0), s, 2) == real
+                assert alpha_derivative_series(complex(x, -0.0), s, 2) == real
