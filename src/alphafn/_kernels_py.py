@@ -9,9 +9,13 @@ and never raise; the callers own the error contract.  The lift calls
 one term loop, `_term_sum`; a tracer wrapping both counts each call once.
 
 Mean kernels return the equal-weight average of an integrand over ``n``
-uniformly spaced circle (or torus) nodes ``theta_j = 2*pi*j/n``,
-accumulated in ascending node order for reproducibility.  There are two
-contracts:
+uniformly spaced circle (or torus) nodes ``t_k = (TWO_PI * k) / n``,
+accumulated in ascending node order for reproducibility.  Every mean reads
+its nodes from one bounded lru_cache table, `_nodes(n)`: cos t_k, sin t_k
+and the points e^{+-i t_k}, which `hadamard.hadamard_eval` reads too.  Each
+expression keeps its order of operations and the sum its order, so the
+results are the same doubles as evaluating the integrand node by node.
+There are two contracts:
 
 - the circle kernels `alpha2_mean`, `bessel_mean` and `exp_alpha_mean`
   take ``(params..., n)`` and average over all n nodes; the circle routes
@@ -24,16 +28,9 @@ contracts:
 
 A tracer reads ``n`` positionally, so it stays a positional parameter.
 
-`exp_alpha_mean`, the lift's kernel, is the one kernel with state across
-calls: `_lift_nodes` sums its x-free factor alpha(e^{-i th}, s-1) once per
-(s, n) and keeps the node tables in a bounded lru_cache.
-
-The torus kernels build one trig table per call, ``cos`` and ``sin`` of
-``(TWO_PI * k) / n`` for k < n, and read both the row angle and the node
-angle from it; the row constants are formed once per row.  The table lives
-only for the call.  Each expression keeps its order of operations and the
-sum its order, cached or not, so the results are the same doubles as
-evaluating the integrand node by node.
+`exp_alpha_mean`, the lift's kernel, also keeps state across calls:
+`_lift_nodes` sums its x-free factor alpha(e^{-i th}, s-1) once per (s, n)
+and keeps those node tables in a second bounded lru_cache.
 """
 
 import cmath
@@ -50,6 +47,9 @@ INNER_TOL = 1e-15
 # (s, n) keys of the lift's node table kept across calls; compare's lift
 # takes s = 2..5 at one level of 16..64 nodes each
 LIFT_CACHE_SIZE = 64
+# node counts whose _nodes tables are kept: the circle levels 16..1024, the
+# torus levels (compare's 16..512 and the certified ones), theorem1's 4..9
+NODE_CACHE_SIZE = 32
 
 
 def _term_sum(x, s, k, tol):
@@ -137,38 +137,45 @@ def alpha_deriv_sum(x, s, k, tol):
     return _term_sum(x, s, k, tol)
 
 
+@functools.lru_cache(maxsize=NODE_CACHE_SIZE)
+def _nodes(n):
+    """(cos t_k, sin t_k, (e^{i t_k}, e^{-i t_k})) as three tuples over the
+    n nodes t_k = (TWO_PI * k) / n in ascending k, e^{i t_k} formed as
+    complex(cos t_k, sin t_k), which is cmath.exp(1j * t_k) bit for bit."""
+    angles = [(TWO_PI * k) / n for k in range(n)]
+    cos_t = tuple(map(math.cos, angles))
+    sin_t = tuple(map(math.sin, angles))
+    points = map(complex, cos_t, sin_t)
+    return cos_t, sin_t, tuple((point, point.conjugate()) for point in points)
+
+
 def alpha2_mean(x, n):
     """Circle mean of exp((x+1)cos t)*cos((x-1)sin t) over n nodes."""
     xp1 = x + 1.0
     xm1 = x - 1.0
+    cos_t, sin_t, _ = _nodes(n)
     total = 0.0
-    for j in range(n):
-        t = (TWO_PI * j) / n
-        total += math.exp(xp1 * math.cos(t)) * math.cos(xm1 * math.sin(t))
+    for ct, st in zip(cos_t, sin_t):
+        total += math.exp(xp1 * ct) * math.cos(xm1 * st)
     return total / n
 
 
 def bessel_mean(a, b, n):
     """Circle mean of exp(a*cos t + b*sin t) over n nodes."""
+    cos_t, sin_t, _ = _nodes(n)
     total = 0.0
-    for j in range(n):
-        t = (TWO_PI * j) / n
-        total += math.exp(a * math.cos(t) + b * math.sin(t))
+    for ct, st in zip(cos_t, sin_t):
+        total += math.exp(a * ct + b * st)
     return total / n
 
 
-def _torus_rows(n, fresh=False):
-    """Rows (j, ks) of the level-n torus grid, ascending in j; with fresh,
-    only the nodes with j or k odd, which level n/2 lacks."""
-    every = range(n)
-    odd = range(1, n, 2) if fresh else every
-    return [(j, every if j % 2 else odd) for j in every]
-
-
-def _trig_table(n):
-    """cos and sin of the level-n angles (TWO_PI * k) / n, k < n."""
-    angles = [(TWO_PI * k) / n for k in range(n)]
-    return [math.cos(t) for t in angles], [math.sin(t) for t in angles]
+def _torus_rows(n, fresh):
+    """The column cos and sin tuples of each row of the level-n torus grid,
+    ascending in j: every column, or with fresh only the odd ones in even
+    rows, which leaves the nodes that level n/2 lacks."""
+    cos_t, sin_t, _ = _nodes(n)
+    even = (cos_t[1::2], sin_t[1::2]) if fresh else (cos_t, sin_t)
+    return [(cos_t, sin_t) if j % 2 else even for j in range(n)]
 
 
 def alpha3_real_mean(x, n, fresh=False):
@@ -178,17 +185,13 @@ def alpha3_real_mean(x, n, fresh=False):
       [cos(x sin th - sin th cos t) cos(cos th sin t - sin t) cosh(sin th sin t)
        - sin(x sin th - sin th cos t) sin(cos th sin t - sin t) sinh(sin th sin t)]
     """
-    cos_t, sin_t = _trig_table(n)
+    cos_t, sin_t, _ = _nodes(n)
     total = 0.0
     count = 0
-    for j, ks in _torus_rows(n, fresh):
-        cth = cos_t[j]
-        sth = sin_t[j]
+    for cth, sth, (cols_c, cols_s) in zip(cos_t, sin_t, _torus_rows(n, fresh)):
         x_cth = x * cth
         x_sth = x * sth
-        for kk in ks:
-            ct = cos_t[kk]
-            st = sin_t[kk]
+        for ct, st in zip(cols_c, cols_s):
             common = math.exp(x_cth + cth * ct + ct)
             a1 = x_sth - sth * ct
             a2 = cth * st - st
@@ -197,24 +200,21 @@ def alpha3_real_mean(x, n, fresh=False):
                 math.cos(a1) * math.cos(a2) * math.cosh(a3)
                 - math.sin(a1) * math.sin(a2) * math.sinh(a3)
             )
-        count += len(ks)
+        count += len(cols_c)
     return total / count
 
 
 def alpha3_complex_mean(x, n, fresh=False):
     """Torus mean of exp(x e^{i th}) exp((e^{-i th}+1)cos t) cos((e^{-i th}-1)sin t)."""
-    cos_t, sin_t = _trig_table(n)
     total = 0j
     count = 0
-    for j, ks in _torus_rows(n, fresh):
-        eith = complex(cos_t[j], sin_t[j])
-        emith = eith.conjugate()
+    for (eith, emith), (cols_c, cols_s) in zip(_nodes(n)[2], _torus_rows(n, fresh)):
         f1 = cmath.exp(x * eith)
         emith_p1 = emith + 1.0
         emith_m1 = emith - 1.0
-        for kk in ks:
-            total += f1 * cmath.exp(emith_p1 * cos_t[kk]) * cmath.cos(emith_m1 * sin_t[kk])
-        count += len(ks)
+        for ct, st in zip(cols_c, cols_s):
+            total += f1 * cmath.exp(emith_p1 * ct) * cmath.cos(emith_m1 * st)
+        count += len(cols_c)
     return total / count
 
 
@@ -222,13 +222,7 @@ def alpha3_complex_mean(x, n, fresh=False):
 def _lift_nodes(s, n):
     """exp_alpha_mean's nodes in ascending order as pairs (e^{i th},
     alpha(e^{-i th}, s-1)), the inner alpha summed within INNER_TOL."""
-    nodes = []
-    for j in range(n):
-        th = (TWO_PI * j) / n
-        eith = complex(math.cos(th), math.sin(th))
-        inner = alpha_sum(eith.conjugate(), s - 1, INNER_TOL)[0]
-        nodes.append((eith, inner))
-    return tuple(nodes)
+    return tuple((eith, alpha_sum(emith, s - 1, INNER_TOL)[0]) for eith, emith in _nodes(n)[2])
 
 
 def exp_alpha_mean(x, s, n):

@@ -29,7 +29,6 @@ from .errors import (
 from .quadrature import (
     CIRCLE_LADDER,
     TORUS_LADDER,
-    TWO_PI,
     QuadratureResult,
     converge,
     one_level,
@@ -170,17 +169,6 @@ def _circle_level(
 # hadamard_eval's promised ceiling for the imaginary residue of a result
 # that is real in exact arithmetic, per unit of the largest integrand value
 _IMAG_LIMIT_EVAL = 1e-10
-# node counts whose root tables hadamard_eval keeps: verify's theorem1 runs
-# one level of 4..9 nodes, the ladder 16, 32, ..., 1024
-ROOT_CACHE_SIZE = 16
-
-
-@functools.lru_cache(maxsize=ROOT_CACHE_SIZE)
-def _roots(n: int) -> tuple[tuple[complex, complex], ...]:
-    """(e^{i t_j}, e^{-i t_j}) at the n nodes t_j = (TWO_PI * j) / n, in
-    ascending j, e^{i t_j} formed as cmath.exp(1j * t_j)."""
-    points = [cmath.exp(1j * ((TWO_PI * j) / n)) for j in range(n)]
-    return tuple((point, point.conjugate()) for point in points)
 
 
 @dataclass(frozen=True)
@@ -242,11 +230,11 @@ def hadamard_eval(
     the doubling ladder (converge with CIRCLE_LADDER), an int the one level
     of that many nodes (one_level), for example one known to be exact.
     Each level's mean sums F(t_j) = f(u e^{i t_j}) g(v e^{-i t_j}) in
-    ascending j over _roots(n), a cached table of the node points, and
-    divides by n: the same doubles as trapezoid_periodic_1d over the
-    integrand t -> f(u e^{it}) g(v e^{-it}), without a Python call or an
-    exp per node.  The value is returned as complex: its imaginary part is
-    a consistency diagnostic and must stay below
+    ascending j over the node points of the kernels' shared table,
+    kernels._nodes(n), and divides by n: the same doubles as
+    trapezoid_periodic_1d over the integrand t -> f(u e^{it}) g(v e^{-it}),
+    without a Python call or an exp per node.  The value is returned as
+    complex: its imaginary part is a consistency diagnostic and must stay below
     1e-10 * max(1, max_j |F(t_j)|) for real-coefficient input, the maximum
     taken over the nodes evaluated: rounding in the node sum scales with
     them.
@@ -265,7 +253,7 @@ def hadamard_eval(
     def node_mean(n: int) -> complex:
         nonlocal peak
         total = 0j
-        for point, conj_point in _roots(n):
+        for point, conj_point in kernels._nodes(n)[2]:
             value = f(u * point) * g(v * conj_point)
             size = abs(value)
             if size > peak:
@@ -359,15 +347,15 @@ def alpha3_integrand_real(x: float, theta: float, t: float) -> float:
     )
 
 
-def alpha3_quadrature_real(x: float, tol: float = TORUS_LADDER[2]) -> QuadratureResult:
+def alpha3_quadrature_real(x: float, tol: float | None = None) -> QuadratureResult:
     """alpha(x, 3) as the torus mean of the expanded real integrand, at the
     one n x n level _torus_level certifies to alias by at most tol
-    (default 1e-10): est_error = alias_bound + rounding_bound bounds the
+    (None meaning 1e-10): est_error = alias_bound + rounding_bound bounds the
     error."""
     return _torus_level("alpha3_quadrature_real", x, tol, kernels.alpha3_real_mean)
 
 
-def alpha3_quadrature_complex(x: float, tol: float = TORUS_LADDER[2]) -> QuadratureResult:
+def alpha3_quadrature_complex(x: float, tol: float | None = None) -> QuadratureResult:
     """alpha(x, 3) as the torus mean of the complex-product integrand, at
     the level and with the bounds of alpha3_quadrature_real.
 
@@ -394,7 +382,7 @@ def _torus_alias_sum(wx: list[float], w1: list[float], n: int) -> float:
 
 
 def _torus_level(
-    route: str, x: float, tol: float, kernel: Callable[..., complex]
+    route: str, x: float, tol: float | None, kernel: Callable[..., complex]
 ) -> QuadratureResult:
     """kernel(x, n), the mean of either paper integrand over the smallest
     certified n x n torus grid, as _certified's result.
@@ -405,7 +393,8 @@ def _torus_level(
     a = b = c.  So |mean - alpha(x, 3)| <= alias_bound, the sum of
     |x|^a/(a! b! c!) over the other triples (Trefethen & Weideman, "The
     exponentially convergent trapezoidal rule", SIAM Rev. 2014), and n is
-    the smallest n >= 4 with alias_bound <= tol.  Both depend on |x| and
+    the smallest n >= 4 with alias_bound <= tol (None meaning TORUS_LADDER's
+    1e-10).  Both depend on |x| and
     tol alone, so _torus_search finds them once per (|x|, tol) for both
     routes.  rounding_bound = 2 n^2 2^-53 e^{|x|+2} covers the rounding of
     n^2 node values of modulus at most e^{|x|+2} and of their sum; more
@@ -414,6 +403,8 @@ def _torus_level(
     would pass TORUS_LADDER's 512 max nodes.
     """
     x = _real(x)
+    if tol is None:
+        tol = TORUS_LADDER[2]
     _check_tol(tol)
     ax = abs(x)
     _guard_exp_peak(ax + 2.0, route)

@@ -229,7 +229,7 @@ class TestExactPolynomialLevel:
 
 def closure_hadamard_eval(f, g, u, v, nodes=None):
     """hadamard_eval as a per-node integrand closure through
-    trapezoid_periodic_1d, the reference for the root-table mean."""
+    trapezoid_periodic_1d, the reference for the node-table mean."""
     f, g = f.evaluator, g.evaluator
     peak = 1.0
 
@@ -263,9 +263,9 @@ def outcome(evaluate, *args, **kwargs):
 
 
 class TestRootTableMean:
-    """hadamard_eval's mean over the cached root table gives the doubles of
-    the per-node closure through trapezoid_periodic_1d, and refuses what
-    it refused."""
+    """hadamard_eval's mean over the shared cached node table gives the
+    doubles of the per-node closure through trapezoid_periodic_1d, and
+    refuses what it refused."""
 
     @pytest.mark.parametrize("nodes", range(4, 12))
     def test_polynomial_levels_are_bit_identical(self, nodes):
@@ -306,15 +306,6 @@ class TestRootTableMean:
             got = outcome(hadamard_eval, f, g, u, v, nodes)
             assert got == outcome(closure_hadamard_eval, f, g, u, v, nodes)
             assert got[0] is error, (u, v, nodes, got)
-
-    def test_root_table_is_a_bounded_cache(self):
-        hadamard._roots.cache_clear()
-        hadamard_eval(EXP, EXP, 1.0, 1.0)
-        hadamard_eval(EXP, EXP, 0.5, 0.25)
-        info = hadamard._roots.cache_info()
-        assert info.maxsize == hadamard.ROOT_CACHE_SIZE
-        assert (info.misses, info.currsize) == (2, 2)  # the 16- and 32-node tables
-        assert info.hits == 2
 
 
 class TestAlpha2Route:
@@ -733,3 +724,16 @@ def test_quadrature_routes_refuse_non_real_arguments(route, args, name):
     # each of these took float() of its argument and raised a bare TypeError
     with pytest.raises(InvalidQueryError, match=f"^{name} must be real, got "):
         route(*args)
+
+
+@pytest.mark.parametrize("route", [
+    alpha2_quadrature,
+    alpha3_quadrature_real,
+    alpha3_quadrature_complex,
+    lambda x, *tol: alpha_via_hadamard(x, 3, *tol),
+    lambda x, *tol: _bessel_quadrature(x, 0.5, *tol),
+], ids=["alpha2", "alpha3_real", "alpha3_complex", "lift", "bessel"])
+def test_quadrature_routes_take_tol_none_as_their_default(route):
+    # the torus routes refused None with "tol must be positive"
+    for x in (-3.0, 0.5, 2.0):
+        assert bits(route(x, None)) == bits(route(x)), x

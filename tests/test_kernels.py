@@ -1,50 +1,64 @@
-"""The kernels against per-node compositions, and their nested levels."""
+"""The kernels and their node table against per-node compositions, and
+their nested levels."""
 
 from __future__ import annotations
 
 import cmath
 import math
+from array import array
 
 import pytest
 
 from alphafn import _kernels_py
-from alphafn.hadamard import alpha3_integrand_complex, alpha3_integrand_real
+from alphafn.hadamard import EXP, alpha3_integrand_complex, alpha3_integrand_real, hadamard_eval
 
 TWO_PI = 2.0 * math.pi
 
 
-def close(a: complex, b: complex, tol: float = 1e-13) -> bool:
-    return abs(a - b) <= tol * max(1.0, abs(a), abs(b))
+def hexed(z: complex) -> tuple[str, str]:
+    z = complex(z)
+    return z.real.hex(), z.imag.hex()
+
+
+# node counts and points at which the circle kernels are held to the
+# ascending per-node sum of their integrand, double for double
+CIRCLE_NODES = (4, 9, 16, 64, 1024)
+CIRCLE_XS = (-20.0, -7.5, -1.0, -0.25, 0.0, 0.75, 1.0, 3.0, 12.5)
 
 
 class TestPythonKernelsAgainstCompositions:
     """The fused kernels must reproduce per-node compositions exactly."""
 
     def test_alpha2_mean(self):
-        x, n = 0.75, 32
-        loop = sum(
-            math.exp((x + 1) * math.cos((TWO_PI * j) / n))
-            * math.cos((x - 1) * math.sin((TWO_PI * j) / n))
-            for j in range(n)
-        ) / n
-        assert close(_kernels_py.alpha2_mean(x, n), loop, 1e-15)
+        for n in CIRCLE_NODES:
+            for x in CIRCLE_XS:
+                total = 0.0
+                for j in range(n):
+                    t = (TWO_PI * j) / n
+                    total += math.exp((x + 1.0) * math.cos(t)) * math.cos((x - 1.0) * math.sin(t))
+                assert hexed(_kernels_py.alpha2_mean(x, n)) == hexed(total / n), (n, x)
 
     def test_bessel_mean(self):
-        a, b, n = 3.0, 4.0, 64
-        loop = sum(
-            math.exp(a * math.cos((TWO_PI * j) / n) + b * math.sin((TWO_PI * j) / n))
-            for j in range(n)
-        ) / n
-        assert close(_kernels_py.bessel_mean(a, b, n), loop, 1e-15)
+        for n in CIRCLE_NODES:
+            for a, b in zip(CIRCLE_XS, reversed(CIRCLE_XS)):
+                total = 0.0
+                for j in range(n):
+                    t = (TWO_PI * j) / n
+                    total += math.exp(a * math.cos(t) + b * math.sin(t))
+                assert hexed(_kernels_py.bessel_mean(a, b, n)) == hexed(total / n), (n, a, b)
 
     def test_exp_alpha_mean(self):
-        x, s, n = 1.0, 3, 16
-        total = 0j
-        for j in range(n):
-            eith = cmath.exp(1j * ((TWO_PI * j) / n))
-            inner = _kernels_py.alpha_sum(eith.conjugate(), s - 1, 1e-15)[0]
-            total += cmath.exp(x * eith) * inner
-        assert close(_kernels_py.exp_alpha_mean(x, s, n), total / n, 1e-14)
+        for n in CIRCLE_NODES:
+            for s in (2, 3, 5):
+                inner = []
+                for j in range(n):
+                    eith = cmath.exp(1j * ((TWO_PI * j) / n))
+                    inner.append((eith, _kernels_py.alpha_sum(eith.conjugate(), s - 1, 1e-15)[0]))
+                for x in CIRCLE_XS:
+                    total = 0j
+                    for eith, value in inner:
+                        total += cmath.exp(x * eith) * value
+                    assert hexed(_kernels_py.exp_alpha_mean(x, s, n)) == hexed(total / n), (n, s, x)
 
     @pytest.mark.parametrize("s1", [1, 2, 49, 50, 1023, 1024, 10**6, 2**60])
     def test_inner_series_converges_on_the_circle(self, s1):
@@ -83,6 +97,40 @@ class TestPythonKernelsAgainstCompositions:
         assert _kernels_py.alpha_sum(709.0, 1, 5e-324)[1] == 2570
 
 
+class TestNodeTable:
+    """_nodes(n), the one table every mean and hadamard_eval read, holds
+    the doubles each of them formed per node, and stays bounded."""
+
+    def test_table_is_the_per_node_trig(self):
+        # array bytes compare double for double, signed zeros included
+        def doubles(values):
+            return array("d", values).tobytes()
+
+        def parts(pairs):
+            return doubles([d for p, q in pairs for d in (p.real, p.imag, q.real, q.imag)])
+
+        for n in range(1, 1025):
+            cos_t, sin_t, pairs = _kernels_py._nodes(n)
+            angles = [(TWO_PI * k) / n for k in range(n)]
+            assert doubles(cos_t) == doubles(map(math.cos, angles)), n
+            assert doubles(sin_t) == doubles(map(math.sin, angles)), n
+            points = [cmath.exp(1j * t) for t in angles]
+            assert parts(pairs) == parts((p, p.conjugate()) for p in points), n
+
+    def test_node_table_is_a_bounded_cache(self):
+        cache = _kernels_py._nodes
+        cache.cache_clear()
+        hadamard_eval(EXP, EXP, 1.0, 1.0)  # the 16- and 32-node levels
+        _kernels_py.bessel_mean(1.0, 0.5, 32)
+        _kernels_py.alpha3_real_mean(0.5, 16)
+        info = cache.cache_info()
+        assert (info.misses, info.hits) == (2, 3)  # the torus kernel reads it twice
+        for n in range(1, _kernels_py.NODE_CACHE_SIZE + 9):
+            cache(n)
+        info = cache.cache_info()
+        assert info.currsize <= info.maxsize == _kernels_py.NODE_CACHE_SIZE
+
+
 class TestLiftNodeCache:
     """exp_alpha_mean takes its x-free factor from a bounded cache; cached
     or not, each mean is the same double as the per-node composition."""
@@ -99,7 +147,6 @@ class TestLiftNodeCache:
 
     @pytest.mark.parametrize("s", [2, 3, 5, 1024, 2**60])
     def test_cold_and_warm_are_bit_identical(self, s):
-        hexed = lambda z: (z.real.hex(), z.imag.hex())
         for n in (16, 32, 64):
             for x in (-7.5, 0.0, 0.7, 9.9):
                 _kernels_py._lift_nodes.cache_clear()
@@ -138,8 +185,9 @@ class TestNestedLevels:
 
 class TestTorusKernelsExact:
     """The torus kernels equal the ascending-order node sum of the scalar
-    integrand exactly: the per-call trig table and the per-row constants
-    change no double."""
+    integrand exactly: the cached node table and the per-row constants
+    change no double.  The reference walks the grid itself, skipping the
+    nodes with j and k both even when fresh."""
 
     @pytest.mark.parametrize("kernel, integrand, zero", [
         (_kernels_py.alpha3_real_mean, alpha3_integrand_real, 0.0),
@@ -150,8 +198,10 @@ class TestTorusKernelsExact:
             for fresh in (False, True):
                 for x in (-7.5, -2.0, -0.5, 0.0, 0.75, 1.0, 3.0, 7.25):
                     total, count = zero, 0
-                    for j, ks in _kernels_py._torus_rows(n, fresh):
-                        for k in ks:
+                    for j in range(n):
+                        for k in range(n):
+                            if fresh and j % 2 == 0 and k % 2 == 0:
+                                continue
                             total += integrand(x, (TWO_PI * j) / n, (TWO_PI * k) / n)
-                        count += len(ks)
+                            count += 1
                     assert kernel(x, n, fresh) == total / count, (n, fresh, x)
