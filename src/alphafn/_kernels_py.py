@@ -9,28 +9,37 @@ and never raise; the callers own the error contract.  The lift calls
 one term loop, `_term_sum`; a tracer wrapping both counts each call once.
 
 Mean kernels return the equal-weight average of an integrand over ``n``
-uniformly spaced circle (or torus) nodes ``t_k = (TWO_PI * k) / n``,
-accumulated in ascending node order for reproducibility.  Every mean reads
-its nodes from one bounded lru_cache table, `_nodes(n)`: cos t_k, sin t_k
-and the points e^{+-i t_k}, which `hadamard.hadamard_eval` reads too.  Each
-expression keeps its order of operations and the sum its order, so the
-results are the same doubles as evaluating the integrand node by node.
-There are two contracts:
+uniformly spaced circle (or torus) nodes ``t_k = (TWO_PI * k) / n``.  Every
+mean reads its nodes from one bounded lru_cache table, `_nodes(n)`: cos t_k,
+sin t_k and the points e^{+-i t_k}, which `hadamard.hadamard_eval` reads
+too.  There are three contracts:
 
 - the circle kernels `alpha2_mean`, `bessel_mean` and `exp_alpha_mean`
   take ``(params..., n)`` and average over all n nodes; the circle routes
   run one level each;
-- the torus kernels `alpha3_real_mean` and `alpha3_complex_mean` take
-  ``(params..., n, fresh=False)``; the torus routes run one full level
-  each.  With ``fresh=True`` they average over only the nodes that level
-  ``n/2`` lacks (`_torus_rows`), for compare's nested torus ladder,
-  `alphafn.hadamard._ladder`.
+- the per-node torus kernels `alpha3_real_mean` and `alpha3_complex_mean`
+  take ``(params..., n, fresh=False)`` and run compare's nested torus
+  ladder, `alphafn.hadamard._ladder`: with ``fresh=True`` they average
+  over only the nodes that level ``n/2`` lacks (`_torus_rows`);
+- the torus row means `alpha3_real_row_mean` and `alpha3_complex_row_mean`
+  take ``(x, n)`` and run the certified torus routes' one n x n level.
+
+The circle and per-node torus kernels accumulate in ascending node order,
+and each expression keeps its order of operations, so their results are
+the same doubles as evaluating the integrand node by node.  The row means
+sum in another order: x enters the torus integrands only through
+exp(x e^{i th}), so `_torus_row_sums` sums each row's x-free rest over t
+once per n, in a bounded lru_cache, and a call adds up n row factors times
+row sums, over n^2, instead of n^2 node values.  They differ from the
+per-node kernels by rounding only; `alphafn.hadamard._torus_level` shows
+that its rounding bound covers this order.
 
 A tracer reads ``n`` positionally, so it stays a positional parameter.
 
 `exp_alpha_mean`, the lift's kernel, also keeps state across calls:
 `_lift_nodes` sums its x-free factor alpha(e^{-i th}, s-1) once per (s, n)
-and keeps those node tables in a second bounded lru_cache.
+and keeps those node tables in a bounded lru_cache; its sum is the loop of
+`alpha3_complex_row_mean`, `_exp_sum`.
 """
 
 import cmath
@@ -48,7 +57,8 @@ INNER_TOL = 1e-15
 # takes s = 2..5 at one level of 16..64 nodes each
 LIFT_CACHE_SIZE = 64
 # node counts whose _nodes tables are kept: the circle levels 16..1024, the
-# torus levels (compare's 16..512 and the certified ones), theorem1's 4..9
+# torus levels (compare's 16..512 and the certified ones), theorem1's 4..9;
+# _torus_row_sums keeps as many of the certified torus levels
 NODE_CACHE_SIZE = 32
 
 
@@ -218,6 +228,72 @@ def alpha3_complex_mean(x, n, fresh=False):
     return total / count
 
 
+def _exp_sum(x, pairs):
+    """Sum exp(x * point) * weight over (point, weight) pairs in ascending
+    order: the loop of the lift's and the complex torus row mean."""
+    total = 0j
+    for point, weight in pairs:
+        total += cmath.exp(x * point) * weight
+    return total
+
+
+@functools.lru_cache(maxsize=NODE_CACHE_SIZE)
+def _torus_row_sums(n):
+    """The x-free row sums of the level-n torus grid, as the pairs
+    (e^{i th_j}, R_j) and the pairs (U_j, V_j), ascending in row j.
+
+    x enters both torus integrands only through exp(x e^{i th}), so a row's
+    sum over the n columns t_k of the rest does not depend on x:
+      R_j = sum_k exp((e^{-i th_j}+1) cos t_k) cos((e^{-i th_j}-1) sin t_k),
+    the complex integrand's.  The real integrand's, by the angle-difference
+    expansion of cos and sin of a1 = x sin th - b, b = sin th cos t, are
+      U_j = sum_k E (cos b cos a2 cosh a3 + sin b sin a2 sinh a3),
+      V_j = sum_k E (sin b cos a2 cosh a3 - cos b sin a2 sinh a3),
+    with E = exp(cos th cos t + cos t) and a2, a3 those of alpha3_real_mean:
+    the factors of cos(x sin th) and sin(x sin th), so that U_j - i V_j
+    = R_j in exact arithmetic.  Each sum runs in ascending k.
+    """
+    cos_t, sin_t, points = _nodes(n)
+    pairs, uv = [], []
+    for cth, sth, (eith, emith) in zip(cos_t, sin_t, points):
+        emith_p1 = emith + 1.0
+        emith_m1 = emith - 1.0
+        r = 0j
+        u = v = 0.0
+        for ct, st in zip(cos_t, sin_t):
+            r += cmath.exp(emith_p1 * ct) * cmath.cos(emith_m1 * st)
+            e = math.exp(cth * ct + ct)
+            b = sth * ct
+            a2 = cth * st - st
+            a3 = sth * st
+            cb, sb = math.cos(b), math.sin(b)
+            p = math.cos(a2) * math.cosh(a3)
+            q = math.sin(a2) * math.sinh(a3)
+            u += e * (cb * p + sb * q)
+            v += e * (sb * p - cb * q)
+        pairs.append((eith, r))
+        uv.append((u, v))
+    return tuple(pairs), tuple(uv)
+
+
+def alpha3_real_row_mean(x, n):
+    """Torus mean of the expanded real integrand over the n x n grid, as
+    (1/n^2) sum_j e^{x cos th_j} (cos(x sin th_j) U_j + sin(x sin th_j) V_j)
+    over _torus_row_sums(n)."""
+    pairs, uv = _torus_row_sums(n)
+    total = 0.0
+    for (eith, _), (u, v) in zip(pairs, uv):
+        x_sth = x * eith.imag
+        total += math.exp(x * eith.real) * (math.cos(x_sth) * u + math.sin(x_sth) * v)
+    return total / (n * n)
+
+
+def alpha3_complex_row_mean(x, n):
+    """Torus mean of the complex-product integrand over the n x n grid, as
+    (1/n^2) sum_j exp(x e^{i th_j}) R_j over _torus_row_sums(n)."""
+    return _exp_sum(x, _torus_row_sums(n)[0]) / (n * n)
+
+
 @functools.lru_cache(maxsize=LIFT_CACHE_SIZE)
 def _lift_nodes(s, n):
     """exp_alpha_mean's nodes in ascending order as pairs (e^{i th},
@@ -228,7 +304,4 @@ def _lift_nodes(s, n):
 def exp_alpha_mean(x, s, n):
     """Circle mean of exp(x e^{i th}) * alpha(e^{-i th}, s-1) over n nodes,
     the second factor taken from _lift_nodes(s, n)."""
-    total = 0j
-    for eith, inner in _lift_nodes(s, n):
-        total += cmath.exp(x * eith) * inner
-    return total / n
+    return _exp_sum(x, _lift_nodes(s, n)) / n

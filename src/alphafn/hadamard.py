@@ -351,18 +351,26 @@ def alpha3_quadrature_real(x: float, tol: float | None = None) -> QuadratureResu
     """alpha(x, 3) as the torus mean of the expanded real integrand, at the
     one n x n level _torus_level certifies to alias by at most tol
     (None meaning 1e-10): est_error = alias_bound + rounding_bound bounds the
-    error."""
-    return _torus_level("alpha3_quadrature_real", x, tol, kernels.alpha3_real_mean)
+    error.
+
+    The mean is summed by rows, kernels.alpha3_real_row_mean: n cached
+    x-free row sums, each weighted by e^{x cos th} times cos(x sin th) or
+    sin(x sin th).  It differs from the node-by-node sum by rounding only,
+    and _torus_level shows that rounding_bound covers this order.
+    """
+    return _torus_level("alpha3_quadrature_real", x, tol, kernels.alpha3_real_row_mean)
 
 
 def alpha3_quadrature_complex(x: float, tol: float | None = None) -> QuadratureResult:
     """alpha(x, 3) as the torus mean of the complex-product integrand, at
-    the level and with the bounds of alpha3_quadrature_real.
+    the level and with the bounds of alpha3_quadrature_real, summed by rows
+    as kernels.alpha3_complex_row_mean: n cached x-free row sums, each
+    weighted by exp(x e^{i th}).
 
     The imaginary part of the returned value is the torus average of the
     integrand's imaginary component and is reported, not dropped.
     """
-    return _torus_level("alpha3_quadrature_complex", x, tol, kernels.alpha3_complex_mean)
+    return _torus_level("alpha3_quadrature_complex", x, tol, kernels.alpha3_complex_row_mean)
 
 
 def _torus_alias_sum(wx: list[float], w1: list[float], n: int) -> float:
@@ -394,13 +402,36 @@ def _torus_level(
     |x|^a/(a! b! c!) over the other triples (Trefethen & Weideman, "The
     exponentially convergent trapezoidal rule", SIAM Rev. 2014), and n is
     the smallest n >= 4 with alias_bound <= tol (None meaning TORUS_LADDER's
-    1e-10).  Both depend on |x| and
-    tol alone, so _torus_search finds them once per (|x|, tol) for both
-    routes.  rounding_bound = 2 n^2 2^-53 e^{|x|+2} covers the rounding of
-    n^2 node values of modulus at most e^{|x|+2} and of their sum; more
-    nodes cannot lower it, so it is left out of the search.  Raises
-    ToleranceNotReachedError (best None), naming the route and x, when n
-    would pass TORUS_LADDER's 512 max nodes.
+    1e-10).  Both depend on |x| and tol alone, so _torus_search finds them once per (|x|, tol) for both
+    routes.  Raises ToleranceNotReachedError (best None), naming the route
+    and x, when n would pass TORUS_LADDER's 512 max nodes.
+
+    rounding_bound = 2 n^2 2^-53 M, M = e^{|x|+2}, bounds the rounding
+    (after Higham, Accuracy and Stability of Numerical Algorithms, ch. 3-4);
+    more nodes cannot lower it, so it is left out of the search.  The
+    complex node value is G = exp(x e^{i th}) h with
+    h = exp((e^{-i th}+1) cos t) cos((e^{-i th}-1) sin t), and
+    |h| <= e^{(1 + cos th) cos t + |sin th sin t|} <= e^{sqrt(2 + 2 cos th)}
+    <= e^2 by Cauchy-Schwarz; the real route's row summands are Re h and
+    -Im h, pointwise, so every summand is at most e^2 and every node value
+    at most M.  Let K 2^-53 M bound the cost of forming one node value from
+    the node table: exp, cos, sin, cosh and sinh within an ulp, their
+    arguments and the products within a few.  Node by node, n^2 values and
+    their ascending sum cost (K + n^2) 2^-53 M, which the bound covers while
+    K <= n^2.  The kernel sums by rows instead (kernel(x, n) being
+    alpha3_real_row_mean or alpha3_complex_row_mean), and per row:
+      - the ascending sum of n summands of size <= e^2 adds
+        (n - 1) 2^-53 n e^2, which the row factor of size <= e^{|x|} makes
+        (n - 1) 2^-53 n M (the real route's pair (U_j, V_j) is the complex
+        row sum's parts, summed componentwise, so it costs no more);
+      - forming the summands, the row factor and their product costs the
+        same K 2^-53 M per node as the node order, n K 2^-53 M per row;
+      - the ascending sum of the n rows, of total size <= n^2 M, adds
+        (n - 1) 2^-53 n M per row.
+    Divided by n^2, with 2^-53 M for the division, that is
+    (K + 2n - 1) 2^-53 M, so the bound covers the row order while
+    K <= 2n^2 - 2n + 1 = n^2 + 9 + (n - 4)(n + 2): for every n >= 4 that
+    leaves each node at least 9 2^-53 M more than the node order did.
     """
     x = _real(x)
     if tol is None:

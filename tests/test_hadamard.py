@@ -415,7 +415,7 @@ def alpha3_mpmath(x):
         return mpmath.hyper([], [1, 1], x)
 
 
-# each torus route by the name of the fused kernel it runs
+# each certified torus route by the name of the torus mean it certifies
 TORUS_ROUTES = {
     "alpha3_real_mean": alpha3_quadrature_real,
     "alpha3_complex_mean": alpha3_quadrature_complex,

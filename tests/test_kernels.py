@@ -1,5 +1,6 @@
-"""The kernels and their node table against per-node compositions, and
-their nested levels."""
+"""The kernels and their node table against per-node compositions, the
+torus row means against the per-node torus kernels, and their nested
+levels."""
 
 from __future__ import annotations
 
@@ -164,6 +165,63 @@ class TestLiftNodeCache:
         info = cache.cache_info()
         assert info.misses == _kernels_py.LIFT_CACHE_SIZE + 10
         assert info.currsize <= info.maxsize == _kernels_py.LIFT_CACHE_SIZE
+
+
+# the certified torus levels of verify (14, 18) and of x = +-20 (72), the
+# least (4), and levels between them
+ROW_NODES = (4, 9, 14, 18, 38, 72)
+ROW_XS = tuple(1.25 * i for i in range(-16, 17))  # -20 to 20
+
+
+class TestTorusRowSums:
+    """The torus row means sum n cached x-free row sums per call; they
+    differ from the per-node kernels by rounding only, within the torus
+    routes' rounding bound 2 n^2 2^-53 e^{|x|+2}, and the row table is a
+    bounded cache like the node table."""
+
+    @pytest.mark.parametrize("row_mean, node_mean", [
+        (_kernels_py.alpha3_real_row_mean, _kernels_py.alpha3_real_mean),
+        (_kernels_py.alpha3_complex_row_mean, _kernels_py.alpha3_complex_mean),
+    ], ids=["real", "complex"])
+    def test_row_mean_is_the_node_mean_within_the_rounding_bound(self, row_mean, node_mean):
+        for n in ROW_NODES:
+            for x in ROW_XS:
+                bound = 2.0 * n * n * 2.0**-53 * math.exp(abs(x) + 2.0)
+                assert abs(row_mean(x, n) - node_mean(x, n)) <= bound, (n, x)
+
+    def test_real_row_sums_are_the_complex_row_sum_parts(self):
+        # U_j - i V_j = R_j exactly; each of the two sums of n summands of
+        # size <= e^2 rounds by at most a few n 2^-53 n e^2
+        for n in ROW_NODES:
+            pairs, uv = _kernels_py._torus_row_sums(n)
+            assert len(pairs) == len(uv) == n
+            bound = 2.0 * (n + 16) * n * 2.0**-53 * math.e**2
+            for (_, r), (u, v) in zip(pairs, uv):
+                assert abs(complex(u, -v) - r) <= bound, n
+
+    def test_row_table_is_a_bounded_cache(self):
+        cache = _kernels_py._torus_row_sums
+        cache.cache_clear()
+        _kernels_py.alpha3_real_row_mean(0.5, 14)
+        _kernels_py.alpha3_complex_row_mean(0.5, 14)
+        info = cache.cache_info()
+        assert (info.misses, info.hits) == (1, 1)
+        for n in range(4, 44):  # 40 distinct node counts
+            cache(n)
+        info = cache.cache_info()
+        assert info.currsize <= info.maxsize == _kernels_py.NODE_CACHE_SIZE
+
+    @pytest.mark.parametrize("row_mean", [
+        _kernels_py.alpha3_real_row_mean, _kernels_py.alpha3_complex_row_mean,
+    ], ids=["real", "complex"])
+    def test_cold_and_warm_are_bit_identical(self, row_mean):
+        for n in ROW_NODES:
+            for x in (-20.0, -7.5, 0.0, 0.7, 13.5):
+                _kernels_py._torus_row_sums.cache_clear()
+                cold = row_mean(x, n)
+                warm = row_mean(x, n)
+                assert _kernels_py._torus_row_sums.cache_info().hits == 1
+                assert hexed(cold) == hexed(warm), (n, x)
 
 
 class TestNestedLevels:
