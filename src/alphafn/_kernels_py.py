@@ -53,13 +53,11 @@ from .quadrature import TWO_PI
 # At |z| = 1 the ratio bound is at most 1/2 from n = 1 and t_n <= 1/n!, so
 # alpha_sum stops within 18 terms at this tol for any s fitting a double
 INNER_TOL = 1e-15
-# (s, n) keys of the lift's node table kept across calls; compare's lift
-# takes s = 2..5 at one level of 16..64 nodes each
-LIFT_CACHE_SIZE = 64
-# node counts whose _nodes tables are kept: the circle levels 16..1024, the
-# torus levels (compare's 16..512 and the certified ones), theorem1's 4..9;
-# _torus_row_sums keeps as many of the certified torus levels
-NODE_CACHE_SIZE = 32
+# keys kept by each lru_cache: _nodes and _torus_row_sums (n), _lift_nodes
+# (s, n) and hadamard._torus_search (|x|, tol).  A compare round uses 4
+# node and 12 lift tables; a verify round 10 node and 2 row-sum tables and
+# 4 torus searches
+CACHE_SIZE = 32
 
 
 def _term_sum(x, s, k, tol):
@@ -147,7 +145,7 @@ def alpha_deriv_sum(x, s, k, tol):
     return _term_sum(x, s, k, tol)
 
 
-@functools.lru_cache(maxsize=NODE_CACHE_SIZE)
+@functools.lru_cache(maxsize=CACHE_SIZE)
 def _nodes(n):
     """(cos t_k, sin t_k, (e^{i t_k}, e^{-i t_k})) as three tuples over the
     n nodes t_k = (TWO_PI * k) / n in ascending k, e^{i t_k} formed as
@@ -182,7 +180,8 @@ def bessel_mean(a, b, n):
 def _torus_rows(n, fresh):
     """The column cos and sin tuples of each row of the level-n torus grid,
     ascending in j: every column, or with fresh only the odd ones in even
-    rows, which leaves the nodes that level n/2 lacks."""
+    rows, which leaves the n^2 - ceil(n/2)^2 nodes (3n^2/4 at even n) that
+    level n/2 lacks."""
     cos_t, sin_t, _ = _nodes(n)
     even = (cos_t[1::2], sin_t[1::2]) if fresh else (cos_t, sin_t)
     return [(cos_t, sin_t) if j % 2 else even for j in range(n)]
@@ -197,7 +196,6 @@ def alpha3_real_mean(x, n, fresh=False):
     """
     cos_t, sin_t, _ = _nodes(n)
     total = 0.0
-    count = 0
     for cth, sth, (cols_c, cols_s) in zip(cos_t, sin_t, _torus_rows(n, fresh)):
         x_cth = x * cth
         x_sth = x * sth
@@ -210,22 +208,19 @@ def alpha3_real_mean(x, n, fresh=False):
                 math.cos(a1) * math.cos(a2) * math.cosh(a3)
                 - math.sin(a1) * math.sin(a2) * math.sinh(a3)
             )
-        count += len(cols_c)
-    return total / count
+    return total / (n * n - ((n + 1) // 2) ** 2 if fresh else n * n)
 
 
 def alpha3_complex_mean(x, n, fresh=False):
     """Torus mean of exp(x e^{i th}) exp((e^{-i th}+1)cos t) cos((e^{-i th}-1)sin t)."""
     total = 0j
-    count = 0
     for (eith, emith), (cols_c, cols_s) in zip(_nodes(n)[2], _torus_rows(n, fresh)):
         f1 = cmath.exp(x * eith)
         emith_p1 = emith + 1.0
         emith_m1 = emith - 1.0
         for ct, st in zip(cols_c, cols_s):
             total += f1 * cmath.exp(emith_p1 * ct) * cmath.cos(emith_m1 * st)
-        count += len(cols_c)
-    return total / count
+    return total / (n * n - ((n + 1) // 2) ** 2 if fresh else n * n)
 
 
 def _exp_sum(x, pairs):
@@ -237,7 +232,7 @@ def _exp_sum(x, pairs):
     return total
 
 
-@functools.lru_cache(maxsize=NODE_CACHE_SIZE)
+@functools.lru_cache(maxsize=CACHE_SIZE)
 def _torus_row_sums(n):
     """The x-free row sums of the level-n torus grid, as the pairs
     (e^{i th_j}, R_j) and the pairs (U_j, V_j), ascending in row j.
@@ -294,7 +289,7 @@ def alpha3_complex_row_mean(x, n):
     return _exp_sum(x, _torus_row_sums(n)[0]) / (n * n)
 
 
-@functools.lru_cache(maxsize=LIFT_CACHE_SIZE)
+@functools.lru_cache(maxsize=CACHE_SIZE)
 def _lift_nodes(s, n):
     """exp_alpha_mean's nodes in ascending order as pairs (e^{i th},
     alpha(e^{-i th}, s-1)), the inner alpha summed within INNER_TOL."""

@@ -56,19 +56,19 @@ def _guard_exp_peak(peak: float, route: str) -> None:
         )
 
 
-def _ladder(route: str, x: float, kernel_name: str) -> QuadratureResult:
+def _ladder(route: str, x: float, kernel: Callable[..., complex]) -> QuadratureResult:
     """compare's s = 3 torus route: guard the integrand's exp peak, then run
-    the torus means kernels.<kernel_name>(x, n) through TORUS_LADDER.
+    the per-node torus mean kernel(x, n) through TORUS_LADDER.
 
     est_error is the ladder's |value_N - value_{N/2}|, an estimate.  The
     ladder's levels are nested: level n's nodes are the even ones of level
     2n, so level 2n evaluates only the (j, k) with j or k odd,
     kernel(x, 2n, fresh=True), and combines them with level n's mean as
-    (prev + 3 fresh)/4, which saves a quarter of each level.  The kernel is
-    looked up on `kernels` at call time.
+    (prev + 3 fresh)/4, which saves a quarter of each level.  The caller
+    passes the kernel: report.ROUTES reads kernels.alpha3_real_mean or
+    kernels.alpha3_complex_mean at call time.
     """
     _guard_exp_peak(abs(x) + 2.0, route)
-    kernel = getattr(kernels, kernel_name)
     last_n, last = 0, 0j
 
     def node_mean(n: int) -> complex:
@@ -451,12 +451,7 @@ def _torus_level(
     return _certified(route, complex(kernel(x, n)), n, alias, rounding)
 
 
-# (|x|, tol) keys of the torus level search kept across calls; verify's
-# expansion_s3 asks for five, the same in every seed
-TORUS_SEARCH_CACHE_SIZE = 64
-
-
-@functools.lru_cache(maxsize=TORUS_SEARCH_CACHE_SIZE)
+@functools.lru_cache(maxsize=kernels.CACHE_SIZE)
 def _torus_search(ax: float, tol: float) -> tuple[int, float] | None:
     """(n, alias_bound) of _torus_level at |x| = ax, a finite ax <= 698, for
     a positive tol: the smallest n >= 4 of at most TORUS_LADDER's 512 max

@@ -7,6 +7,7 @@ import math
 from dataclasses import dataclass, field
 from typing import Callable, NamedTuple
 
+from .backend import kernels
 from .errors import InvalidQueryError, NonConvergenceError
 from .hadamard import _bessel_quadrature, _ladder, alpha2_quadrature, alpha_via_hadamard
 from .series import DEFAULT_TOL, AlphaQuery, _check_tol, _real, alpha_series
@@ -23,9 +24,9 @@ class MethodValue:
     info is the route's cost and error metadata that `eval` prints:
     terms_used/tail_bound/rounding_bound for the series and
     nodes/alias_bound/rounding_bound for the circle routes (each error is
-    the sum of the two bounds), nodes/est_error, a ladder estimate, for the
-    two torus entries, which run hadamard._ladder.  It stays out of
-    equality and the JSON.
+    the sum of the two bounds), nodes/est_error, a ladder estimate, and
+    imag, the imaginary part, for the two torus entries, which run
+    hadamard._ladder.  It stays out of equality and the JSON.
     """
 
     name: str
@@ -102,8 +103,8 @@ def _quadrature(q, **info):
     return q.value.real, q.est_error, dict(nodes=q.nodes, **bounds, **info)
 
 
-def _torus_complex(x, s, tol):
-    q = _ladder("alpha3_quadrature_complex", x, "alpha3_complex_mean")
+def _torus(route, x, kernel):
+    q = _ladder(route, x, kernel)
     return _quadrature(q, imag=q.value.imag)
 
 
@@ -113,8 +114,9 @@ def _bessel(x, s, tol):
 
 
 # Every route, in the order compare lists them.  The entries hold only the
-# helpers above and lambdas, which look the routes up by name at call time:
-# rebinding such a name (as a tracer does) reaches every caller of the table.
+# helpers above and lambdas, which look the routes and the torus kernels up
+# by name at call time: rebinding such a name (as a tracer does) reaches
+# every caller of the table.
 ROUTES = (
     Route("series", "series", lambda x, s: None, _series),
     Route("exp-closed-form", None, _only_s(1),  # math.exp is within one ulp
@@ -122,9 +124,10 @@ ROUTES = (
     Route("alpha2-closed-form", None, _only_s(2),
           lambda x, s, tol: _quadrature(alpha2_quadrature(x))),
     Route("bessel", "bessel", _refuse_bessel, _bessel),
-    Route("hadamard-2d-complex", None, _only_s(3), _torus_complex),
-    Route("hadamard-2d-real", None, _only_s(3), lambda x, s, tol: _quadrature(
-        _ladder("alpha3_quadrature_real", x, "alpha3_real_mean"))),
+    Route("hadamard-2d-complex", None, _only_s(3), lambda x, s, tol: _torus(
+        "alpha3_quadrature_complex", x, kernels.alpha3_complex_mean)),
+    Route("hadamard-2d-real", None, _only_s(3), lambda x, s, tol: _torus(
+        "alpha3_quadrature_real", x, kernels.alpha3_real_mean)),
     Route("hadamard-iterated", "hadamard", _refuse_lift,
           lambda x, s, tol: _quadrature(alpha_via_hadamard(x, s, tol))),
 )

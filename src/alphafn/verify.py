@@ -46,10 +46,10 @@ def worst_delta(deltas) -> float:
     return math.nan if any(map(math.isnan, deltas)) else max(deltas, default=0.0)
 
 
-def suite_theorem1(seed: int = 0, trials: int = 200) -> list[CaseResult]:
+def suite_theorem1(seed: int = 0) -> list[CaseResult]:
     """Circle-integral product rule vs direct coefficient convolution.
 
-    Random real-coefficient polynomial pairs of degree <= 8 with
+    200 random real-coefficient polynomial pairs of degree <= 8 with
     coefficients in [-1, 1], evaluated at random u, v in (-1, 1).
     f(u e^{it}) g(v e^{-it}) has frequencies in [-deg g, deg f], so one
     trapezoid level of more nodes than either degree aliases nothing and
@@ -60,7 +60,7 @@ def suite_theorem1(seed: int = 0, trials: int = 200) -> list[CaseResult]:
     # the same draws without two calls per draw
     random_, randrange = rng.random, rng.randrange
     cases = []
-    for trial in range(trials):
+    for trial in range(200):
         ca = [-1.0 + 2.0 * random_() for _ in range(randrange(9) + 1)]
         cb = [-1.0 + 2.0 * random_() for _ in range(randrange(9) + 1)]
         u = -1.0 + 2.0 * random_()

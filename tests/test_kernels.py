@@ -126,10 +126,10 @@ class TestNodeTable:
         _kernels_py.alpha3_real_mean(0.5, 16)
         info = cache.cache_info()
         assert (info.misses, info.hits) == (2, 3)  # the torus kernel reads it twice
-        for n in range(1, _kernels_py.NODE_CACHE_SIZE + 9):
+        for n in range(1, _kernels_py.CACHE_SIZE + 9):
             cache(n)
         info = cache.cache_info()
-        assert info.currsize <= info.maxsize == _kernels_py.NODE_CACHE_SIZE
+        assert info.currsize <= info.maxsize == _kernels_py.CACHE_SIZE
 
 
 class TestLiftNodeCache:
@@ -160,11 +160,11 @@ class TestLiftNodeCache:
     def test_cache_stays_within_its_bound(self):
         cache = _kernels_py._lift_nodes
         cache.cache_clear()
-        for s in range(2, _kernels_py.LIFT_CACHE_SIZE + 12):
+        for s in range(2, _kernels_py.CACHE_SIZE + 12):
             _kernels_py.exp_alpha_mean(0.5, s, 4)
         info = cache.cache_info()
-        assert info.misses == _kernels_py.LIFT_CACHE_SIZE + 10
-        assert info.currsize <= info.maxsize == _kernels_py.LIFT_CACHE_SIZE
+        assert info.misses == _kernels_py.CACHE_SIZE + 10
+        assert info.currsize <= info.maxsize == _kernels_py.CACHE_SIZE
 
 
 # the certified torus levels of verify (14, 18) and of x = +-20 (72), the
@@ -209,7 +209,7 @@ class TestTorusRowSums:
         for n in range(4, 44):  # 40 distinct node counts
             cache(n)
         info = cache.cache_info()
-        assert info.currsize <= info.maxsize == _kernels_py.NODE_CACHE_SIZE
+        assert info.currsize <= info.maxsize == _kernels_py.CACHE_SIZE
 
     @pytest.mark.parametrize("row_mean", [
         _kernels_py.alpha3_real_row_mean, _kernels_py.alpha3_complex_row_mean,

@@ -8,9 +8,11 @@ import math
 import mpmath
 import pytest
 
+from alphafn import _kernels_py
 from alphafn.cli import main
-from alphafn import InvalidQueryError, NonConvergenceError, alpha_series
-from alphafn.report import compare_methods, evaluate_method
+from alphafn import AlphaFnError, InvalidQueryError, NonConvergenceError, alpha_series
+from alphafn.hadamard import alpha2_quadrature, alpha3_quadrature_complex, alpha3_quadrature_real
+from alphafn.report import METHODS, compare_methods, evaluate_method
 
 S2_FULL = ["series", "alpha2-closed-form", "bessel", "hadamard-iterated"]
 S3 = ["series", "hadamard-2d-complex", "hadamard-2d-real", "hadamard-iterated"]
@@ -139,3 +141,58 @@ def test_compare_torus_entries_are_pinned(x):
         if m.name.startswith("hadamard-2d")
     }
     assert got == TORUS_LADDER_PINS[x]
+
+
+def test_compare_torus_entries_read_the_kernels_at_call_time(monkeypatch):
+    # a tracer rebinds the per-node torus kernels on the kernels module;
+    # compare's torus entries must reach the rebound functions
+    calls = {"alpha3_real_mean": 0, "alpha3_complex_mean": 0}
+    for name in calls:
+        original = getattr(_kernels_py, name)
+
+        def counting(*args, name=name, original=original, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(_kernels_py, name, counting)
+    assert compare_methods(1.0, 3).passed
+    assert all(calls.values()), calls
+
+
+# the library quadrature routes of each s, beside the eval methods
+LIBRARY_ROUTES = {2: (alpha2_quadrature,), 3: (alpha3_quadrature_real, alpha3_quadrature_complex)}
+
+
+def _value_and_error(route, x, s):
+    """(value, error) of an eval method, given by name, or of a library route."""
+    if isinstance(route, str):
+        method = evaluate_method(x, s, route)
+        return method.value, method.error
+    result = route(x)
+    return result.value, result.est_error
+
+
+@pytest.mark.parametrize("s", [2, 3, 4, 5])
+def test_every_route_returns_a_bounded_value_or_refuses(s):
+    # 27 points from x = -1e5 through 1.1 (700/s)^s, past the double range:
+    # each route returns a value within its reported error of mpmath's
+    # 0F_{s-1}(; 1, ..., 1; x), or refuses with an AlphaFnError that says why
+    edge = 1.1 * (700.0 / s) ** s
+    xs = ([-1e5 * 10.0 ** (-k / 2) for k in range(13)] + [0.0]
+          + [0.1 * (edge / 0.1) ** (k / 12) for k in range(13)])
+    routes = [*METHODS, *LIBRARY_ROUTES.get(s, ())]
+    answered = set()
+    for x in xs:
+        with mpmath.workdps(60):
+            exact = mpmath.hyper([], [1] * (s - 1), x)
+        for route in routes:
+            try:
+                value, error = _value_and_error(route, x, s)
+            except AlphaFnError as exc:
+                assert str(exc), (route, x)
+                continue
+            with mpmath.workdps(60):
+                assert abs(mpmath.mpmathify(value) - exact) <= error, (route, x, value, error)
+            answered.add(route)
+    # every route that applies at this s certifies somewhere on the grid
+    assert answered == set(routes) - ({"bessel"} if s != 2 else set())
