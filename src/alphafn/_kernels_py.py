@@ -15,8 +15,8 @@ sin t_k and the points e^{+-i t_k}, which `hadamard.hadamard_eval` reads
 too.  There are three contracts:
 
 - the circle kernels `alpha2_mean`, `bessel_mean` and `exp_alpha_mean`
-  take ``(params..., n)`` and average over all n nodes; the circle routes
-  run one level each;
+  take ``(params..., n)`` (`exp_alpha_mean` ``(x, s, n, rv)``) and average
+  over all n nodes; the circle routes run one level each;
 - the per-node torus kernels `alpha3_real_mean` and `alpha3_complex_mean`
   take ``(params..., n, fresh=False)`` and run compare's nested torus
   ladder, `alphafn.hadamard._ladder`: with ``fresh=True`` they average
@@ -36,10 +36,14 @@ that its rounding bound covers this order.
 
 A tracer reads ``n`` positionally, so it stays a positional parameter.
 
-`exp_alpha_mean`, the lift's kernel, also keeps state across calls:
-`_lift_nodes` sums its x-free factor alpha(e^{-i th}, s-1) once per (s, n)
-and keeps those node tables in a bounded lru_cache; its sum is the loop of
-`alpha3_complex_row_mean`, `_exp_sum`.
+`exp_alpha_mean(x, s, n, rv)`, the lift's kernel, also keeps state
+across calls: `_lift_nodes` sums its x-free factor alpha(rv e^{-i th}, s-1)
+once per (s, n, rv), each value to within INNER_TOL, and keeps those node
+tables in a bounded lru_cache; its sum over exp((x/rv) e^{i th}) is the
+loop of `alpha3_complex_row_mean`, `_exp_sum`.  The lift picks rv from
+the powers of two 1 to 64, so x/rv and rv e^{-i th} are exact, and
+`alphafn.hadamard._inner_series` bounds the inner sums' terms and
+rounding at |z| = rv.
 """
 
 import cmath
@@ -50,13 +54,18 @@ import sys
 
 from .quadrature import TWO_PI
 
-# At |z| = 1 the ratio bound is at most 1/2 from n = 1 and t_n <= 1/n!, so
-# alpha_sum stops within 18 terms at this tol for any s fitting a double
+# The lift's inner sums alpha(z, s-1) at |z| = rv stop once a term times
+# its ratio bound is at most this absolute tol, with the ratio at most 1/2,
+# so each leaves a tail of at most 2 INNER_TOL.  Their term counts grow
+# with rv (within 18 at rv = 1 for any s fitting a double, about 200 at
+# rv = 64 and s = 2); hadamard._inner_series counts them at each rv and
+# bounds their rounding from that count
 INNER_TOL = 1e-15
 # keys kept by each lru_cache: _nodes and _torus_row_sums (n), _lift_nodes
-# (s, n) and hadamard._torus_search (|x|, tol).  A compare round uses 4
-# node and 12 lift tables; a verify round 10 node and 2 row-sum tables and
-# 4 torus searches
+# (s, n, rv), hadamard._inner_series (rv, s-1) and hadamard._torus_search
+# (|x|, tol).  A compare round uses 4 node tables, 17 lift tables and 14
+# inner-series bounds; a verify round 10 node and 2 row-sum tables
+# and 4 torus searches
 CACHE_SIZE = 32
 
 
@@ -65,15 +74,15 @@ def _term_sum(x, s, k, tol):
 
     Term n >= k, n!/(n-k)! x^(n-k)/(n!)^s, starts at (k!)^(1-s), the empty
     product 1 for k <= 1, and follows term_{n+1} = term_n * x/d_n with
-    d_n = (n+1)^s (n+1-k)/(n+1) for every k (the factor is exactly 1.0 at
-    k = 0), never forming (n!)**s.  The ratio bound r_n = |x|/d_n only
-    falls, so after term n the loop stops once t_n*r_n <= tol and
-    r_n <= 1/2, with the geometric tail bound t_n*r_n/(1-r_n).  Where
-    (n+1)^s passes DBL_MAX (math.pow raises; the callers pass only an s
-    that fits a double), the ratio is taken through its logarithm,
-    log|x| + log((n+1)/(n+1-k)) - s log(n+1), plus the least double so
-    that it still bounds a ratio that underflows, and the terms follow as
-    term_n * (x/|x|) * r_n under the same stop.  Where term_n * x
+    d_n = (n+1)^s (n+1-k)/(n+1), the factor (n+1-k)/(n+1) applied only at
+    k > 0 (it is exactly 1.0 at k = 0), never forming (n!)**s.  The ratio
+    bound r_n = |x|/d_n only falls, so after term n the loop stops once
+    t_n*r_n <= tol and r_n <= 1/2, with the geometric tail bound
+    t_n*r_n/(1-r_n).  Where (n+1)^s passes DBL_MAX (math.pow raises; the
+    callers pass only an s that fits a double), the ratio is taken through
+    its logarithm, log|x| + log((n+1)/(n+1-k)) - s log(n+1), plus the
+    least double so that it still bounds a ratio that underflows, and the
+    terms follow as term_n * (x/|x|) * r_n under the same stop.  Where term_n * x
     overflows, the step is retried as term_n * (x/d_n).  Since r_n falls
     to 0, every finite x ends at the stop or gives up at the first term
     that is still not finite or whose modulus passes DBL_MAX, reporting the
@@ -92,6 +101,7 @@ def _term_sum(x, s, k, tol):
     if not x.imag:
         x = x.real
     number = type(x)  # float or complex: the type of the terms and the total
+    isfinite = math.isfinite if number is float else cmath.isfinite
     ax = abs(x)
     c = 1.0  # (k!)^(1-s); a loop costs less than math.prod over a generator
     for i in range(2, k + 1):
@@ -105,7 +115,9 @@ def _term_sum(x, s, k, tol):
         t_mag = abs(term)
         abs_sum += t_mag
         try:
-            d = math.pow(n1, s) * ((n1 - k) / n1)
+            d = math.pow(n1, s)
+            if k:
+                d *= (n1 - k) / n1
             r = ax / d
         except OverflowError:  # (n+1)^s > DBL_MAX: follow the ratio through logs
             r = 0.0
@@ -121,7 +133,7 @@ def _term_sum(x, s, k, tol):
         if r <= 0.5 and t_mag * r <= tol:
             break
         step = term * x / d
-        if not cmath.isfinite(step):  # term * x passed DBL_MAX, the next term may not
+        if not isfinite(step):  # term * x passed DBL_MAX, the next term may not
             step = term * (x / d)
             # abs() raises past DBL_MAX; hypot is inf there and NaN on a NaN
             if not math.hypot(step.real, step.imag) <= sys.float_info.max:
@@ -290,13 +302,15 @@ def alpha3_complex_row_mean(x, n):
 
 
 @functools.lru_cache(maxsize=CACHE_SIZE)
-def _lift_nodes(s, n):
+def _lift_nodes(s, n, rv):
     """exp_alpha_mean's nodes in ascending order as pairs (e^{i th},
-    alpha(e^{-i th}, s-1)), the inner alpha summed within INNER_TOL."""
-    return tuple((eith, alpha_sum(emith, s - 1, INNER_TOL)[0]) for eith, emith in _nodes(n)[2])
+    alpha(rv e^{-i th}, s-1)), the inner alpha summed within INNER_TOL and
+    rv e^{-i th} scaled part by part, exact for the lift's powers of two."""
+    return tuple((eith, alpha_sum(complex(rv * emith.real, rv * emith.imag), s - 1, INNER_TOL)[0])
+                 for eith, emith in _nodes(n)[2])
 
 
-def exp_alpha_mean(x, s, n):
-    """Circle mean of exp(x e^{i th}) * alpha(e^{-i th}, s-1) over n nodes,
-    the second factor taken from _lift_nodes(s, n)."""
-    return _exp_sum(x, _lift_nodes(s, n)) / n
+def exp_alpha_mean(x, s, n, rv):
+    """Circle mean of exp((x/rv) e^{i th}) * alpha(rv e^{-i th}, s-1) over n
+    nodes, the second factor taken from _lift_nodes(s, n, rv)."""
+    return _exp_sum(x / rv, _lift_nodes(s, n, rv)) / n

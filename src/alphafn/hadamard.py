@@ -102,37 +102,43 @@ def _certified(
 
 def _circle_level(
     route: str, ru: float, rv: float, tol: float | None,
-    kernel: Callable[..., complex], *args: float, g_error: float = 0.0,
+    kernel: Callable[..., complex], *args: float, q: int = 1,
+    g_error: tuple[float, float] = (0.0, 0.0),
 ) -> QuadratureResult:
     """One certified trapezoid level of a circle route.
 
     kernel(*args, N) is the N-node mean of F(t) = f(u e^{it}) g(v e^{-it}),
     whose coefficient magnitudes |a_m| |u|^m and |b_p| |v|^p are at most
-    ru^m/m! and rv^p/p!.  That mean keeps the terms of F with
+    ru^m/m! and rv^p/(p!)^q, q >= 1 being the second factor's order (1 for
+    exp, s - 1 for the lift's alpha(., s-1)), so that |f| <= e^{ru} and
+    |g| <= alpha(rv, q) on the circle.  That mean keeps the terms of F with
     m - p = 0 (mod N), the integral only m = p, so the error is at most the
     aliasing sum over m - p = jN, j != 0 (Trefethen & Weideman, "The
     exponentially convergent trapezoidal rule", SIAM Rev. 2014):
-        A_N <= e^{rv} T(ru, N) + e^{ru} T(rv, N),  T(r, N) = sum_{m>=N} r^m/m!.
+        A_N <= alpha(rv, q) T_1(ru, N) + e^{ru} T_q(rv, N),
+        T_q(r, N) = sum_{p>=N} r^p/(p!)^q.
     N is the first of 16 * 2^k up to 1024 (CIRCLE_LADDER's node counts)
     with A_N <= tol (None means CIRCLE_LADDER's 1e-12; a tol that is not a
     positive number raises InvalidQueryError), and the kernel runs that one
-    level.  alias_bound = A_N + e^{ru} g_error, g_error being the
-    caller's bound on what the second factor's value leaves out at a node
-    (the lift's inner series tail), since |f(u e^{it})| <= e^{ru}.
+    level.  g_error = (truncation, rounding) are the caller's bounds on
+    what the second factor's value at a node leaves out and on its rounding
+    (the lift's inner series); since |f(u e^{it})| <= e^{ru},
+    alias_bound = A_N + e^{ru} truncation.  At q = 1, alpha(rv, 1) = e^{rv}
+    is math.exp(rv); at q >= 2 it is _inner_series' bound.
 
-    rounding_bound = (N + 48 + 32 (ru + rv)) 2^-53 M, with M = e^{ru + rv}
-    >= |F| on the circle (after Higham, Accuracy and Stability of
-    Numerical Algorithms, ch. 3-4):
+    rounding_bound = (N + 48 + 32 (ru + rv)) 2^-53 M + e^{ru} rounding, with
+    M = e^{ru} alpha(rv, q) >= |F| on the circle (after Higham, Accuracy
+    and Stability of Numerical Algorithms, ch. 3-4):
       - the ascending sum of the N node values and the division by N add at
         most N 2^-53 M;
       - a node angle (TWO_PI j)/N is within 3 * 2pi 2^-53 < 19 * 2^-53 of
-        the exact one, and |F'| <= (ru + rv) M;
-      - cos and sin of it are within 2 * 2^-53, so the arguments of exp and
-        cos are within 8 (ru + rv) 2^-53 of exact, which exp and cos turn
-        into as much relative error;
-      - exp, cos and the products add a few 2^-53 M, and the lift's inner
-        series (at most 18 terms, sum|t_n| <= e) at most 36 * 2^-53 e^{ru} e
-        more, which 48 * 2^-53 M covers.
+        the exact one, and |F'| <= (ru + rv) M, since |v g'(v e^{-it})| <=
+        sum_p p rv^p/(p!)^q <= rv alpha(rv, q) (p/(p!)^q <= 1/((p-1)!)^q);
+      - cos and sin of it are within 2 * 2^-53, so the arguments of f and g
+        are within 8 (ru + rv) 2^-53 of exact, which turns into as much
+        relative error by the same bound on F';
+      - exp, cos and the products add a few 2^-53 M, which 48 * 2^-53 M
+        covers.
     est_error = alias_bound + rounding_bound.  Raises
     ToleranceNotReachedError (exit 3) when no level reaches tol, and
     _certified's refusal when no digit is certified.
@@ -141,18 +147,24 @@ def _circle_level(
     if tol is None:
         tol = default_tol
     _check_tol(tol)
-    peak = ru + rv
-    _guard_exp_peak(peak, route)
-    e_ru, e_rv = math.exp(ru), math.exp(rv)
+    if q == 1:  # alpha(rv, 1) = e^{rv}, formed once the guard has passed
+        log_a_rv = rv
+    else:
+        a_rv, log_a_rv, _ = _inner_series(rv, q)
+    _guard_exp_peak(ru + log_a_rv, route)
+    e_ru = math.exp(ru)
+    if q == 1:
+        a_rv = math.exp(rv)
     log_ru = math.log(ru) if ru else -math.inf
     log_rv = math.log(rv) if rv else -math.inf
     while True:
-        # T(r, N) <= (r^N/N!)/(1 - r/(N+1)), the geometric bound for r < N + 1
+        # T_q(r, N) <= (r^N/(N!)^q)/(1 - r/(N+1)^q), the geometric bound for
+        # r < (N+1)^q
         alias = math.inf
-        if ru < n + 1 and rv < n + 1:
+        if ru < n + 1 and rv < (n + 1) ** q:
             log_fact = math.lgamma(n + 1)
-            alias = (e_rv * math.exp(n * log_ru - log_fact) / (1.0 - ru / (n + 1))
-                     + e_ru * math.exp(n * log_rv - log_fact) / (1.0 - rv / (n + 1)))
+            alias = (a_rv * math.exp(n * log_ru - log_fact) / (1.0 - ru / (n + 1))
+                     + e_ru * math.exp(n * log_rv - q * log_fact) / (1.0 - rv / (n + 1) ** q))
         if alias <= tol:
             break
         if 2 * n > max_nodes:
@@ -162,8 +174,9 @@ def _circle_level(
                 best=None,
             )
         n *= 2
-    rounding = (n + 48.0 + 32.0 * peak) * _UNIT_ROUNDOFF * e_ru * e_rv
-    return _certified(route, complex(kernel(*args, n)), n, alias + e_ru * g_error, rounding)
+    rounding = ((n + 48.0 + 32.0 * (ru + rv)) * _UNIT_ROUNDOFF * e_ru * a_rv
+                + e_ru * g_error[1])
+    return _certified(route, complex(kernel(*args, n)), n, alias + e_ru * g_error[0], rounding)
 
 
 # hadamard_eval's promised ceiling for the imaginary residue of a result
@@ -485,25 +498,70 @@ def _torus_search(ax: float, tol: float) -> tuple[int, float] | None:
     return None
 
 
+@functools.lru_cache(maxsize=kernels.CACHE_SIZE)
+def _inner_series(rv: float, q: int) -> tuple[float, float, float]:
+    """(A, log A, rounding) for the lift's second factor alpha(z, q) at
+    |z| = rv > 0, summed by alpha_sum within INNER_TOL.
+
+    A = value + tail + rounding of alpha_sum at z = rv, whose terms are all
+    positive, bounds alpha(rv, q), which bounds |alpha(z, q)| and the sum
+    of the magnitudes of its terms.  At |z| = rv the terms have the same
+    magnitudes to within rounding, and one term more brings the stop's
+    t_n r_n below half of INNER_TOL, so every inner sum on the circle adds
+    at most K terms, K being the count at z = rv plus one.  Each term is
+    formed by a complex product, a division and a pow, within 6 2^-53 per
+    step, so term p is within 6 p 2^-53 |t_p|, and sum p |t_p| <= rv A
+    (p/(p!)^q <= 1/((p-1)!)^q); the K additions add at most K 2^-53 A.  So
+    rounding = (K + 6 rv) 2^-53 A bounds the rounding of each inner value.
+    """
+    value, terms, tail, abs_sum, _ = kernels.alpha_sum(rv, q, kernels.INNER_TOL)
+    bound = value.real + tail + 2 * terms * _UNIT_ROUNDOFF * abs_sum
+    return bound, math.log(bound), (terms + 1 + 6.0 * rv) * _UNIT_ROUNDOFF * bound
+
+
 def alpha_via_hadamard(x: float, s: int, tol: float | None = None) -> QuadratureResult:
     """alpha(x, s) through the coefficient-product lift, for s >= 2.
 
-    One circle integral of exp(x e^{i theta}) * alpha(e^{-i theta}, s-1)
-    with the inner factor evaluated by the complex-argument series; both
-    factors are entire, so no radius precondition can fail.  It runs one
-    level certified to tol, None meaning 1e-12 (_circle_level with
-    ru = |x| and rv = 1, since
-    1/(p!)^(s-1) <= 1/p!); alias_bound also holds the inner series' tail,
-    at most 2 INNER_TOL per node value, so 2 INNER_TOL e^{|x|} in the mean.
-    est_error = alias_bound + rounding_bound bounds the error.  The exact
-    value is real, so an imaginary residue above est_error would prove the
-    bound wrong and raises ImaginaryResidueError.
+    One circle integral of exp((x/rv) e^{i theta}) * alpha(rv e^{-i theta},
+    s-1), whose coefficient-wise product is sum x^m/(m!)^s for any rv > 0
+    (kernels.exp_alpha_mean), the inner factor evaluated by the
+    complex-argument series; both factors are entire, so no radius
+    precondition can fail.  It runs one level certified to tol, None
+    meaning 1e-12: _circle_level with ru = |x|/rv and q = min(s - 1, 64),
+    since 1/(p!)^(s-1) <= 1/(p!)^q (a smaller q only loosens the bounds,
+    and keeps (N+1)^q a double).
+
+    The split: rv = 2^k, k the integer nearest to log2 of
+    |x|^(q/(q+1)) 2^((q-1)/2), kept within [0, 6] (k = 0 at x = 0).  The
+    first factor |x|^(q/(q+1)) sets ru = rv^(1/q), where log M = ru +
+    log alpha(rv, q), about ru + q rv^(1/q), is least; the second raises
+    rv, since exp's alias term alpha(rv, q) T_1(ru, N) falls the slowest
+    in N.  On the compare workload (|x| <= 8) this runs 16 nodes at s >= 4,
+    where the unit split ru = |x|, rv = 1 ran up to 64, and at |x| <= 5 no
+    level is above the unit split's.  A power of two keeps x/rv and
+    rv e^{-i theta} exact, and the cap bounds the inner series and the
+    node tables, one per (s, N, rv).
+
+    alias_bound also holds the inner series' tail, at most 2 INNER_TOL per
+    node value, and rounding_bound its rounding, _inner_series(rv, q)'s
+    bound per node value.  est_error = alias_bound + rounding_bound bounds
+    the error.  The exact value is real, so an imaginary residue above
+    est_error would prove the bound wrong and raises ImaginaryResidueError.
     """
     if not isinstance(s, int) or s < 2:
         raise InvalidQueryError(f"the lift needs integer s >= 2, got {s!r}")
     _check_s_fits(s)
     x = _real(x)
-    result = _circle_level("alpha_via_hadamard", abs(x), 1.0, tol, kernels.exp_alpha_mean,
-                           x, s, g_error=2.0 * kernels.INNER_TOL)
+    ax, q = abs(x), min(s - 1, 64)
+    k = 0  # a non-finite x keeps rv = 1 and is refused by the peak guard
+    if 0.0 < ax < math.inf:
+        k = min(6, max(0, round(q / (q + 1) * math.log2(ax) + (q - 1) / 2)))
+    rv = 2.0**k
+    # the kernel is read at call time, so that a tracer rebinding it reaches it
+    result = _circle_level(
+        "alpha_via_hadamard", ax / rv, rv, tol,
+        lambda n: kernels.exp_alpha_mean(x, s, n, rv), q=q,
+        g_error=(2.0 * kernels.INNER_TOL, _inner_series(rv, q)[2]),
+    )
     _check_imag(result.value, result.est_error, "alpha_via_hadamard")
     return result

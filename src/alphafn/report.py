@@ -3,6 +3,7 @@
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from typing import Callable, NamedTuple
@@ -180,7 +181,7 @@ def compare_methods(x: float, s: int, tolerance: float | None = None) -> Compari
     notes = [
         f"torus-averaged imaginary residue {m.info['imag']:.3e} exceeds 1e-10"
         for m in methods
-        if abs(m.info.get("imag", 0.0)) > 1e-10
+        if "imag" in m.info and abs(m.info["imag"]) > 1e-10
     ]
     if x == 1.0 and s == 3:
         notes.append(
@@ -191,16 +192,17 @@ def compare_methods(x: float, s: int, tolerance: float | None = None) -> Compari
         )
 
     values = [m.value for m in methods]
-    slack = tolerance * max(1.0, max(abs(v) for v in values))
-    passed = all(
-        abs(a.value - b.value) <= a.error + b.error + slack
-        for i, a in enumerate(methods)
-        for b in methods[i + 1:]
-    )
+    low, high = min(values), max(values)
+    slack = tolerance * max(1.0, -low, high)
+    passed = True
+    for a, b in itertools.combinations(methods, 2):
+        if not abs(a.value - b.value) <= a.error + b.error + slack:
+            passed = False
+            break
     return ComparisonReport(
         query=query,
         method_values=methods,
-        max_pairwise_delta=max(values) - min(values),
+        max_pairwise_delta=high - low,
         tolerance=tolerance,
         passed=passed,
         notes=notes,

@@ -312,10 +312,15 @@ class TestCompare:
         assert report_json["passed"] is True
         assert report_json["max_pairwise_delta"] > 1e-16 * I0_OF_2
 
-    def test_verdict_reads_the_error_bounds(self, capsys):
-        # the lift's rounding bound at (-30, 4) is 3.77: its value is 1.1e-4
-        # off, within that bound, so the routes agree although the delta
-        # is 1e4 times tol * scale
+    def test_verdict_reads_the_error_bounds(self, capsys, monkeypatch):
+        # the lift widened to a bound of 3.77 with its value moved 1.1e-4
+        # off (the unit split's figures at (-30, 4)): the routes agree
+        # within that bound, although the delta is 1e4 times tol * scale
+        def widened_lift(x, s, tol=None):
+            res = alpha_via_hadamard(x, s, tol)
+            return dataclasses.replace(res, value=res.value + 1.1e-4, est_error=3.77)
+
+        monkeypatch.setattr("alphafn.report.alpha_via_hadamard", widened_lift)
         code, out, _ = run_cli(capsys, "compare", "--x=-30", "--s", "4", "--format", "json")
         assert code == 0
         data = json.loads(out)
@@ -325,6 +330,16 @@ class TestCompare:
         assert abs(lift["value"] - ALPHA_MINUS_30_4) <= lift["error"]
         assert data["max_pairwise_delta"] > 1e3 * data["tolerance"] * ALPHA_MINUS_30_4
         assert data["max_pairwise_delta"] <= series["error"] + lift["error"]
+
+    def test_lift_certifies_out_to_50(self, capsys):
+        # the unit split's lift bound was 3.0e9 at both points (exit 3)
+        for argv in (("--x=-50", "--s", "4"), ("--x", "50", "--s", "5")):
+            code, out, _ = run_cli(capsys, "compare", *argv, "--format", "json")
+            assert code == 0, argv
+            data = json.loads(out)
+            assert data["passed"] is True
+            assert [m["name"] for m in data["methods"]] == ["series", "hadamard-iterated"]
+            assert all(m["error"] < 3e-9 for m in data["methods"]), argv
 
     def test_verdict_checks_every_pair(self, monkeypatch):
         # the torus entries moved by 1e-6 with their ~1e-13 errors disagree

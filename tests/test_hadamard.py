@@ -629,9 +629,10 @@ class TestCertifiedCircleRoutes:
         self.check(lambda: _bessel_quadrature(a, b), exact)
 
     def test_one_level_from_the_bound(self):
-        # the ladder ran 16 + 16 nodes at |x| <= 1, 16 + 16 + 32 at |x| <= 5
+        # the unit split ru = |x|, rv = 1 ran 16, 16, 32, 32 and 64 nodes
+        # here; the chosen split runs 16 at s = 4 for every |x| <= 8
         levels = [alpha_via_hadamard(x, 4).nodes for x in (0.5, -1.0, 3.0, -5.0, 8.0)]
-        assert levels == [16, 16, 32, 32, 64]
+        assert levels == [16, 16, 16, 16, 16]
         assert [alpha2_quadrature(x).nodes for x in (1.0, -5.0)] == [16, 32]
 
     def test_refuses_past_the_node_budget(self):
@@ -643,18 +644,33 @@ class TestCertifiedCircleRoutes:
         assert excinfo.value.best is None
 
     def test_lift_residue_is_judged_by_its_bound(self):
-        # the exact value is real: a residue of 1.7e-9 is within the
-        # certified bound, though past the former absolute limit of 1e-9
-        res = alpha_via_hadamard(16.0, 3)
-        assert 1e-9 < abs(res.value.imag) <= res.est_error
-        with mpmath.workdps(40):
-            error = float(abs(mpmath.mpf(res.value.real) - alpha_mpmath_s(16.0, 3)))
-        assert error <= res.est_error
+        # the exact value is real.  At (16, 3) the unit split left a residue
+        # of 1.7e-9; the split rv = 8 leaves about 3e-15.  At (100, 2), which
+        # the unit split refused, a residue of 3e-8 is within the certified
+        # bound of 7.7e-5, though past the former absolute limit of 1e-9
+        for x, s, least in ((16.0, 3, 0.0), (100.0, 2, 1e-9)):
+            res = alpha_via_hadamard(x, s)
+            assert least < abs(res.value.imag) <= res.est_error, (x, s)
+            with mpmath.workdps(40):
+                error = float(abs(mpmath.mpf(res.value.real) - alpha_mpmath_s(x, s)))
+            assert error <= res.est_error, (x, s)
+
+    @pytest.mark.parametrize("x, s", [(-50.0, 4), (50.0, 4), (-50.0, 5), (50.0, 5),
+                                      (-30.0, 3), (20.0, 3)])
+    def test_lift_certifies_where_the_unit_split_could_not(self, x, s):
+        # the unit split's bound was 3.0e9 at (+-50, 4) and (+-50, 5), 3.79
+        # at (-30, 3) and 1.3e-4 at (20, 3); the chosen split certifies each
+        # within its own bound of mpmath at 60 digits
+        res = alpha_via_hadamard(x, s)
+        with mpmath.workdps(60):
+            exact = mpmath.hyper([], [1] * (s - 1), x)
+            error = float(abs(mpmath.mpf(res.value.real) - exact))
+        assert error <= res.est_error < 1e-8 * abs(res.value.real)
 
     def test_lift_refuses_a_residue_past_its_bound(self, monkeypatch):
         mean = _kernels_py.exp_alpha_mean
         monkeypatch.setattr(_kernels_py, "exp_alpha_mean",
-                            lambda x, s, n: mean(x, s, n) + 1e-6j)
+                            lambda x, s, n, rv: mean(x, s, n, rv) + 1e-6j)
         with pytest.raises(ImaginaryResidueError, match="alpha_via_hadamard"):
             alpha_via_hadamard(1.0, 3)
 
@@ -685,8 +701,13 @@ class TestExpRangeGuards:
     with InvalidQueryError, not left to overflow inside a kernel."""
 
     def test_lift(self):
-        with pytest.raises(InvalidQueryError):
-            alpha_via_hadamard(750.0, 3)
+        # the guard reads log M = |x|/rv + log alpha(rv, s-1): about 25 at
+        # (750, 3), which the lift certifies, but at x = 5e4 the split's
+        # largest rv, 64, leaves |x|/rv = 781
+        res = alpha_via_hadamard(750.0, 3)
+        assert res.est_error < 1e-8 * res.value.real
+        with pytest.raises(InvalidQueryError, match=r"peak exp\(79\d\.\d\)"):
+            alpha_via_hadamard(5e4, 3)
 
     def test_alpha2(self):
         with pytest.raises(InvalidQueryError):

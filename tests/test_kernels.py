@@ -49,17 +49,20 @@ class TestPythonKernelsAgainstCompositions:
                 assert hexed(_kernels_py.bessel_mean(a, b, n)) == hexed(total / n), (n, a, b)
 
     def test_exp_alpha_mean(self):
-        for n in CIRCLE_NODES:
+        for n, rv in ((n, rv) for n in CIRCLE_NODES for rv in (1.0, 8.0, 64.0)):
             for s in (2, 3, 5):
                 inner = []
                 for j in range(n):
                     eith = cmath.exp(1j * ((TWO_PI * j) / n))
-                    inner.append((eith, _kernels_py.alpha_sum(eith.conjugate(), s - 1, 1e-15)[0]))
+                    z = eith.conjugate()
+                    z = complex(rv * z.real, rv * z.imag)
+                    inner.append((eith, _kernels_py.alpha_sum(z, s - 1, 1e-15)[0]))
                 for x in CIRCLE_XS:
                     total = 0j
                     for eith, value in inner:
-                        total += cmath.exp(x * eith) * value
-                    assert hexed(_kernels_py.exp_alpha_mean(x, s, n)) == hexed(total / n), (n, s, x)
+                        total += cmath.exp((x / rv) * eith) * value
+                    got = _kernels_py.exp_alpha_mean(x, s, n, rv)
+                    assert hexed(got) == hexed(total / n), (n, rv, s, x)
 
     @pytest.mark.parametrize("s1", [1, 2, 49, 50, 1023, 1024, 10**6, 2**60])
     def test_inner_series_converges_on_the_circle(self, s1):
@@ -137,31 +140,33 @@ class TestLiftNodeCache:
     or not, each mean is the same double as the per-node composition."""
 
     @staticmethod
-    def composed(x, s, n):
+    def composed(x, s, n, rv):
         total = 0j
         for j in range(n):
             th = (TWO_PI * j) / n
             eith = complex(math.cos(th), math.sin(th))
-            inner = _kernels_py.alpha_sum(eith.conjugate(), s - 1, 1e-15)[0]
-            total += cmath.exp(x * eith) * inner
+            z = complex(rv * eith.real, -rv * eith.imag)
+            inner = _kernels_py.alpha_sum(z, s - 1, 1e-15)[0]
+            total += cmath.exp((x / rv) * eith) * inner
         return total / n
 
     @pytest.mark.parametrize("s", [2, 3, 5, 1024, 2**60])
     def test_cold_and_warm_are_bit_identical(self, s):
         for n in (16, 32, 64):
-            for x in (-7.5, 0.0, 0.7, 9.9):
-                _kernels_py._lift_nodes.cache_clear()
-                cold = _kernels_py.exp_alpha_mean(x, s, n)
-                warm = _kernels_py.exp_alpha_mean(x, s, n)
-                assert _kernels_py._lift_nodes.cache_info().hits == 1
-                expected = hexed(self.composed(x, s, n))
-                assert hexed(cold) == hexed(warm) == expected, (s, n, x)
+            for rv in (1.0, 4.0):
+                for x in (-7.5, 0.0, 0.7, 9.9):
+                    _kernels_py._lift_nodes.cache_clear()
+                    cold = _kernels_py.exp_alpha_mean(x, s, n, rv)
+                    warm = _kernels_py.exp_alpha_mean(x, s, n, rv)
+                    assert _kernels_py._lift_nodes.cache_info().hits == 1
+                    expected = hexed(self.composed(x, s, n, rv))
+                    assert hexed(cold) == hexed(warm) == expected, (s, n, rv, x)
 
     def test_cache_stays_within_its_bound(self):
         cache = _kernels_py._lift_nodes
         cache.cache_clear()
         for s in range(2, _kernels_py.CACHE_SIZE + 12):
-            _kernels_py.exp_alpha_mean(0.5, s, 4)
+            _kernels_py.exp_alpha_mean(0.5, s, 4, 1.0)
         info = cache.cache_info()
         assert info.misses == _kernels_py.CACHE_SIZE + 10
         assert info.currsize <= info.maxsize == _kernels_py.CACHE_SIZE
