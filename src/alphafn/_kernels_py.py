@@ -62,10 +62,10 @@ from .quadrature import TWO_PI
 # bounds their rounding from that count
 INNER_TOL = 1e-15
 # keys kept by each lru_cache: _nodes and _torus_row_sums (n), _lift_nodes
-# (s, n, rv), hadamard._inner_series (rv, s-1) and hadamard._torus_search
-# (|x|, tol).  A compare round uses 4 node tables, 17 lift tables and 14
-# inner-series bounds; a verify round 10 node and 2 row-sum tables
-# and 4 torus searches
+# (s, n, rv), hadamard._inner_series (rv, s-1), hadamard._torus_search
+# (|x|, tol) and report._serving (s).  A compare round uses 4 node tables,
+# 17 lift tables, 14 inner-series factors and 5 route lists; a verify round
+# 10 node and 2 row-sum tables and 4 torus searches
 CACHE_SIZE = 32
 
 

@@ -100,35 +100,43 @@ def _certified(
     return result
 
 
+# _circle_level's second factor: (rv, q, A, log A, truncation, rounding)
+_Factor = tuple[float, int, float, float, float, float]
+
+
+def _exp_factor(r: float) -> _Factor:
+    """exp as _circle_level's second factor at radius r, (r, 1, e^r, r, 0, 0),
+    e^r taken as inf past the limit, where the peak guard refuses it."""
+    return r, 1, (math.exp(r) if r <= _EXP_PEAK_LIMIT else math.inf), r, 0.0, 0.0
+
+
 def _circle_level(
-    route: str, ru: float, rv: float, tol: float | None,
-    kernel: Callable[..., complex], *args: float, q: int = 1,
-    g_error: tuple[float, float] = (0.0, 0.0),
+    route: str, ru: float, g: _Factor, tol: float | None,
+    kernel: Callable[..., complex], *args: float,
 ) -> QuadratureResult:
     """One certified trapezoid level of a circle route.
 
-    kernel(*args, N) is the N-node mean of F(t) = f(u e^{it}) g(v e^{-it}),
-    whose coefficient magnitudes |a_m| |u|^m and |b_p| |v|^p are at most
-    ru^m/m! and rv^p/(p!)^q, q >= 1 being the second factor's order (1 for
-    exp, s - 1 for the lift's alpha(., s-1)), so that |f| <= e^{ru} and
-    |g| <= alpha(rv, q) on the circle.  That mean keeps the terms of F with
+    kernel(*args, N) is the N-node mean of F(t) = f(u e^{it}) g(v e^{-it}).
+    The second factor g = (rv, q, A, log A, truncation, rounding) (exp's,
+    _exp_factor, or the lift's alpha(., s-1), _inner_series) says that the
+    coefficient magnitudes |a_m| |u|^m and |b_p| |v|^p are at most ru^m/m!
+    and rv^p/(p!)^q, q >= 1, so that |f| <= e^{ru} and
+    |g| <= alpha(rv, q) <= A on the circle, and bounds what g's value at a
+    node leaves out and its rounding.  The mean keeps the terms of F with
     m - p = 0 (mod N), the integral only m = p, so the error is at most the
     aliasing sum over m - p = jN, j != 0 (Trefethen & Weideman, "The
     exponentially convergent trapezoidal rule", SIAM Rev. 2014):
-        A_N <= alpha(rv, q) T_1(ru, N) + e^{ru} T_q(rv, N),
+        A_N <= A T_1(ru, N) + e^{ru} T_q(rv, N),
         T_q(r, N) = sum_{p>=N} r^p/(p!)^q.
     N is the first of 16 * 2^k up to 1024 (CIRCLE_LADDER's node counts)
-    with A_N <= tol (None means CIRCLE_LADDER's 1e-12; a tol that is not a
-    positive number raises InvalidQueryError), and the kernel runs that one
-    level.  g_error = (truncation, rounding) are the caller's bounds on
-    what the second factor's value at a node leaves out and on its rounding
-    (the lift's inner series); since |f(u e^{it})| <= e^{ru},
-    alias_bound = A_N + e^{ru} truncation.  At q = 1, alpha(rv, 1) = e^{rv}
-    is math.exp(rv); at q >= 2 it is _inner_series' bound.
+    with A_N <= tol (None means CIRCLE_LADDER's 1e-12; a given tol that is
+    not a positive number raises InvalidQueryError), and the kernel runs
+    that one level, alias_bound = A_N + e^{ru} truncation.  The peak guard
+    reads ru + log A before e^{ru} is formed.
 
     rounding_bound = (N + 48 + 32 (ru + rv)) 2^-53 M + e^{ru} rounding, with
-    M = e^{ru} alpha(rv, q) >= |F| on the circle (after Higham, Accuracy
-    and Stability of Numerical Algorithms, ch. 3-4):
+    M = e^{ru} A >= |F| on the circle (after Higham, Accuracy and
+    Stability of Numerical Algorithms, ch. 3-4):
       - the ascending sum of the N node values and the division by N add at
         most N 2^-53 M;
       - a node angle (TWO_PI j)/N is within 3 * 2pi 2^-53 < 19 * 2^-53 of
@@ -146,15 +154,11 @@ def _circle_level(
     n, max_nodes, default_tol = CIRCLE_LADDER
     if tol is None:
         tol = default_tol
-    _check_tol(tol)
-    if q == 1:  # alpha(rv, 1) = e^{rv}, formed once the guard has passed
-        log_a_rv = rv
     else:
-        a_rv, log_a_rv, _ = _inner_series(rv, q)
+        _check_tol(tol)
+    rv, q, a_rv, log_a_rv, g_truncation, g_rounding = g
     _guard_exp_peak(ru + log_a_rv, route)
     e_ru = math.exp(ru)
-    if q == 1:
-        a_rv = math.exp(rv)
     log_ru = math.log(ru) if ru else -math.inf
     log_rv = math.log(rv) if rv else -math.inf
     while True:
@@ -174,9 +178,8 @@ def _circle_level(
                 best=None,
             )
         n *= 2
-    rounding = ((n + 48.0 + 32.0 * (ru + rv)) * _UNIT_ROUNDOFF * e_ru * a_rv
-                + e_ru * g_error[1])
-    return _certified(route, complex(kernel(*args, n)), n, alias + e_ru * g_error[0], rounding)
+    rounding = (n + 48.0 + 32.0 * (ru + rv)) * _UNIT_ROUNDOFF * e_ru * a_rv + e_ru * g_rounding
+    return _certified(route, complex(kernel(*args, n)), n, alias + e_ru * g_truncation, rounding)
 
 
 # hadamard_eval's promised ceiling for the imaginary residue of a result
@@ -294,7 +297,8 @@ def alpha2_quadrature(x: float, tol: float | None = None) -> QuadratureResult:
     bounds its error.
     """
     x = _real(x)
-    return _circle_level("alpha2_quadrature", abs(x), 1.0, tol, kernels.alpha2_mean, x)
+    return _circle_level(
+        "alpha2_quadrature", abs(x), _exp_factor(1.0), tol, kernels.alpha2_mean, x)
 
 
 def bessel_identity_check(
@@ -321,7 +325,7 @@ def _bessel_quadrature(a: float, b: float, tol: float | None = None) -> Quadratu
     ru = rv = r); est_error = alias_bound + rounding_bound bounds the error.
     """
     r = math.hypot(a, b) / 2.0
-    return _circle_level("bessel", r, r, tol, kernels.bessel_mean, a, b)
+    return _circle_level("bessel", r, _exp_factor(r), tol, kernels.bessel_mean, a, b)
 
 
 def alpha3_integrand_complex(x: float, theta: float, t: float) -> complex:
@@ -499,9 +503,10 @@ def _torus_search(ax: float, tol: float) -> tuple[int, float] | None:
 
 
 @functools.lru_cache(maxsize=kernels.CACHE_SIZE)
-def _inner_series(rv: float, q: int) -> tuple[float, float, float]:
-    """(A, log A, rounding) for the lift's second factor alpha(z, q) at
-    |z| = rv > 0, summed by alpha_sum within INNER_TOL.
+def _inner_series(rv: float, q: int) -> _Factor:
+    """_circle_level's second factor g = (rv, q, A, log A, 2 INNER_TOL,
+    rounding) for the lift's alpha(z, q) at |z| = rv > 0, summed by
+    alpha_sum within INNER_TOL, which leaves a tail of at most 2 INNER_TOL.
 
     A = value + tail + rounding of alpha_sum at z = rv, whose terms are all
     positive, bounds alpha(rv, q), which bounds |alpha(z, q)| and the sum
@@ -513,10 +518,13 @@ def _inner_series(rv: float, q: int) -> tuple[float, float, float]:
     step, so term p is within 6 p 2^-53 |t_p|, and sum p |t_p| <= rv A
     (p/(p!)^q <= 1/((p-1)!)^q); the K additions add at most K 2^-53 A.  So
     rounding = (K + 6 rv) 2^-53 A bounds the rounding of each inner value.
+    At q = 1, A and log A are exp's, e^{rv} and rv, as in _exp_factor.
     """
     value, terms, tail, abs_sum, _ = kernels.alpha_sum(rv, q, kernels.INNER_TOL)
     bound = value.real + tail + 2 * terms * _UNIT_ROUNDOFF * abs_sum
-    return bound, math.log(bound), (terms + 1 + 6.0 * rv) * _UNIT_ROUNDOFF * bound
+    rounding = (terms + 1 + 6.0 * rv) * _UNIT_ROUNDOFF * bound
+    a, log_a = (math.exp(rv), rv) if q == 1 else (bound, math.log(bound))
+    return rv, q, a, log_a, 2.0 * kernels.INNER_TOL, rounding
 
 
 def alpha_via_hadamard(x: float, s: int, tol: float | None = None) -> QuadratureResult:
@@ -548,7 +556,7 @@ def alpha_via_hadamard(x: float, s: int, tol: float | None = None) -> Quadrature
     the error.  The exact value is real, so an imaginary residue above
     est_error would prove the bound wrong and raises ImaginaryResidueError.
     """
-    if not isinstance(s, int) or s < 2:
+    if not isinstance(s, int) or isinstance(s, bool) or s < 2:
         raise InvalidQueryError(f"the lift needs integer s >= 2, got {s!r}")
     _check_s_fits(s)
     x = _real(x)
@@ -558,10 +566,7 @@ def alpha_via_hadamard(x: float, s: int, tol: float | None = None) -> Quadrature
         k = min(6, max(0, round(q / (q + 1) * math.log2(ax) + (q - 1) / 2)))
     rv = 2.0**k
     # the kernel is read at call time, so that a tracer rebinding it reaches it
-    result = _circle_level(
-        "alpha_via_hadamard", ax / rv, rv, tol,
-        lambda n: kernels.exp_alpha_mean(x, s, n, rv), q=q,
-        g_error=(2.0 * kernels.INNER_TOL, _inner_series(rv, q)[2]),
-    )
+    result = _circle_level("alpha_via_hadamard", ax / rv, _inner_series(rv, q), tol,
+                           lambda n: kernels.exp_alpha_mean(x, s, n, rv))
     _check_imag(result.value, result.est_error, "alpha_via_hadamard")
     return result

@@ -3,6 +3,7 @@
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -62,33 +63,25 @@ class ComparisonReport:
 
 
 class Route(NamedTuple):
-    """One route: refuse(x, s) is the InvalidQueryError message where it
-    does not apply (None where it does); run(x, s, tol) returns (value,
+    """One route: refuse_s(s) is the InvalidQueryError message where it
+    does not serve s (None where it does), and refuse_x(x) the same for x,
+    None for a route that serves every x; run(x, s, tol) returns (value,
     error, info), tol None meaning the route's defaults.  method is its
     `eval --method` name, None for a route only `compare` runs."""
 
     name: str
     method: str | None
-    refuse: Callable[[float, int], str | None]
+    refuse_s: Callable[[int], str | None]
     run: Callable[[float, int, float | None], tuple[float, float, dict]]
+    refuse_x: Callable[[float], str | None] | None = None
 
 
-def _only_s(k: int) -> Callable[[float, int], str | None]:
-    return lambda x, s: None if s == k else f"route only valid for s = {k}"
+def _only_s(k: int, what: str = "route") -> Callable[[int], str | None]:
+    return lambda s: None if s == k else f"{what} is only valid for s = {k}"
 
 
-def _refuse_bessel(x: float, s: int) -> str | None:
-    if s != 2:
-        return "method 'bessel' is only valid for s = 2"
-    if x < 0:
-        return "method 'bessel' needs x >= 0 (argument of I0 is 2*sqrt(x))"
-    return None
-
-
-def _refuse_lift(x: float, s: int) -> str | None:
-    if isinstance(s, int) and s >= 2:
-        return None
-    return f"the lift needs integer s >= 2, got {s!r}"
+def _refuse_lift(s: int) -> str | None:
+    return None if isinstance(s, int) and s >= 2 else f"the lift needs integer s >= 2, got {s!r}"
 
 
 def _series(x, s, tol):
@@ -98,15 +91,20 @@ def _series(x, s, tol):
     return res.value.real, res.tail_bound + res.rounding_bound, info
 
 
-def _quadrature(q, **info):
-    bounds = ({"est_error": q.est_error} if q.alias_bound is None
-              else {"alias_bound": q.alias_bound, "rounding_bound": q.rounding_bound})
-    return q.value.real, q.est_error, dict(nodes=q.nodes, **bounds, **info)
+def _exp(x, s, tol):
+    value = math.exp(x)  # within one ulp
+    return value, math.ulp(value), {}
+
+
+def _quadrature(q):
+    info = {"nodes": q.nodes, "alias_bound": q.alias_bound, "rounding_bound": q.rounding_bound}
+    return q.value.real, q.est_error, info
 
 
 def _torus(route, x, kernel):
     q = _ladder(route, x, kernel)
-    return _quadrature(q, imag=q.value.imag)
+    return q.value.real, q.est_error, {"nodes": q.nodes, "est_error": q.est_error,
+                                       "imag": q.value.imag}
 
 
 def _bessel(x, s, tol):
@@ -119,12 +117,12 @@ def _bessel(x, s, tol):
 # by name at call time: rebinding such a name (as a tracer does) reaches
 # every caller of the table.
 ROUTES = (
-    Route("series", "series", lambda x, s: None, _series),
-    Route("exp-closed-form", None, _only_s(1),  # math.exp is within one ulp
-          lambda x, s, tol: (math.exp(x), math.ulp(math.exp(x)), {})),
+    Route("series", "series", lambda s: None, _series),
+    Route("exp-closed-form", None, _only_s(1), _exp),
     Route("alpha2-closed-form", None, _only_s(2),
           lambda x, s, tol: _quadrature(alpha2_quadrature(x))),
-    Route("bessel", "bessel", _refuse_bessel, _bessel),
+    Route("bessel", "bessel", _only_s(2, "method 'bessel'"), _bessel, lambda x: (
+        "method 'bessel' needs x >= 0 (argument of I0 is 2*sqrt(x))" if x < 0 else None)),
     Route("hadamard-2d-complex", None, _only_s(3), lambda x, s, tol: _torus(
         "alpha3_quadrature_complex", x, kernels.alpha3_complex_mean)),
     Route("hadamard-2d-real", None, _only_s(3), lambda x, s, tol: _torus(
@@ -133,6 +131,12 @@ ROUTES = (
           lambda x, s, tol: _quadrature(alpha_via_hadamard(x, s, tol))),
 )
 METHODS = {route.method: route for route in ROUTES if route.method is not None}
+
+
+@functools.lru_cache(maxsize=kernels.CACHE_SIZE)
+def _serving(s: int) -> tuple[Route, ...]:
+    """The routes of ROUTES that serve s, in table order, found once per s."""
+    return tuple(route for route in ROUTES if route.refuse_s(s) is None)
 
 
 def _certified(route: Route, x: float, s: int, tol: float | None) -> MethodValue:
@@ -155,7 +159,9 @@ def evaluate_method(x: float, s: int, method: str, tol: float | None = None) -> 
     if route is None:
         raise InvalidQueryError(f"unknown method {method!r}")
     x = _real(x)
-    reason = route.refuse(x, s)
+    reason = route.refuse_s(s)
+    if reason is None and route.refuse_x is not None:
+        reason = route.refuse_x(x)
     if reason is not None:
         raise InvalidQueryError(reason)
     return _certified(route, x, s, tol)
@@ -177,7 +183,8 @@ def compare_methods(x: float, s: int, tolerance: float | None = None) -> Compari
     tolerance = 1e-8 if tolerance is None else tolerance
     _check_tol(tolerance, "tolerance")
     x = _real(x)
-    methods = [_certified(r, x, s, None) for r in ROUTES if r.refuse(x, s) is None]
+    methods = [_certified(r, x, s, None) for r in _serving(s)
+               if r.refuse_x is None or r.refuse_x(x) is None]
     notes = [
         f"torus-averaged imaginary residue {m.info['imag']:.3e} exceeds 1e-10"
         for m in methods
@@ -194,16 +201,6 @@ def compare_methods(x: float, s: int, tolerance: float | None = None) -> Compari
     values = [m.value for m in methods]
     low, high = min(values), max(values)
     slack = tolerance * max(1.0, -low, high)
-    passed = True
-    for a, b in itertools.combinations(methods, 2):
-        if not abs(a.value - b.value) <= a.error + b.error + slack:
-            passed = False
-            break
-    return ComparisonReport(
-        query=query,
-        method_values=methods,
-        max_pairwise_delta=high - low,
-        tolerance=tolerance,
-        passed=passed,
-        notes=notes,
-    )
+    passed = all(abs(a.value - b.value) <= a.error + b.error + slack
+                 for a, b in itertools.combinations(methods, 2))
+    return ComparisonReport(query, methods, high - low, tolerance, passed, notes)

@@ -8,6 +8,7 @@ and a running bound for the rounding of the summation.
 
 from __future__ import annotations
 
+import cmath
 import math
 import sys
 from dataclasses import dataclass
@@ -30,7 +31,7 @@ def _check_s_fits(s: int) -> None:
 def _check_tol(tol, name: str = "tol") -> None:
     """A tolerance must be a positive real number: InvalidQueryError, not
     a TypeError from the comparison, for anything else."""
-    if not (isinstance(tol, (int, float)) and tol > 0):
+    if not (isinstance(tol, (int, float)) and not isinstance(tol, bool) and tol > 0):
         raise InvalidQueryError(f"{name} must be positive, got {tol!r}")
 
 
@@ -43,15 +44,15 @@ def _real(x, name: str = "x") -> float:
 
 
 def _check_query(x: complex, s: int) -> complex:
-    if not isinstance(s, int):
+    if not isinstance(s, int) or isinstance(s, bool):
         raise InvalidQueryError(f"s must be an integer >= 1, got {s!r}")
     if s < 1:
         raise InvalidQueryError(f"s must be >= 1, got {s}")
     _check_s_fits(s)
     x = complex(x)
-    if not (math.isfinite(x.real) and math.isfinite(x.imag)):
+    if not cmath.isfinite(x):
         raise InvalidQueryError(f"x must be finite, got {x!r}")
-    if math.hypot(x.real, x.imag) > sys.float_info.max:  # abs(x) would raise
+    if x.imag and math.hypot(x.real, x.imag) > sys.float_info.max:  # abs(x) would raise
         raise InvalidQueryError(f"|x| must fit a double, got {x!r}")
     return x
 
@@ -78,7 +79,7 @@ class SeriesResult:
     it dominates the truncation bound where the terms cancel (large
     negative x).  At s = 1 and real x < 0 the value is 1/S for the
     all-positive sum S = e^{-x}, and both bounds are those of that
-    reciprocal (see _reciprocal_result).
+    reciprocal (see _reciprocal).
     |exact - value| <= tail_bound + rounding_bound.
     """
 
@@ -88,23 +89,18 @@ class SeriesResult:
     rounding_bound: float
 
 
-def _reciprocal_result(positive: SeriesResult) -> SeriesResult:
-    """1/S from the result for the all-positive sum S = e^{-x}, x < 0.
+def _reciprocal(total: float, tail: float, rounding: float) -> tuple[complex, float, float]:
+    """(1/S, tail, rounding) from the all-positive sum S = e^{-x}, x < 0.
 
     With E = tail + rounding of S, |1/S - 1/(S + d)| <= |d|/(S(S - E)) for
     |d| <= E, split between the two bounds; the division adds 2^-53/S.
     """
-    total = positive.value.real
-    tail, rounding = positive.tail_bound, positive.rounding_bound
     scale = total * (total - tail - rounding)
     if not scale > 0:  # only with a tol so loose that S itself is unknown
-        return SeriesResult(complex(1.0 / total), positive.terms_used, math.inf, math.inf)
+        return complex(1.0 / total), math.inf, math.inf
     if scale == math.inf:  # S(S - E) passes DBL_MAX below x = -354.9: divide twice
         tail, rounding, scale = tail / total, rounding / total, total - tail - rounding
-    return SeriesResult(
-        complex(1.0 / total), positive.terms_used, tail / scale,
-        rounding / scale + _UNIT_ROUNDOFF / total,
-    )
+    return complex(1.0 / total), tail / scale, rounding / scale + _UNIT_ROUNDOFF / total
 
 
 def _summed(x, s: int, k: int, tol: float) -> SeriesResult:
@@ -124,8 +120,10 @@ def _summed(x, s: int, k: int, tol: float) -> SeriesResult:
             f"{what}({x!r}, {s}) did not reach tol={tol:g}: "
             f"after {terms} terms the series passed the double range"
         )
-    result = SeriesResult(value, terms, tail, 2 * terms * _UNIT_ROUNDOFF * abs_sum)
-    return _reciprocal_result(result) if reciprocal else result
+    rounding = 2 * terms * _UNIT_ROUNDOFF * abs_sum
+    if reciprocal:
+        value, tail, rounding = _reciprocal(value.real, tail, rounding)
+    return SeriesResult(value, terms, tail, rounding)
 
 
 def alpha_series(x: complex | float, s: int, tol: float = DEFAULT_TOL) -> SeriesResult:

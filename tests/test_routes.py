@@ -11,8 +11,14 @@ import pytest
 from alphafn import _kernels_py
 from alphafn.cli import main
 from alphafn import AlphaFnError, InvalidQueryError, NonConvergenceError, alpha_series
-from alphafn.hadamard import alpha2_quadrature, alpha3_quadrature_complex, alpha3_quadrature_real
-from alphafn.report import METHODS, compare_methods, evaluate_method
+from alphafn.hadamard import (
+    _ladder,
+    alpha2_quadrature,
+    alpha3_quadrature_complex,
+    alpha3_quadrature_real,
+    alpha_via_hadamard,
+)
+from alphafn.report import METHODS, ROUTES, compare_methods, evaluate_method
 
 S2_FULL = ["series", "alpha2-closed-form", "bessel", "hadamard-iterated"]
 S3 = ["series", "hadamard-2d-complex", "hadamard-2d-real", "hadamard-iterated"]
@@ -98,6 +104,61 @@ def test_one_tolerance_check(run, message):
     # from comparing a non-number with 0
     with pytest.raises(InvalidQueryError, match=message):
         run()
+
+
+@pytest.mark.parametrize("run, message", [
+    (lambda: compare_methods(2.0, True), "s must be an integer >= 1, got True"),
+    (lambda: compare_methods(2.0, 3, True), "tolerance must be positive, got True"),
+    (lambda: evaluate_method(2.0, 4, "hadamard", True), "tol must be positive, got True"),
+    (lambda: evaluate_method(2.0, True, "series"), "s must be an integer >= 1, got True"),
+    (lambda: alpha_series(2.0, True), "s must be an integer >= 1, got True"),
+    (lambda: alpha_series(2.0, 3, True), "tol must be positive, got True"),
+    (lambda: alpha2_quadrature(2.0, True), "tol must be positive, got True"),
+    (lambda: alpha3_quadrature_real(2.0, True), "tol must be positive, got True"),
+    (lambda: alpha_via_hadamard(2.0, True), "the lift needs integer s >= 2, got True"),
+], ids=["compare-s", "compare-tol", "eval-hadamard-tol", "eval-series-s", "series-s",
+        "series-tol", "alpha2-tol", "torus-tol", "lift-s"])
+def test_a_bool_is_neither_an_order_nor_a_tolerance(run, message):
+    # bool is an int subclass: True would pass as s = 1 and as tol = 1
+    with pytest.raises(InvalidQueryError, match=f"^{message}$"):
+        run()
+
+
+def _direct(route, x, s):
+    """(value, error, info) of compare's route called directly: eval's
+    method, alpha2_quadrature, math.exp, or the torus ladder."""
+    if route.method is not None:
+        method = evaluate_method(x, s, route.method)
+        return method.value, method.error, method.info
+    if route.name == "exp-closed-form":
+        value = math.exp(x)
+        return value, math.ulp(value), {}
+    if route.name == "alpha2-closed-form":
+        q = alpha2_quadrature(x)
+        return q.value.real, q.est_error, {
+            "nodes": q.nodes, "alias_bound": q.alias_bound, "rounding_bound": q.rounding_bound}
+    real = route.name == "hadamard-2d-real"
+    q = _ladder(f"alpha3_quadrature_{'real' if real else 'complex'}", x,
+                _kernels_py.alpha3_real_mean if real else _kernels_py.alpha3_complex_mean)
+    return q.value.real, q.est_error, {"nodes": q.nodes, "est_error": q.est_error,
+                                       "imag": q.value.imag}
+
+
+def _hexed(v):
+    return v.hex() if isinstance(v, float) else v
+
+
+@pytest.mark.parametrize("s", [1, 2, 3, 4, 5])
+def test_compare_entries_are_the_direct_route_calls(s):
+    # compare's per-s route lookup must run what eval and the library run:
+    # each entry's value, error and info, key order included, bit for bit
+    routes = {route.name: route for route in ROUTES}
+    for x in (-7.5, -3.3, -1.0, -0.25, 0.0, 0.5, 2.0, 4.4, 7.9):
+        for m in compare_methods(x, s).method_values:
+            value, error, info = _direct(routes[m.name], x, s)
+            assert (m.value.hex(), m.error.hex()) == (value.hex(), error.hex()), (m.name, x)
+            assert [(k, _hexed(v)) for k, v in m.info.items()] == [
+                (k, _hexed(v)) for k, v in info.items()], (m.name, x)
 
 
 @pytest.mark.parametrize("x, s", [(-1e4, 3), (-6e4, 2)])
