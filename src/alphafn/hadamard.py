@@ -83,21 +83,32 @@ def _ladder(route: str, x: float, kernel: Callable[..., complex]) -> QuadratureR
     return converge(node_mean, TORUS_LADDER)
 
 
+# one certified level: (value, N, alias_bound, rounding_bound)
+_Level = tuple[complex, int, float, float]
+
+
+def _result(level: _Level) -> QuadratureResult:
+    """The public routes' QuadratureResult of a certified level, est_error =
+    alias_bound + rounding_bound."""
+    value, n, truncation, rounding = level
+    return QuadratureResult(value, n, truncation + rounding, truncation, rounding)
+
+
 def _certified(
     route: str, value: complex, n: int, truncation: float, rounding: float
-) -> QuadratureResult:
-    """QuadratureResult(value, n, truncation + rounding, truncation,
-    rounding) of one certified level, refused with ToleranceNotReachedError
-    (best that result) when est_error is not below |value|, since then no
-    digit is certified."""
-    result = QuadratureResult(value, n, truncation + rounding, truncation, rounding)
-    if not result.est_error < abs(value.real) < math.inf:
+) -> _Level:
+    """The level (value, n, truncation, rounding), refused with
+    ToleranceNotReachedError (best its _result) when truncation + rounding
+    is not below |value|, since then no digit is certified."""
+    level = value, n, truncation, rounding
+    error = truncation + rounding
+    if not error < abs(value.real) < math.inf:
         raise ToleranceNotReachedError(
-            f"{route}: error bound {result.est_error:.3e} at N={n} is not below "
+            f"{route}: error bound {error:.3e} at N={n} is not below "
             f"|value| = {abs(value.real):.3e}; no digit is certified",
-            best=result,
+            best=_result(level),
         )
-    return result
+    return level
 
 
 # _circle_level's second factor: (rv, q, A, log A, truncation, rounding)
@@ -113,8 +124,9 @@ def _exp_factor(r: float) -> _Factor:
 def _circle_level(
     route: str, ru: float, g: _Factor, tol: float | None,
     kernel: Callable[..., complex], *args: float,
-) -> QuadratureResult:
-    """One certified trapezoid level of a circle route.
+) -> _Level:
+    """One certified trapezoid level of a circle route, unchecked but for
+    tol: the core of the circle routes, which report's entries call.
 
     kernel(*args, N) is the N-node mean of F(t) = f(u e^{it}) g(v e^{-it}).
     The second factor g = (rv, q, A, log A, truncation, rounding) (exp's,
@@ -147,9 +159,10 @@ def _circle_level(
         relative error by the same bound on F';
       - exp, cos and the products add a few 2^-53 M, which 48 * 2^-53 M
         covers.
-    est_error = alias_bound + rounding_bound.  Raises
-    ToleranceNotReachedError (exit 3) when no level reaches tol, and
-    _certified's refusal when no digit is certified.
+    It returns (value, N, alias_bound, rounding_bound), whose sum bounds
+    the error (_result's est_error).  Raises ToleranceNotReachedError
+    (exit 3) when no level reaches tol, and _certified's refusal when no
+    digit is certified.
     """
     n, max_nodes, default_tol = CIRCLE_LADDER
     if tol is None:
@@ -296,7 +309,11 @@ def alpha2_quadrature(x: float, tol: float | None = None) -> QuadratureResult:
     meaning 1e-12: the result's est_error = alias_bound + rounding_bound
     bounds its error.
     """
-    x = _real(x)
+    return _result(_alpha2_level(_real(x), tol))
+
+
+def _alpha2_level(x: float, tol: float | None) -> _Level:
+    """alpha2_quadrature's level for a real x."""
     return _circle_level(
         "alpha2_quadrature", abs(x), _exp_factor(1.0), tol, kernels.alpha2_mean, x)
 
@@ -324,6 +341,11 @@ def _bessel_quadrature(a: float, b: float, tol: float | None = None) -> Quadratu
     so both factors are exp at radius r = hypot(a, b)/2 (_circle_level with
     ru = rv = r); est_error = alias_bound + rounding_bound bounds the error.
     """
+    return _result(_bessel_level(a, b, tol))
+
+
+def _bessel_level(a: float, b: float, tol: float | None) -> _Level:
+    """_bessel_quadrature's level."""
     r = math.hypot(a, b) / 2.0
     return _circle_level("bessel", r, _exp_factor(r), tol, kernels.bessel_mean, a, b)
 
@@ -410,7 +432,7 @@ def _torus_level(
     route: str, x: float, tol: float | None, kernel: Callable[..., complex]
 ) -> QuadratureResult:
     """kernel(x, n), the mean of either paper integrand over the smallest
-    certified n x n torus grid, as _certified's result.
+    certified n x n torus grid, as the _result of _certified's level.
 
     The n x n trapezoid mean of either paper integrand is the mean of
     E = exp(x e^{i th} + e^{-i th} e^{it} + e^{-it}), which is
@@ -465,7 +487,7 @@ def _torus_level(
         )
     n, alias = found
     rounding = 2.0 * n * n * _UNIT_ROUNDOFF * math.exp(ax + 2.0)
-    return _certified(route, complex(kernel(x, n)), n, alias, rounding)
+    return _result(_certified(route, complex(kernel(x, n)), n, alias, rounding))
 
 
 @functools.lru_cache(maxsize=kernels.CACHE_SIZE)
@@ -559,14 +581,20 @@ def alpha_via_hadamard(x: float, s: int, tol: float | None = None) -> Quadrature
     if not isinstance(s, int) or isinstance(s, bool) or s < 2:
         raise InvalidQueryError(f"the lift needs integer s >= 2, got {s!r}")
     _check_s_fits(s)
-    x = _real(x)
+    return _result(_lift_level(_real(x), s, tol))
+
+
+def _lift_level(x: float, s: int, tol: float | None) -> _Level:
+    """alpha_via_hadamard's level for a real x and an s it accepts: the
+    radius split, _circle_level and the imaginary-residue check."""
     ax, q = abs(x), min(s - 1, 64)
     k = 0  # a non-finite x keeps rv = 1 and is refused by the peak guard
     if 0.0 < ax < math.inf:
         k = min(6, max(0, round(q / (q + 1) * math.log2(ax) + (q - 1) / 2)))
     rv = 2.0**k
     # the kernel is read at call time, so that a tracer rebinding it reaches it
-    result = _circle_level("alpha_via_hadamard", ax / rv, _inner_series(rv, q), tol,
-                           lambda n: kernels.exp_alpha_mean(x, s, n, rv))
-    _check_imag(result.value, result.est_error, "alpha_via_hadamard")
-    return result
+    value, n, alias, rounding = _circle_level(
+        "alpha_via_hadamard", ax / rv, _inner_series(rv, q), tol,
+        lambda n: kernels.exp_alpha_mean(x, s, n, rv))
+    _check_imag(value, alias + rounding, "alpha_via_hadamard")
+    return value, n, alias, rounding

@@ -11,8 +11,8 @@ from typing import Callable, NamedTuple
 
 from .backend import kernels
 from .errors import InvalidQueryError, NonConvergenceError
-from .hadamard import _bessel_quadrature, _ladder, alpha2_quadrature, alpha_via_hadamard
-from .series import DEFAULT_TOL, AlphaQuery, _check_tol, _real, alpha_series
+from .hadamard import _alpha2_level, _bessel_level, _ladder, _lift_level
+from .series import DEFAULT_TOL, AlphaQuery, _check_query, _check_tol, _real, _summed
 
 # The often-quoted value for sum 1/(n!)^3 = 0F2(;1,1;1); it matches only
 # the fractional digits of the actual sum (n=0 alone contributes 1).
@@ -85,10 +85,9 @@ def _refuse_lift(s: int) -> str | None:
 
 
 def _series(x, s, tol):
-    res = alpha_series(x, s, DEFAULT_TOL if tol is None else tol)
-    info = {"terms_used": res.terms_used, "tail_bound": res.tail_bound,
-            "rounding_bound": res.rounding_bound}
-    return res.value.real, res.tail_bound + res.rounding_bound, info
+    value, terms, tail, rounding = _summed(complex(x), s, 0, DEFAULT_TOL if tol is None else tol)
+    info = {"terms_used": terms, "tail_bound": tail, "rounding_bound": rounding}
+    return value.real, tail + rounding, info
 
 
 def _exp(x, s, tol):
@@ -96,9 +95,10 @@ def _exp(x, s, tol):
     return value, math.ulp(value), {}
 
 
-def _quadrature(q):
-    info = {"nodes": q.nodes, "alias_bound": q.alias_bound, "rounding_bound": q.rounding_bound}
-    return q.value.real, q.est_error, info
+def _circle(level):
+    value, n, alias, rounding = level
+    info = {"nodes": n, "alias_bound": alias, "rounding_bound": rounding}
+    return value.real, alias + rounding, info
 
 
 def _torus(route, x, kernel):
@@ -109,18 +109,22 @@ def _torus(route, x, kernel):
 
 def _bessel(x, s, tol):
     a = 2.0 * math.sqrt(x)  # alpha(x, 2) = I0(a), the circle mean of exp(a cos t)
-    return _quadrature(_bessel_quadrature(a, 0.0, tol))
+    return _circle(_bessel_level(a, 0.0, tol))
 
 
-# Every route, in the order compare lists them.  The entries hold only the
-# helpers above and lambdas, which look the routes and the torus kernels up
-# by name at call time: rebinding such a name (as a tracer does) reaches
-# every caller of the table.
+# Every route, in the order compare lists them.  The entries run the
+# routes' unchecked cores, since compare and eval check the query once, at
+# entry: series._summed and the circle routes' levels, which return
+# numbers, not a SeriesResult or QuadratureResult, and the s = 3 torus
+# ladder, hadamard._ladder.  The entries hold only the helpers above and
+# lambdas, which look the cores and the kernels up by name at call time:
+# rebinding such a name (as a tracer or a test does) reaches every caller
+# of the table.
 ROUTES = (
     Route("series", "series", lambda s: None, _series),
     Route("exp-closed-form", None, _only_s(1), _exp),
     Route("alpha2-closed-form", None, _only_s(2),
-          lambda x, s, tol: _quadrature(alpha2_quadrature(x))),
+          lambda x, s, tol: _circle(_alpha2_level(x, tol))),
     Route("bessel", "bessel", _only_s(2, "method 'bessel'"), _bessel, lambda x: (
         "method 'bessel' needs x >= 0 (argument of I0 is 2*sqrt(x))" if x < 0 else None)),
     Route("hadamard-2d-complex", None, _only_s(3), lambda x, s, tol: _torus(
@@ -128,7 +132,7 @@ ROUTES = (
     Route("hadamard-2d-real", None, _only_s(3), lambda x, s, tol: _torus(
         "alpha3_quadrature_real", x, kernels.alpha3_real_mean)),
     Route("hadamard-iterated", "hadamard", _refuse_lift,
-          lambda x, s, tol: _quadrature(alpha_via_hadamard(x, s, tol))),
+          lambda x, s, tol: _circle(_lift_level(x, s, tol))),
 )
 METHODS = {route.method: route for route in ROUTES if route.method is not None}
 
@@ -154,7 +158,11 @@ def _certified(route: Route, x: float, s: int, tol: float | None) -> MethodValue
 
 def evaluate_method(x: float, s: int, method: str, tol: float | None = None) -> MethodValue:
     """Evaluate alpha(x, s) by the route named method in `eval`;
-    NonConvergenceError where the route's error is not below |value|."""
+    NonConvergenceError where the route's error is not below |value|.
+
+    After the route's refusals, the query and a given tol are checked once,
+    as the series checks them, except that a non-finite x is left to the
+    circle routes' integrand peak guard, whose refusal names the route."""
     route = METHODS.get(method)
     if route is None:
         raise InvalidQueryError(f"unknown method {method!r}")
@@ -164,6 +172,10 @@ def evaluate_method(x: float, s: int, method: str, tol: float | None = None) -> 
         reason = route.refuse_x(x)
     if reason is not None:
         raise InvalidQueryError(reason)
+    if math.isfinite(x) or route.run is _series:
+        _check_query(x, s)
+        if tol is not None:
+            _check_tol(tol)
     return _certified(route, x, s, tol)
 
 

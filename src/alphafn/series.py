@@ -103,12 +103,12 @@ def _reciprocal(total: float, tail: float, rounding: float) -> tuple[complex, fl
     return complex(1.0 / total), tail / scale, rounding / scale + _UNIT_ROUNDOFF / total
 
 
-def _summed(x, s: int, k: int, tol: float) -> SeriesResult:
-    """The k-th derivative of alpha(., s) at x, k = 0 being alpha itself."""
-    x = _check_query(x, s)
-    _check_tol(tol)
-    if not isinstance(k, int) or k < 0:
-        raise InvalidQueryError(f"k must be an integer >= 0, got {k!r}")
+def _summed(x: complex, s: int, k: int, tol: float) -> tuple[complex, int, float, float]:
+    """The k-th derivative of alpha(., s) at x, k = 0 being alpha itself, as
+    SeriesResult's fields (value, terms_used, tail_bound, rounding_bound).
+
+    Unchecked: x is a complex that _check_query returned, and tol and k
+    are checked, as _checked_sum and report's series entry do."""
     # every derivative of e^x is e^x: at s = 1, x < 0 sum S = e^{-x}, return 1/S
     reciprocal = s == 1 and x.imag == 0 and x.real < 0
     value, terms, tail, abs_sum, ok = kernels.alpha_deriv_sum(
@@ -123,7 +123,16 @@ def _summed(x, s: int, k: int, tol: float) -> SeriesResult:
     rounding = 2 * terms * _UNIT_ROUNDOFF * abs_sum
     if reciprocal:
         value, tail, rounding = _reciprocal(value.real, tail, rounding)
-    return SeriesResult(value, terms, tail, rounding)
+    return value, terms, tail, rounding
+
+
+def _checked_sum(x, s: int, k: int, tol: float) -> SeriesResult:
+    """_summed's numbers as a SeriesResult, after the query, tol and k checks."""
+    x = _check_query(x, s)
+    _check_tol(tol)
+    if not isinstance(k, int) or k < 0:
+        raise InvalidQueryError(f"k must be an integer >= 0, got {k!r}")
+    return SeriesResult(*_summed(x, s, k, tol))
 
 
 def alpha_series(x: complex | float, s: int, tol: float = DEFAULT_TOL) -> SeriesResult:
@@ -141,7 +150,7 @@ def alpha_series(x: complex | float, s: int, tol: float = DEFAULT_TOL) -> Series
     all-positive series S = e^{-x} is summed instead and 1/S returned, with
     both bounds carried through the reciprocal.
     """
-    return _summed(x, s, 0, tol)
+    return _checked_sum(x, s, 0, tol)
 
 
 def alpha_derivative_series(
@@ -156,7 +165,7 @@ def alpha_derivative_series(
     At s = 1 and real x < 0 every derivative of e^x is e^x, so this returns
     alpha_series' reciprocal result for every k instead of an alternating sum.
     """
-    return _summed(x, s, k, tol)
+    return _checked_sum(x, s, k, tol)
 
 
 def bessel_i0(z: float, tol: float = DEFAULT_TOL) -> SeriesResult:

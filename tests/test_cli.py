@@ -14,10 +14,10 @@ import mpmath
 import pytest
 
 import alphafn
-from alphafn import alpha_via_hadamard, cli
+from alphafn import cli
 from alphafn.cli import main
 from alphafn.errors import InvalidQueryError
-from alphafn.hadamard import _ladder
+from alphafn.hadamard import _ladder, _lift_level
 from alphafn.report import compare_methods, evaluate_method
 from alphafn.verify import CaseResult
 
@@ -292,12 +292,13 @@ class TestCompare:
 
     def test_disagreement_past_the_error_bounds_exits_1(self, capsys, monkeypatch):
         # the lift moved by 1e-6 keeps its bound of ~4e-13, so the pair
-        # (series, lift) lies apart by more than e_i + e_j + tol * scale
-        def shifted(x, s, tol=None):
-            res = alpha_via_hadamard(x, s, tol)
-            return dataclasses.replace(res, value=res.value + 1e-6)
+        # (series, lift) lies apart by more than e_i + e_j + tol * scale;
+        # compare's lift entry runs the lift's level, (value, N, alias, rounding)
+        def shifted(x, s, tol):
+            value, n, alias, rounding = _lift_level(x, s, tol)
+            return value + 1e-6, n, alias, rounding
 
-        monkeypatch.setattr("alphafn.report.alpha_via_hadamard", shifted)
+        monkeypatch.setattr("alphafn.report._lift_level", shifted)
         code, out, _ = run_cli(capsys, "compare", "--x", "1", "--s", "4")
         assert code == 1
         assert "passed = False" in out
@@ -316,11 +317,11 @@ class TestCompare:
         # the lift widened to a bound of 3.77 with its value moved 1.1e-4
         # off (the unit split's figures at (-30, 4)): the routes agree
         # within that bound, although the delta is 1e4 times tol * scale
-        def widened_lift(x, s, tol=None):
-            res = alpha_via_hadamard(x, s, tol)
-            return dataclasses.replace(res, value=res.value + 1.1e-4, est_error=3.77)
+        def widened_lift(x, s, tol):
+            value, n, _, _ = _lift_level(x, s, tol)
+            return value + 1.1e-4, n, 3.77, 0.0
 
-        monkeypatch.setattr("alphafn.report.alpha_via_hadamard", widened_lift)
+        monkeypatch.setattr("alphafn.report._lift_level", widened_lift)
         code, out, _ = run_cli(capsys, "compare", "--x=-30", "--s", "4", "--format", "json")
         assert code == 0
         data = json.loads(out)
@@ -349,12 +350,12 @@ class TestCompare:
             res = _ladder(route, x, kernel_name)
             return dataclasses.replace(res, value=res.value + 1e-6)
 
-        def widened_lift(x, s, tol=None):
-            res = alpha_via_hadamard(x, s, tol)
-            return dataclasses.replace(res, value=res.value + 2e-6, est_error=1e-5)
+        def widened_lift(x, s, tol):
+            value, n, _, _ = _lift_level(x, s, tol)
+            return value + 2e-6, n, 1e-5, 0.0
 
         monkeypatch.setattr("alphafn.report._ladder", shifted_ladder)
-        monkeypatch.setattr("alphafn.report.alpha_via_hadamard", widened_lift)
+        monkeypatch.setattr("alphafn.report._lift_level", widened_lift)
         rep = compare_methods(1.0, 3)
         values = {m.name: m.value for m in rep.method_values}
         assert values["hadamard-iterated"] == max(values.values())

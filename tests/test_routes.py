@@ -4,14 +4,23 @@ order, and the messages eval gives when a route does not apply."""
 from __future__ import annotations
 
 import math
+import sys
 
 import mpmath
 import pytest
 
-from alphafn import _kernels_py
+from alphafn import _kernels_py, series
 from alphafn.cli import main
-from alphafn import AlphaFnError, InvalidQueryError, NonConvergenceError, alpha_series
+from alphafn import (
+    AlphaFnError,
+    InvalidQueryError,
+    NonConvergenceError,
+    QuadratureResult,
+    SeriesResult,
+    alpha_series,
+)
 from alphafn.hadamard import (
+    _bessel_quadrature,
     _ladder,
     alpha2_quadrature,
     alpha3_quadrature_complex,
@@ -159,6 +168,171 @@ def test_compare_entries_are_the_direct_route_calls(s):
             assert (m.value.hex(), m.error.hex()) == (value.hex(), error.hex()), (m.name, x)
             assert [(k, _hexed(v)) for k, v in m.info.items()] == [
                 (k, _hexed(v)) for k, v in info.items()], (m.name, x)
+
+
+def _public(name, x, s):
+    """(value, error, info) of the public route behind a compare entry at
+    s != 3: its SeriesResult or QuadratureResult, read as compare reads it."""
+    if name == "series":
+        r = alpha_series(x, s)
+        return r.value.real, r.tail_bound + r.rounding_bound, {
+            "terms_used": r.terms_used, "tail_bound": r.tail_bound,
+            "rounding_bound": r.rounding_bound}
+    if name == "alpha2-closed-form":
+        q = alpha2_quadrature(x)
+    elif name == "bessel":
+        q = _bessel_quadrature(2.0 * math.sqrt(x), 0.0)
+    else:
+        q = alpha_via_hadamard(x, s)
+    return q.value.real, q.est_error, {
+        "nodes": q.nodes, "alias_bound": q.alias_bound, "rounding_bound": q.rounding_bound}
+
+
+def _outcome(run):
+    """run()'s result, or the AlphaFnError it raised."""
+    try:
+        return run()
+    except AlphaFnError as exc:
+        return exc
+
+
+def _same_method(m, public):
+    value, error, info = public
+    assert (m.value.hex(), m.error.hex()) == (value.hex(), error.hex()), m.name
+    assert [(k, _hexed(v)) for k, v in m.info.items()] == [
+        (k, _hexed(v)) for k, v in info.items()], m.name
+
+
+PARITY_XS = (-50.0, -30.0, -7.5, -1.0, -0.0, 0.0, 1e-320, 0.5, 3.3, 8.0, 12.0, 50.0)
+
+
+@pytest.mark.parametrize("s", [1, 2, 4, 5])
+def test_report_entries_equal_the_public_routes(s):
+    # compare and eval run the routes' unchecked cores: every value, error
+    # and info must be the public route's, bit for bit, so that a core and
+    # its wrapper cannot drift apart
+    compared = 0
+    for x in PARITY_XS:
+        report = _outcome(lambda: compare_methods(x, s))
+        if isinstance(report, AlphaFnError):  # a route certifies no digit: eval checks it
+            assert "no digit is certified" in str(report), (x, report)
+        else:
+            for m in report.method_values:
+                if m.name != "exp-closed-form":
+                    _same_method(m, _public(m.name, x, s))
+                    compared += 1
+        for method, route in METHODS.items():
+            if route.refuse_s(s) is not None or (route.refuse_x and route.refuse_x(x)):
+                continue
+            public = _outcome(lambda: _public(route.name, x, s))
+            got = _outcome(lambda: evaluate_method(x, s, method))
+            if isinstance(public, AlphaFnError):  # the public route refuses: so does eval
+                assert (type(got), str(got)) == (type(public), str(public)), (method, x)
+            elif isinstance(got, AlphaFnError):  # no certified digit: the report's rule
+                assert type(got) is NonConvergenceError, (method, x)
+                assert not public[1] < abs(public[0]), (method, x)
+            else:
+                _same_method(got, public)
+                compared += 1
+    assert compared >= 2 * len(PARITY_XS)
+
+
+def _rebind_everywhere(monkeypatch, original, replacement):
+    """Replace every binding of original in the alphafn modules."""
+    for name, module in list(sys.modules.items()):
+        if name == "alphafn" or name.startswith("alphafn."):
+            for attr, value in list(vars(module).items()):
+                if value is original:
+                    monkeypatch.setattr(module, attr, replacement)
+
+
+@pytest.mark.parametrize("run", [
+    lambda: compare_methods(3.3, 4),
+    lambda: compare_methods(-7.5, 1),
+    lambda: compare_methods(2.5, 2),
+    lambda: evaluate_method(3.3, 4, "hadamard"),
+    lambda: evaluate_method(3.3, 4, "series", 1e-10),
+    lambda: evaluate_method(2.5, 2, "bessel"),
+], ids=["compare-4", "compare-1", "compare-2", "eval-hadamard", "eval-series", "eval-bessel"])
+def test_a_report_query_is_checked_once(monkeypatch, run):
+    # compare checks the query in AlphaQuery, eval after its route
+    # refusals; the routes' cores neither check it again nor build the
+    # public routes' result types
+    checks, built = [], []
+    original = series._check_query
+
+    def counted_check(x, s):
+        checks.append((x, s))
+        return original(x, s)
+
+    _rebind_everywhere(monkeypatch, original, counted_check)
+    for result_type in (SeriesResult, QuadratureResult):
+        def counted_init(self, *args, init=result_type.__init__, **kwargs):
+            built.append(type(self).__name__)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(result_type, "__init__", counted_init)
+    run()
+    assert len(checks) == 1
+    assert built == []
+
+
+def _refusals():
+    """pytest params (report call, public call, same message) for each
+    refusal the public routes make on the report path."""
+    cases = []
+
+    def case(name, report_call, public_call, same_message=True):
+        cases.append(pytest.param(report_call, public_call, same_message, id=name))
+
+    for name, s in (("0", 0), ("True", True), ("2**1100", 2**1100)):
+        case(f"compare-s={name}", lambda s=s: compare_methods(1.0, s),
+             lambda s=s: alpha_series(1.0, s))
+        case(f"series-s={name}", lambda s=s: evaluate_method(1.0, s, "series"),
+             lambda s=s: alpha_series(1.0, s))
+        case(f"hadamard-s={name}", lambda s=s: evaluate_method(1.0, s, "hadamard"),
+             lambda s=s: alpha_via_hadamard(1.0, s))
+    for x in (math.nan, math.inf, -math.inf):  # alpha_series takes a complex x
+        case(f"compare-x={x!r}", lambda x=x: compare_methods(x, 4), lambda x=x: alpha_series(x, 4))
+        case(f"series-x={x!r}", lambda x=x: evaluate_method(x, 4, "series"),
+             lambda x=x: alpha_series(x, 4))
+    for x in (math.nan, math.inf, -math.inf, 1 + 1j):
+        case(f"hadamard-x={x!r}", lambda x=x: evaluate_method(x, 4, "hadamard"),
+             lambda x=x: alpha_via_hadamard(x, 4))
+    for x in (math.nan, math.inf):  # eval's Bessel route refuses -inf as x < 0
+        case(f"bessel-x={x!r}", lambda x=x: evaluate_method(x, 2, "bessel"),
+             lambda x=x: _bessel_quadrature(2.0 * math.sqrt(x), 0.0))
+    for tol in (0, -1, True, "1e-3"):
+        # compare's tolerance is its verdict's, and its message says so
+        case(f"compare-tol={tol!r}", lambda tol=tol: compare_methods(1.0, 4, tol),
+             lambda tol=tol: alpha_series(1.0, 4, tol), same_message=False)
+        case(f"series-tol={tol!r}", lambda tol=tol: evaluate_method(1.0, 4, "series", tol),
+             lambda tol=tol: alpha_series(1.0, 4, tol))
+        case(f"hadamard-tol={tol!r}", lambda tol=tol: evaluate_method(1.0, 4, "hadamard", tol),
+             lambda tol=tol: alpha_via_hadamard(1.0, 4, tol))
+        case(f"bessel-tol={tol!r}", lambda tol=tol: evaluate_method(1.0, 2, "bessel", tol),
+             lambda tol=tol: _bessel_quadrature(2.0, 0.0, tol))
+    return cases
+
+
+@pytest.mark.parametrize("report_call, public_call, same_message", _refusals())
+def test_report_refuses_what_the_public_routes_refuse(report_call, public_call, same_message):
+    # checked once at entry, compare and eval still refuse each bad s, x
+    # and tol that the public route refuses, with its class and message
+    with pytest.raises(AlphaFnError) as public:
+        public_call()
+    with pytest.raises(AlphaFnError) as got:
+        report_call()
+    assert type(got.value) is type(public.value)
+    if same_message:
+        assert str(got.value) == str(public.value)
+
+
+@pytest.mark.parametrize("method", sorted(METHODS))
+def test_eval_takes_an_integer_s_on_every_route(method):
+    # the Bessel route took s = 2.0, since 2.0 == 2, where compare refused it
+    with pytest.raises(InvalidQueryError, match=r"integer.*got 2\.0$"):
+        evaluate_method(1.0, 2.0, method)
 
 
 @pytest.mark.parametrize("x, s", [(-1e4, 3), (-6e4, 2)])
