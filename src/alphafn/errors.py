@@ -19,9 +19,10 @@ class NonConvergenceError(AlphaFnError, ArithmeticError):
 
 
 class ToleranceNotReachedError(AlphaFnError, ArithmeticError):
-    """Node doubling hit the node budget before the tolerance was met.
-
-    The best result computed so far is attached as ``best``.
+    """A quadrature route has no result within its tolerance: node doubling
+    hit the node budget first (``best`` is then the last level), no
+    certified level of at most the node cap reaches tol, or a level mean is
+    not finite or overflows (``best`` is then None).
     """
 
     def __init__(self, message, best):

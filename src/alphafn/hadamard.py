@@ -30,12 +30,13 @@ from .quadrature import (
     CIRCLE_LADDER,
     TORUS_LADDER,
     QuadratureResult,
+    _level,
     converge,
     one_level,
     # not called here: bound so that perfbench/tracing.py can wrap it here
     trapezoid_periodic_1d,  # noqa: F401
 )
-from .series import _UNIT_ROUNDOFF, _check_s_fits, _check_tol, _real, bessel_i0
+from .series import _UNIT_ROUNDOFF, _check_s_fits, _check_tol, _real, _summed, bessel_i0
 
 # exp overflows doubles just above 709; the closed-form integrands peak at
 # exp of the values guarded here, so reject inputs past this point with a
@@ -94,23 +95,6 @@ def _result(level: _Level) -> QuadratureResult:
     return QuadratureResult(value, n, truncation + rounding, truncation, rounding)
 
 
-def _certified(
-    route: str, value: complex, n: int, truncation: float, rounding: float
-) -> _Level:
-    """The level (value, n, truncation, rounding), refused with
-    ToleranceNotReachedError (best its _result) when truncation + rounding
-    is not below |value|, since then no digit is certified."""
-    level = value, n, truncation, rounding
-    error = truncation + rounding
-    if not error < abs(value.real) < math.inf:
-        raise ToleranceNotReachedError(
-            f"{route}: error bound {error:.3e} at N={n} is not below "
-            f"|value| = {abs(value.real):.3e}; no digit is certified",
-            best=_result(level),
-        )
-    return level
-
-
 # _circle_level's second factor: (rv, q, A, log A, truncation, rounding)
 _Factor = tuple[float, int, float, float, float, float]
 
@@ -160,9 +144,10 @@ def _circle_level(
       - exp, cos and the products add a few 2^-53 M, which 48 * 2^-53 M
         covers.
     It returns (value, N, alias_bound, rounding_bound), whose sum bounds
-    the error (_result's est_error).  Raises ToleranceNotReachedError
-    (exit 3) when no level reaches tol, and _certified's refusal when no
-    digit is certified.
+    the error (_result's est_error), also where that sum is not below
+    |value|: report._certified refuses such a value, the library returns
+    it.  Raises ToleranceNotReachedError (exit 3) when no level reaches
+    tol, and quadrature._level's refusal when the level mean is not finite.
     """
     n, max_nodes, default_tol = CIRCLE_LADDER
     if tol is None:
@@ -192,7 +177,8 @@ def _circle_level(
             )
         n *= 2
     rounding = (n + 48.0 + 32.0 * (ru + rv)) * _UNIT_ROUNDOFF * e_ru * a_rv + e_ru * g_rounding
-    return _certified(route, complex(kernel(*args, n)), n, alias + e_ru * g_truncation, rounding)
+    value = _level(functools.partial(kernel, *args), n, route)
+    return value, n, alias + e_ru * g_truncation, rounding
 
 
 # hadamard_eval's promised ceiling for the imaginary residue of a result
@@ -324,28 +310,23 @@ def bessel_identity_check(
     """Both sides of (1/2pi) int e^{a cos t + b sin t} dt = I0(sqrt(a^2+b^2)).
 
     Returns (quadrature lhs, series rhs); the window [0, 2pi) replaces the
-    symmetric one by periodicity.  The lhs is _bessel_quadrature's one
-    level certified to tol, None meaning 1e-12.
+    symmetric one by periodicity.  The lhs is _bessel_level's one level
+    certified to tol, None meaning 1e-12.
     """
     a, b = _real(a, "a"), _real(b, "b")
-    lhs = _bessel_quadrature(a, b, tol)
+    lhs = _bessel_level(a, b, tol)[0]
     rhs = bessel_i0(math.hypot(a, b))
-    return lhs.value.real, rhs.value.real
+    return lhs.real, rhs.value.real
 
 
-def _bessel_quadrature(a: float, b: float, tol: float | None = None) -> QuadratureResult:
+def _bessel_level(a: float, b: float, tol: float | None) -> _Level:
     """I0(hypot(a, b)) as the circle mean of exp(a cos t + b sin t), one
     certified level.
 
     a cos t + b sin t = (c/2) e^{it} + (conj(c)/2) e^{-it} with c = a - ib,
     so both factors are exp at radius r = hypot(a, b)/2 (_circle_level with
-    ru = rv = r); est_error = alias_bound + rounding_bound bounds the error.
+    ru = rv = r); alias_bound + rounding_bound bounds the error.
     """
-    return _result(_bessel_level(a, b, tol))
-
-
-def _bessel_level(a: float, b: float, tol: float | None) -> _Level:
-    """_bessel_quadrature's level."""
     r = math.hypot(a, b) / 2.0
     return _circle_level("bessel", r, _exp_factor(r), tol, kernels.bessel_mean, a, b)
 
@@ -432,7 +413,8 @@ def _torus_level(
     route: str, x: float, tol: float | None, kernel: Callable[..., complex]
 ) -> QuadratureResult:
     """kernel(x, n), the mean of either paper integrand over the smallest
-    certified n x n torus grid, as the _result of _certified's level.
+    certified n x n torus grid, as the _result of its level, returned also
+    where est_error is not below |value| (report._certified refuses that).
 
     The n x n trapezoid mean of either paper integrand is the mean of
     E = exp(x e^{i th} + e^{-i th} e^{it} + e^{-it}), which is
@@ -441,9 +423,11 @@ def _torus_level(
     |x|^a/(a! b! c!) over the other triples (Trefethen & Weideman, "The
     exponentially convergent trapezoidal rule", SIAM Rev. 2014), and n is
     the smallest n >= 4 with alias_bound <= tol (None meaning TORUS_LADDER's
-    1e-10).  Both depend on |x| and tol alone, so _torus_search finds them once per (|x|, tol) for both
-    routes.  Raises ToleranceNotReachedError (best None), naming the route
-    and x, when n would pass TORUS_LADDER's 512 max nodes.
+    1e-10).  Both depend on |x| and tol alone, so _torus_search finds them
+    once per (|x|, tol) for both routes.  Raises ToleranceNotReachedError
+    (best None), naming the route and x, when n would pass TORUS_LADDER's
+    512 max nodes, and quadrature._level's refusal when the mean is not
+    finite.
 
     rounding_bound = 2 n^2 2^-53 M, M = e^{|x|+2}, bounds the rounding
     (after Higham, Accuracy and Stability of Numerical Algorithms, ch. 3-4);
@@ -487,7 +471,7 @@ def _torus_level(
         )
     n, alias = found
     rounding = 2.0 * n * n * _UNIT_ROUNDOFF * math.exp(ax + 2.0)
-    return _result(_certified(route, complex(kernel(x, n)), n, alias, rounding))
+    return _result((_level(functools.partial(kernel, x), n, route), n, alias, rounding))
 
 
 @functools.lru_cache(maxsize=kernels.CACHE_SIZE)
@@ -527,12 +511,12 @@ def _torus_search(ax: float, tol: float) -> tuple[int, float] | None:
 @functools.lru_cache(maxsize=kernels.CACHE_SIZE)
 def _inner_series(rv: float, q: int) -> _Factor:
     """_circle_level's second factor g = (rv, q, A, log A, 2 INNER_TOL,
-    rounding) for the lift's alpha(z, q) at |z| = rv > 0, summed by
-    alpha_sum within INNER_TOL, which leaves a tail of at most 2 INNER_TOL.
+    rounding) for the lift's alpha(z, q) at |z| = rv > 0, summed within
+    INNER_TOL, which leaves a tail of at most 2 INNER_TOL.
 
-    A = value + tail + rounding of alpha_sum at z = rv, whose terms are all
-    positive, bounds alpha(rv, q), which bounds |alpha(z, q)| and the sum
-    of the magnitudes of its terms.  At |z| = rv the terms have the same
+    A = value + tail + rounding of series._summed at z = rv, whose terms
+    are all positive, bounds alpha(rv, q), which bounds |alpha(z, q)| and
+    the sum of the magnitudes of its terms.  At |z| = rv the terms have the same
     magnitudes to within rounding, and one term more brings the stop's
     t_n r_n below half of INNER_TOL, so every inner sum on the circle adds
     at most K terms, K being the count at z = rv plus one.  Each term is
@@ -542,8 +526,8 @@ def _inner_series(rv: float, q: int) -> _Factor:
     rounding = (K + 6 rv) 2^-53 A bounds the rounding of each inner value.
     At q = 1, A and log A are exp's, e^{rv} and rv, as in _exp_factor.
     """
-    value, terms, tail, abs_sum, _ = kernels.alpha_sum(rv, q, kernels.INNER_TOL)
-    bound = value.real + tail + 2 * terms * _UNIT_ROUNDOFF * abs_sum
+    value, terms, tail, rounding = _summed(complex(rv), q, 0, kernels.INNER_TOL)
+    bound = value.real + tail + rounding
     rounding = (terms + 1 + 6.0 * rv) * _UNIT_ROUNDOFF * bound
     a, log_a = (math.exp(rv), rv) if q == 1 else (bound, math.log(bound))
     return rv, q, a, log_a, 2.0 * kernels.INNER_TOL, rounding
@@ -578,10 +562,15 @@ def alpha_via_hadamard(x: float, s: int, tol: float | None = None) -> Quadrature
     the error.  The exact value is real, so an imaginary residue above
     est_error would prove the bound wrong and raises ImaginaryResidueError.
     """
-    if not isinstance(s, int) or isinstance(s, bool) or s < 2:
-        raise InvalidQueryError(f"the lift needs integer s >= 2, got {s!r}")
+    if (reason := _lift_refusal(s)) is not None:
+        raise InvalidQueryError(reason)
     _check_s_fits(s)
     return _result(_lift_level(_real(x), s, tol))
+
+
+def _lift_refusal(s: int) -> str | None:
+    """Why the lift does not serve s (an integer >= 2), None where it does."""
+    return None if isinstance(s, int) and s >= 2 else f"the lift needs integer s >= 2, got {s!r}"
 
 
 def _lift_level(x: float, s: int, tol: float | None) -> _Level:

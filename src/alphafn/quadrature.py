@@ -47,7 +47,9 @@ class QuadratureResult:
     bounds are None.  The quadrature routes (`alpha2_quadrature`, the
     Bessel route, `alpha_via_hadamard` and both `alpha3_quadrature_*`) take
     a tol and run one level certified by an aliasing bound: there
-    est_error = alias_bound + rounding_bound is a bound on |value - exact|.
+    est_error = alias_bound + rounding_bound is a bound on |value - exact|,
+    also where it is not below |value|: `eval` and `compare` refuse such a
+    value, the library returns it.
     """
 
     value: complex
@@ -57,18 +59,20 @@ class QuadratureResult:
     rounding_bound: float | None = None
 
 
-def _level(node_mean: Callable[[int], complex], n: int) -> complex:
-    """node_mean(n), refused with ToleranceNotReachedError (best None) when
-    it is not finite or overflows on the way."""
+def _level(node_mean: Callable[[int], complex], n: int, route: str = "") -> complex:
+    """node_mean(n), refused with ToleranceNotReachedError (best None), its
+    message led by a given route's name, when it is not finite or
+    overflows on the way."""
+    where = f"{route}: " if route else ""
     try:
         value = complex(node_mean(n))
     except OverflowError as exc:
         raise ToleranceNotReachedError(
-            f"the level mean at N={n} overflowed: {exc}", best=None
+            f"{where}the level mean at N={n} overflowed: {exc}", best=None
         ) from exc
     if not cmath.isfinite(value):
         raise ToleranceNotReachedError(
-            f"the level mean at N={n} is not finite: {value!r}", best=None
+            f"{where}the level mean at N={n} is not finite: {value!r}", best=None
         )
     return value
 

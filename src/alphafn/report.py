@@ -11,7 +11,7 @@ from typing import Callable, NamedTuple
 
 from .backend import kernels
 from .errors import InvalidQueryError, NonConvergenceError
-from .hadamard import _alpha2_level, _bessel_level, _ladder, _lift_level
+from .hadamard import _alpha2_level, _bessel_level, _ladder, _lift_level, _lift_refusal
 from .series import DEFAULT_TOL, AlphaQuery, _check_query, _check_tol, _real, _summed
 
 # The often-quoted value for sum 1/(n!)^3 = 0F2(;1,1;1); it matches only
@@ -80,10 +80,6 @@ def _only_s(k: int, what: str = "route") -> Callable[[int], str | None]:
     return lambda s: None if s == k else f"{what} is only valid for s = {k}"
 
 
-def _refuse_lift(s: int) -> str | None:
-    return None if isinstance(s, int) and s >= 2 else f"the lift needs integer s >= 2, got {s!r}"
-
-
 def _series(x, s, tol):
     value, terms, tail, rounding = _summed(complex(x), s, 0, DEFAULT_TOL if tol is None else tol)
     info = {"terms_used": terms, "tail_bound": tail, "rounding_bound": rounding}
@@ -131,7 +127,7 @@ ROUTES = (
         "alpha3_quadrature_complex", x, kernels.alpha3_complex_mean)),
     Route("hadamard-2d-real", None, _only_s(3), lambda x, s, tol: _torus(
         "alpha3_quadrature_real", x, kernels.alpha3_real_mean)),
-    Route("hadamard-iterated", "hadamard", _refuse_lift,
+    Route("hadamard-iterated", "hadamard", _lift_refusal,
           lambda x, s, tol: _circle(_lift_level(x, s, tol))),
 )
 METHODS = {route.method: route for route in ROUTES if route.method is not None}
@@ -146,7 +142,9 @@ def _serving(s: int) -> tuple[Route, ...]:
 def _certified(route: Route, x: float, s: int, tol: float | None) -> MethodValue:
     """route's MethodValue at (x, s), refused with NonConvergenceError (exit
     3) where its error is not below |value|, since then no digit is
-    certified: the rule hadamard._circle_level applies to one level."""
+    certified.  This is the one refusal of that kind: the library routes
+    return such a value with its honest bound, as a midpoint-radius ball
+    does, and only eval and compare refuse it."""
     method = MethodValue(route.name, *route.run(x, s, tol))
     if not method.error < abs(method.value) < math.inf:
         raise NonConvergenceError(

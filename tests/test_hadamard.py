@@ -20,6 +20,7 @@ from alphafn import (
     DomainViolationError,
     ImaginaryResidueError,
     InvalidQueryError,
+    NonConvergenceError,
     ToleranceNotReachedError,
     alpha2_integrand,
     alpha2_quadrature,
@@ -30,11 +31,13 @@ from alphafn import (
     alpha_series,
     alpha_via_hadamard,
     bessel_identity_check,
+    compare_methods,
+    evaluate_method,
     hadamard_eval,
     trapezoid_periodic_1d,
 )
-from alphafn import _kernels_py, hadamard, verify
-from alphafn.hadamard import _bessel_quadrature
+from alphafn import _kernels_py, hadamard, report, verify
+from alphafn.hadamard import _bessel_level, _result
 from alphafn.quadrature import CIRCLE_LADDER
 
 TWO_PI = 2.0 * math.pi
@@ -103,6 +106,9 @@ class TestHadamardEval:
             hadamard_eval(EXP, geometric, 1.0, 1.0)  # |v| == radius exactly
         with pytest.raises(DomainViolationError):
             hadamard_eval(EXP, geometric, 1.0, 1.5)
+        for u in (1.0, -1.5):
+            with pytest.raises(DomainViolationError, match="first factor's radius"):
+                hadamard_eval(geometric, EXP, u, 1.0)
 
     def test_convolution_oracle_sample(self):
         rng = random.Random(7)
@@ -470,17 +476,29 @@ class TestAlpha3TorusLevel:
         assert sorted(seen) == [14] * 8 + [18] * 2
 
     def test_expansion_s3_fails_a_nan_on_the_pointwise_grid(self, monkeypatch):
-        # max(0.0, nan) is 0.0, so a running max would pass this node
+        # max(0.0, nan) is 0.0, so a running max would pass this node; the
+        # third pointwise x of seed 7 is drawn as the suite draws it
+        rng = random.Random(7)
+        x = [rng.uniform(-1.0, 2.0) for _ in range(3)][-1]
         real = verify.alpha3_integrand_real
-        bad = (0.5, (TWO_PI * 3) / 16, (TWO_PI * 11) / 16)
+        bad = (x, (TWO_PI * 3) / 16, (TWO_PI * 11) / 16)
 
         def patched(x, theta, t):
             return math.nan if (x, theta, t) == bad else real(x, theta, t)
 
         monkeypatch.setattr(verify, "alpha3_integrand_real", patched)
-        failed = [case for case in verify.suite_expansion_s3() if not case.passed]
-        assert [case.name for case in failed] == ["pointwise-x=0.5"]
+        failed = [case for case in verify.suite_expansion_s3(7) if not case.passed]
+        assert [case.name for case in failed] == [f"pointwise-x={x:g}"]
         assert math.isnan(failed[0].delta)
+
+    def test_expansion_s3_draws_its_pointwise_x_from_the_seed(self):
+        def pointwise(seed):
+            return [case.name for case in verify.suite_expansion_s3(seed)
+                    if case.name.startswith("pointwise-")]
+
+        assert len(set(pointwise(0))) == len(set(pointwise(1))) == 5
+        assert pointwise(0) != pointwise(1)
+        assert pointwise(0) == pointwise(0)
 
     @settings(max_examples=100, deadline=None)
     @given(x=st.floats(-20.0, 20.0))
@@ -489,23 +507,28 @@ class TestAlpha3TorusLevel:
         # the alias bound; at x = +-20 it is 4.1e-3, the error below 1e-7
         exact = alpha3_mpmath(x)
         for route in TORUS_ROUTES.values():
-            try:
-                res = route(x)
-            except ToleranceNotReachedError as exc:
-                # only where alpha(x, 3) is too near 0 for the bound, so
-                # |exact| <= |value| + error <= 2 est_error
-                assert "no digit is certified" in str(exc)
-                assert abs(exact) <= 2.0 * exc.best.est_error
-                continue
+            res = route(x)
             with mpmath.workdps(40):
                 error = float(abs(mpmath.mpf(res.value.real) - exact))
             assert error <= res.est_error, (x, res)
 
     def test_refuses_a_value_with_no_certified_digit(self):
-        # at x = -30 the rounding bound 175 exceeds |alpha(-30, 3)| = 4.8
-        with pytest.raises(ToleranceNotReachedError, match="no digit is certified") as excinfo:
-            alpha3_quadrature_real(-30.0)
-        assert excinfo.value.best.est_error > abs(excinfo.value.best.value)
+        # at x = -30 the rounding bound 175 exceeds |alpha(-30, 3)| = 4.8:
+        # the library returns the value with that honest bound, and the
+        # report's one rule refuses it (compare's own torus entries run the
+        # ladder, which stalls there, so it exits 3 as well)
+        exact = alpha3_mpmath(-30.0)
+        for name, route in TORUS_ROUTES.items():
+            res = route(-30.0)
+            assert abs(res.value) < res.est_error
+            with mpmath.workdps(40):
+                assert float(abs(mpmath.mpc(res.value) - exact)) <= res.est_error
+            entry = report.Route(name, None, lambda s: None,
+                                 lambda x, s, tol, res=res: (res.value.real, res.est_error, {}))
+            with pytest.raises(NonConvergenceError, match=f"^{name}: .*no digit is certified$"):
+                report._certified(entry, -30.0, 3, None)
+        with pytest.raises(ArithmeticError):  # exit 3
+            compare_methods(-30.0, 3)
 
     def test_raises_past_the_node_cap(self):
         for route in TORUS_ROUTES.values():
@@ -626,7 +649,7 @@ class TestCertifiedCircleRoutes:
     def test_bessel_within_its_error(self, a, b):
         with mpmath.workdps(40):
             exact = mpmath.besseli(0, mpmath.hypot(a, b))
-        self.check(lambda: _bessel_quadrature(a, b), exact)
+        self.check(lambda: _result(_bessel_level(a, b, None)), exact)
 
     def test_one_level_from_the_bound(self):
         # the unit split ru = |x|, rv = 1 ran 16, 16, 32, 32 and 64 nodes
@@ -667,6 +690,20 @@ class TestCertifiedCircleRoutes:
             error = float(abs(mpmath.mpf(res.value.real) - exact))
         assert error <= res.est_error < 1e-8 * abs(res.value.real)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    @pytest.mark.parametrize("kernel, name, run", [
+        ("alpha2_mean", "alpha2_quadrature", lambda: alpha2_quadrature(1.0)),
+        ("exp_alpha_mean", "alpha_via_hadamard", lambda: alpha_via_hadamard(1.0, 3)),
+        ("alpha3_real_row_mean", "alpha3_quadrature_real", lambda: alpha3_quadrature_real(1.0)),
+    ], ids=["alpha2", "lift", "alpha3_real"])
+    def test_refuses_a_level_mean_that_is_not_finite(self, monkeypatch, kernel, name, run, bad):
+        # a route returns a value whose bound certifies no digit, but never
+        # a non-finite one: each certified level runs its kernel through
+        # quadrature._level, whose refusal names the route
+        monkeypatch.setattr(_kernels_py, kernel, lambda *args: complex(bad))
+        with pytest.raises(ToleranceNotReachedError, match=f"^{name}: .* is not finite"):
+            run()
+
     def test_lift_refuses_a_residue_past_its_bound(self, monkeypatch):
         mean = _kernels_py.exp_alpha_mean
         monkeypatch.setattr(_kernels_py, "exp_alpha_mean",
@@ -683,17 +720,30 @@ class TestCertifiedCircleRoutes:
             lambda: alpha2_quadrature(1.0, tol),
             lambda: alpha_via_hadamard(1.0, 3, tol),
             lambda: bessel_identity_check(1.0, 2.0, tol),
-            lambda: _bessel_quadrature(1.0, 2.0, tol),
+            lambda: _bessel_level(1.0, 2.0, tol),
         ):
             with pytest.raises(InvalidQueryError, match="tol must be positive"):
                 run()
 
     def test_refuses_a_value_below_its_bound(self):
-        # alpha(x, 2) = J0(2 sqrt(-x)) is 0 to rounding at the first zero of J0
-        x = -((2.404825557695773 / 2.0) ** 2)
-        with pytest.raises(ToleranceNotReachedError, match="no digit is certified") as excinfo:
-            alpha2_quadrature(x)
-        assert abs(excinfo.value.best.value) < 1e-15 < excinfo.value.best.est_error
+        # alpha(x, 2) = J0(2 sqrt(-x)) is 0 to rounding at the first zero of
+        # J0, and alpha(-30, 2) = -0.18 is below alpha2's bound of 3.8: the
+        # library returns each value with its honest bound, and eval and
+        # compare refuse it by the report's one rule
+        zero = -((2.404825557695773 / 2.0) ** 2)
+        for x in (zero, -30.0):
+            res = alpha2_quadrature(x)
+            assert abs(res.value) < res.est_error, x
+            with mpmath.workdps(40):
+                error = float(abs(mpmath.mpf(res.value.real) - alpha_mpmath_s(x, 2)))
+            assert error <= res.est_error, x
+        assert abs(alpha2_quadrature(zero).value) < 1e-15
+        with pytest.raises(NonConvergenceError,
+                           match="^alpha2-closed-form: .*no digit is certified$"):
+            compare_methods(-30.0, 2)
+        with pytest.raises(NonConvergenceError,
+                           match="^hadamard-iterated: .*no digit is certified$"):
+            evaluate_method(zero, 2, "hadamard")
 
 
 class TestExpRangeGuards:
@@ -752,7 +802,7 @@ def test_quadrature_routes_refuse_non_real_arguments(route, args, name):
     alpha3_quadrature_real,
     alpha3_quadrature_complex,
     lambda x, *tol: alpha_via_hadamard(x, 3, *tol),
-    lambda x, *tol: _bessel_quadrature(x, 0.5, *tol),
+    lambda x, tol=None: _result(_bessel_level(x, 0.5, tol)),
 ], ids=["alpha2", "alpha3_real", "alpha3_complex", "lift", "bessel"])
 def test_quadrature_routes_take_tol_none_as_their_default(route):
     # the torus routes refused None with "tol must be positive"

@@ -20,14 +20,16 @@ from alphafn import (
     alpha_series,
 )
 from alphafn.hadamard import (
-    _bessel_quadrature,
+    _bessel_level,
     _ladder,
+    _result,
     alpha2_quadrature,
     alpha3_quadrature_complex,
     alpha3_quadrature_real,
     alpha_via_hadamard,
 )
 from alphafn.report import METHODS, ROUTES, compare_methods, evaluate_method
+from alphafn.verify import SUITE_NAMES, run_suite
 
 S2_FULL = ["series", "alpha2-closed-form", "bessel", "hadamard-iterated"]
 S3 = ["series", "hadamard-2d-complex", "hadamard-2d-real", "hadamard-iterated"]
@@ -181,7 +183,7 @@ def _public(name, x, s):
     if name == "alpha2-closed-form":
         q = alpha2_quadrature(x)
     elif name == "bessel":
-        q = _bessel_quadrature(2.0 * math.sqrt(x), 0.0)
+        q = _result(_bessel_level(2.0 * math.sqrt(x), 0.0, None))
     else:
         q = alpha_via_hadamard(x, s)
     return q.value.real, q.est_error, {
@@ -301,7 +303,7 @@ def _refusals():
              lambda x=x: alpha_via_hadamard(x, 4))
     for x in (math.nan, math.inf):  # eval's Bessel route refuses -inf as x < 0
         case(f"bessel-x={x!r}", lambda x=x: evaluate_method(x, 2, "bessel"),
-             lambda x=x: _bessel_quadrature(2.0 * math.sqrt(x), 0.0))
+             lambda x=x: _bessel_level(2.0 * math.sqrt(x), 0.0, None))
     for tol in (0, -1, True, "1e-3"):
         # compare's tolerance is its verdict's, and its message says so
         case(f"compare-tol={tol!r}", lambda tol=tol: compare_methods(1.0, 4, tol),
@@ -311,7 +313,7 @@ def _refusals():
         case(f"hadamard-tol={tol!r}", lambda tol=tol: evaluate_method(1.0, 4, "hadamard", tol),
              lambda tol=tol: alpha_via_hadamard(1.0, 4, tol))
         case(f"bessel-tol={tol!r}", lambda tol=tol: evaluate_method(1.0, 2, "bessel", tol),
-             lambda tol=tol: _bessel_quadrature(2.0, 0.0, tol))
+             lambda tol=tol: _bessel_level(2.0, 0.0, tol))
     return cases
 
 
@@ -326,6 +328,14 @@ def test_report_refuses_what_the_public_routes_refuse(report_call, public_call, 
     assert type(got.value) is type(public.value)
     if same_message:
         assert str(got.value) == str(public.value)
+
+
+def test_eval_and_verify_refuse_an_unknown_name():
+    with pytest.raises(InvalidQueryError, match="^unknown method 'nope'$"):
+        evaluate_method(1.0, 3, "nope")
+    with pytest.raises(ValueError, match="^unknown suite 'nope'; choose from ") as excinfo:
+        run_suite("nope")
+    assert all(name in str(excinfo.value) for name in (*SUITE_NAMES, "all"))
 
 
 @pytest.mark.parametrize("method", sorted(METHODS))

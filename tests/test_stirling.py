@@ -117,6 +117,10 @@ class TestGeneratingFunction:
     def test_k3_at_one(self):
         assert stirling_genfunc_residual(3, 1.0, 20) < 1e-10
 
+    def test_rejects_k_below_one(self):
+        with pytest.raises(ValueError, match="require k >= 1, got 0"):
+            stirling_genfunc_residual(0, 0.5, 20)
+
     def test_rejects_order_below_k(self):
         with pytest.raises(ValueError):
             stirling_genfunc_residual(3, 0.5, 2)
