@@ -2,10 +2,11 @@
 
 Each cmd_* returns its text and exit code.  `main` resolves the tolerance
 once, for the commands that take --tol: the --tol flag, then the ALPHA_TOL
-environment variable, then built-in defaults.  It then writes the text
-once, to stdout or --output.  --tol sets eval's route tolerance, compare's
-agreement tolerance (every route at its defaults) and table's lift
-tolerance (the series at its default).
+environment variable, each checked by series._tol, the rule every route
+uses; without either it passes None, each route's own default.  It then
+writes the text once, to stdout or --output.  --tol sets eval's route
+tolerance, compare's agreement tolerance (every route at its defaults) and
+table's lift tolerance (the series at its default).
 Exit codes: 0 success, 1 a comparison or verification failed, 2 invalid
 query, domain violation or unwritable --output, 3 a series or quadrature
 failed to converge or certified no digit.  All output is deterministic for
@@ -22,7 +23,7 @@ import sys
 
 from .errors import AlphaFnError, InvalidQueryError
 from .report import METHODS, compare_methods, evaluate_method
-from .series import _check_tol
+from .series import _tol
 from .verify import SUITE_NAMES, run_suite, worst_delta
 
 EXIT_OK = 0
@@ -34,17 +35,15 @@ EXIT_NO_CONVERGENCE = 3
 def _resolve_tol(flag_value: float | None) -> float | None:
     """Flag beats ALPHA_TOL beats None (meaning built-in defaults)."""
     if flag_value is not None:
-        _check_tol(flag_value, "--tol")
-        return flag_value
+        return _tol(flag_value, name="--tol")
     env = os.environ.get("ALPHA_TOL")
-    if env is not None:
-        try:
-            value = float(env)
-        except ValueError:
-            raise InvalidQueryError(f"ALPHA_TOL must be a number, got {env!r}")
-        _check_tol(value, "ALPHA_TOL")
-        return value
-    return None
+    if env is None:
+        return None
+    try:
+        value = float(env)
+    except ValueError:
+        raise InvalidQueryError(f"ALPHA_TOL must be a number, got {env!r}")
+    return _tol(value, name="ALPHA_TOL")
 
 
 def _emit(text: str, output: str | None) -> None:

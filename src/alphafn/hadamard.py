@@ -36,7 +36,7 @@ from .quadrature import (
     # not called here: bound so that perfbench/tracing.py can wrap it here
     trapezoid_periodic_1d,  # noqa: F401
 )
-from .series import _UNIT_ROUNDOFF, _check_s_fits, _check_tol, _real, _summed, bessel_i0
+from .series import _UNIT_ROUNDOFF, _check_s_fits, _real, _summed, _tol, bessel_i0
 
 # exp overflows doubles just above 709; the closed-form integrands peak at
 # exp of the values guarded here, so reject inputs past this point with a
@@ -110,7 +110,10 @@ def _circle_level(
     kernel: Callable[..., complex], *args: float,
 ) -> _Level:
     """One certified trapezoid level of a circle route, unchecked but for
-    tol: the core of the circle routes, which report's entries call.
+    tol: the core of the circle routes, which report's entries call, and
+    the one place their tol is resolved and checked (series._tol: None
+    means CIRCLE_LADDER's 1e-12, anything but a positive number raises
+    InvalidQueryError).
 
     kernel(*args, N) is the N-node mean of F(t) = f(u e^{it}) g(v e^{-it}).
     The second factor g = (rv, q, A, log A, truncation, rounding) (exp's,
@@ -125,10 +128,9 @@ def _circle_level(
         A_N <= A T_1(ru, N) + e^{ru} T_q(rv, N),
         T_q(r, N) = sum_{p>=N} r^p/(p!)^q.
     N is the first of 16 * 2^k up to 1024 (CIRCLE_LADDER's node counts)
-    with A_N <= tol (None means CIRCLE_LADDER's 1e-12; a given tol that is
-    not a positive number raises InvalidQueryError), and the kernel runs
-    that one level, alias_bound = A_N + e^{ru} truncation.  The peak guard
-    reads ru + log A before e^{ru} is formed.
+    with A_N <= tol, and the kernel runs that one level, alias_bound =
+    A_N + e^{ru} truncation.  The peak guard reads ru + log A before e^{ru}
+    is formed.
 
     rounding_bound = (N + 48 + 32 (ru + rv)) 2^-53 M + e^{ru} rounding, with
     M = e^{ru} A >= |F| on the circle (after Higham, Accuracy and
@@ -150,10 +152,7 @@ def _circle_level(
     tol, and quadrature._level's refusal when the level mean is not finite.
     """
     n, max_nodes, default_tol = CIRCLE_LADDER
-    if tol is None:
-        tol = default_tol
-    else:
-        _check_tol(tol)
+    tol = _tol(tol, default_tol)
     rv, q, a_rv, log_a_rv, g_truncation, g_rounding = g
     _guard_exp_peak(ru + log_a_rv, route)
     e_ru = math.exp(ru)
@@ -370,27 +369,30 @@ def alpha3_integrand_real(x: float, theta: float, t: float) -> float:
 def alpha3_quadrature_real(x: float, tol: float | None = None) -> QuadratureResult:
     """alpha(x, 3) as the torus mean of the expanded real integrand, at the
     one n x n level _torus_level certifies to alias by at most tol
-    (None meaning 1e-10): est_error = alias_bound + rounding_bound bounds the
-    error.
+    (None meaning 1e-10), as its _result: est_error = alias_bound +
+    rounding_bound bounds the error.
 
     The mean is summed by rows, kernels.alpha3_real_row_mean: n cached
     x-free row sums, each weighted by e^{x cos th} times cos(x sin th) or
     sin(x sin th).  It differs from the node-by-node sum by rounding only,
     and _torus_level shows that rounding_bound covers this order.
     """
-    return _torus_level("alpha3_quadrature_real", x, tol, kernels.alpha3_real_row_mean)
+    return _result(_torus_level(
+        "alpha3_quadrature_real", _real(x), tol, kernels.alpha3_real_row_mean))
 
 
 def alpha3_quadrature_complex(x: float, tol: float | None = None) -> QuadratureResult:
     """alpha(x, 3) as the torus mean of the complex-product integrand, at
-    the level and with the bounds of alpha3_quadrature_real, summed by rows
+    the level, with the bounds and the tol (None meaning 1e-10) of
+    alpha3_quadrature_real, as _torus_level's _result, summed by rows
     as kernels.alpha3_complex_row_mean: n cached x-free row sums, each
     weighted by exp(x e^{i th}).
 
     The imaginary part of the returned value is the torus average of the
     integrand's imaginary component and is reported, not dropped.
     """
-    return _torus_level("alpha3_quadrature_complex", x, tol, kernels.alpha3_complex_row_mean)
+    return _result(_torus_level(
+        "alpha3_quadrature_complex", _real(x), tol, kernels.alpha3_complex_row_mean))
 
 
 def _torus_alias_sum(wx: list[float], w1: list[float], n: int) -> float:
@@ -411,10 +413,14 @@ def _torus_alias_sum(wx: list[float], w1: list[float], n: int) -> float:
 
 def _torus_level(
     route: str, x: float, tol: float | None, kernel: Callable[..., complex]
-) -> QuadratureResult:
+) -> _Level:
     """kernel(x, n), the mean of either paper integrand over the smallest
-    certified n x n torus grid, as the _result of its level, returned also
-    where est_error is not below |value| (report._certified refuses that).
+    certified n x n torus grid, at a real x (the public routes check it
+    with _real): the torus routes' core, which returns (value, n,
+    alias_bound, rounding_bound), also where their sum is not below |value|
+    (report._certified refuses that).  It resolves and checks tol once
+    (series._tol: None means TORUS_LADDER's 1e-10, anything but a positive
+    number raises InvalidQueryError).
 
     The n x n trapezoid mean of either paper integrand is the mean of
     E = exp(x e^{i th} + e^{-i th} e^{it} + e^{-it}), which is
@@ -422,12 +428,11 @@ def _torus_level(
     a = b = c.  So |mean - alpha(x, 3)| <= alias_bound, the sum of
     |x|^a/(a! b! c!) over the other triples (Trefethen & Weideman, "The
     exponentially convergent trapezoidal rule", SIAM Rev. 2014), and n is
-    the smallest n >= 4 with alias_bound <= tol (None meaning TORUS_LADDER's
-    1e-10).  Both depend on |x| and tol alone, so _torus_search finds them
-    once per (|x|, tol) for both routes.  Raises ToleranceNotReachedError
-    (best None), naming the route and x, when n would pass TORUS_LADDER's
-    512 max nodes, and quadrature._level's refusal when the mean is not
-    finite.
+    the smallest n >= 4 with alias_bound <= tol.  Both depend on |x| and
+    tol alone, so _torus_search finds them once per (|x|, tol) for both
+    routes.  Raises ToleranceNotReachedError (best None), naming the route
+    and x, when n would pass TORUS_LADDER's 512 max nodes, and
+    quadrature._level's refusal when the mean is not finite.
 
     rounding_bound = 2 n^2 2^-53 M, M = e^{|x|+2}, bounds the rounding
     (after Higham, Accuracy and Stability of Numerical Algorithms, ch. 3-4);
@@ -456,10 +461,7 @@ def _torus_level(
     K <= 2n^2 - 2n + 1 = n^2 + 9 + (n - 4)(n + 2): for every n >= 4 that
     leaves each node at least 9 2^-53 M more than the node order did.
     """
-    x = _real(x)
-    if tol is None:
-        tol = TORUS_LADDER[2]
-    _check_tol(tol)
+    tol = _tol(tol, TORUS_LADDER[2])
     ax = abs(x)
     _guard_exp_peak(ax + 2.0, route)
     found = _torus_search(ax, tol)
@@ -471,7 +473,7 @@ def _torus_level(
         )
     n, alias = found
     rounding = 2.0 * n * n * _UNIT_ROUNDOFF * math.exp(ax + 2.0)
-    return _result((_level(functools.partial(kernel, x), n, route), n, alias, rounding))
+    return _level(functools.partial(kernel, x), n, route), n, alias, rounding
 
 
 @functools.lru_cache(maxsize=kernels.CACHE_SIZE)

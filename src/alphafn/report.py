@@ -12,7 +12,7 @@ from typing import Callable, NamedTuple
 from .backend import kernels
 from .errors import InvalidQueryError, NonConvergenceError
 from .hadamard import _alpha2_level, _bessel_level, _ladder, _lift_level, _lift_refusal
-from .series import DEFAULT_TOL, AlphaQuery, _check_query, _check_tol, _real, _summed
+from .series import AlphaQuery, _check_query, _real, _summed, _tol
 
 # The often-quoted value for sum 1/(n!)^3 = 0F2(;1,1;1); it matches only
 # the fractional digits of the actual sum (n=0 alone contributes 1).
@@ -81,7 +81,7 @@ def _only_s(k: int, what: str = "route") -> Callable[[int], str | None]:
 
 
 def _series(x, s, tol):
-    value, terms, tail, rounding = _summed(complex(x), s, 0, DEFAULT_TOL if tol is None else tol)
+    value, terms, tail, rounding = _summed(complex(x), s, 0, tol)
     info = {"terms_used": terms, "tail_bound": tail, "rounding_bound": rounding}
     return value.real, tail + rounding, info
 
@@ -158,9 +158,11 @@ def evaluate_method(x: float, s: int, method: str, tol: float | None = None) -> 
     """Evaluate alpha(x, s) by the route named method in `eval`;
     NonConvergenceError where the route's error is not below |value|.
 
-    After the route's refusals, the query and a given tol are checked once,
-    as the series checks them, except that a non-finite x is left to the
-    circle routes' integrand peak guard, whose refusal names the route."""
+    After the route's refusals, the query is checked once, as the series
+    checks it, except that a non-finite x is left to the circle routes'
+    integrand peak guard, whose refusal names the route.  tol is the
+    route's own: its core resolves and checks it, once (None meaning the
+    series' 1e-13 or the circle routes' 1e-12)."""
     route = METHODS.get(method)
     if route is None:
         raise InvalidQueryError(f"unknown method {method!r}")
@@ -172,8 +174,6 @@ def evaluate_method(x: float, s: int, method: str, tol: float | None = None) -> 
         raise InvalidQueryError(reason)
     if math.isfinite(x) or route.run is _series:
         _check_query(x, s)
-        if tol is not None:
-            _check_tol(tol)
     return _certified(route, x, s, tol)
 
 
@@ -190,8 +190,7 @@ def compare_methods(x: float, s: int, tolerance: float | None = None) -> Compari
     values.
     """
     query = AlphaQuery(complex(x), s)
-    tolerance = 1e-8 if tolerance is None else tolerance
-    _check_tol(tolerance, "tolerance")
+    tolerance = _tol(tolerance, 1e-8, "tolerance")
     x = _real(x)
     methods = [_certified(r, x, s, None) for r in _serving(s)
                if r.refuse_x is None or r.refuse_x(x) is None]

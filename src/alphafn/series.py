@@ -28,11 +28,15 @@ def _check_s_fits(s: int) -> None:
         )
 
 
-def _check_tol(tol, name: str = "tol") -> None:
-    """A tolerance must be a positive real number: InvalidQueryError, not
-    a TypeError from the comparison, for anything else."""
+def _tol(tol, default: float | None = None, name: str = "tol") -> float | None:
+    """The one tolerance rule: None means default, the caller's own; any
+    other tol must be a positive real number, InvalidQueryError (not a
+    TypeError from the comparison) for anything else, and is returned."""
+    if tol is None:
+        return default
     if not (isinstance(tol, (int, float)) and not isinstance(tol, bool) and tol > 0):
         raise InvalidQueryError(f"{name} must be positive, got {tol!r}")
+    return tol
 
 
 def _real(x, name: str = "x") -> float:
@@ -103,12 +107,14 @@ def _reciprocal(total: float, tail: float, rounding: float) -> tuple[complex, fl
     return complex(1.0 / total), tail / scale, rounding / scale + _UNIT_ROUNDOFF / total
 
 
-def _summed(x: complex, s: int, k: int, tol: float) -> tuple[complex, int, float, float]:
+def _summed(x: complex, s: int, k: int, tol: float | None) -> tuple[complex, int, float, float]:
     """The k-th derivative of alpha(., s) at x, k = 0 being alpha itself, as
-    SeriesResult's fields (value, terms_used, tail_bound, rounding_bound).
+    SeriesResult's fields (value, terms_used, tail_bound, rounding_bound),
+    summed to tol (None meaning DEFAULT_TOL, 1e-13), which it checks.
 
-    Unchecked: x is a complex that _check_query returned, and tol and k
-    are checked, as _checked_sum and report's series entry do."""
+    Unchecked but for tol: x is a complex that _check_query returned and k
+    an integer >= 0, as _checked_sum and report's series entry see to."""
+    tol = _tol(tol, DEFAULT_TOL)
     # every derivative of e^x is e^x: at s = 1, x < 0 sum S = e^{-x}, return 1/S
     reciprocal = s == 1 and x.imag == 0 and x.real < 0
     value, terms, tail, abs_sum, ok = kernels.alpha_deriv_sum(
@@ -126,25 +132,26 @@ def _summed(x: complex, s: int, k: int, tol: float) -> tuple[complex, int, float
     return value, terms, tail, rounding
 
 
-def _checked_sum(x, s: int, k: int, tol: float) -> SeriesResult:
-    """_summed's numbers as a SeriesResult, after the query, tol and k checks."""
+def _checked_sum(x, s: int, k: int, tol: float | None) -> SeriesResult:
+    """_summed's numbers as a SeriesResult, after the query and k checks."""
     x = _check_query(x, s)
-    _check_tol(tol)
     if not isinstance(k, int) or k < 0:
         raise InvalidQueryError(f"k must be an integer >= 0, got {k!r}")
     return SeriesResult(*_summed(x, s, k, tol))
 
 
-def alpha_series(x: complex | float, s: int, tol: float = DEFAULT_TOL) -> SeriesResult:
+def alpha_series(x: complex | float, s: int, tol: float | None = None) -> SeriesResult:
     """Evaluate alpha(x, s) by direct summation.
 
     Terms are generated forward by term_{n+1} = term_n * x/(n+1)**s.
-    Summation stops once the next term is bounded by ``tol`` and the term
-    ratio has fallen to 1/2 or below, which makes the attached tail bound
-    rigorous.  The ratio falls to 0, so no term budget is needed: raises
-    NonConvergenceError only where a term or the sum of the magnitudes
-    passes the double range.  The bounds are honest but may exceed
-    |value|, as for large negative x at s >= 2, where the terms cancel.
+    Summation stops once the next term is bounded by ``tol`` (None meaning
+    DEFAULT_TOL, 1e-13; anything but a positive number raises
+    InvalidQueryError) and the term ratio has fallen to 1/2 or below, which
+    makes the attached tail bound rigorous.  The ratio falls to 0, so no
+    term budget is needed: raises NonConvergenceError only where a term or
+    the sum of the magnitudes passes the double range.  The bounds are
+    honest but may exceed |value|, as for large negative x at s >= 2,
+    where the terms cancel.
 
     At s = 1 and real x < 0 the alternating terms would cancel, so the
     all-positive series S = e^{-x} is summed instead and 1/S returned, with
@@ -154,7 +161,7 @@ def alpha_series(x: complex | float, s: int, tol: float = DEFAULT_TOL) -> Series
 
 
 def alpha_derivative_series(
-    x: complex | float, s: int, k: int, tol: float = DEFAULT_TOL
+    x: complex | float, s: int, k: int, tol: float | None = None
 ) -> SeriesResult:
     """Evaluate the k-th derivative of alpha(., s) at x, term by term.
 
@@ -168,8 +175,17 @@ def alpha_derivative_series(
     return _checked_sum(x, s, k, tol)
 
 
-def bessel_i0(z: float, tol: float = DEFAULT_TOL) -> SeriesResult:
-    """Modified Bessel function I0(z) = sum (z^2/4)^n/(n!)^2 = alpha(z^2/4, 2)."""
+def bessel_i0(z: float, tol: float | None = None) -> SeriesResult:
+    """Modified Bessel function I0(z) = sum (z^2/4)^n/(n!)^2 = alpha(z^2/4, 2),
+    summed as alpha_series sums it, with its tol.
+
+    A finite z whose I0 passes the double range (|z| past about 714)
+    raises NonConvergenceError naming z, also where z^2/4 itself overflows
+    (|z| past 1.34e154): that argument is taken as DBL_MAX, where the
+    series fails at its second term."""
     if not math.isfinite(z):
         raise InvalidQueryError(f"z must be finite, got {z!r}")
-    return alpha_series(z * z / 4.0, 2, tol)
+    try:
+        return alpha_series(min(z * z / 4.0, sys.float_info.max), 2, tol)
+    except NonConvergenceError as exc:
+        raise NonConvergenceError(f"I0({z!r}) passes the double range") from exc

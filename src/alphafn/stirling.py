@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 
-from .series import DEFAULT_TOL, alpha_derivative_series, alpha_series
+from .series import alpha_derivative_series, alpha_series
 
 # Exact-integer contract is capped so the table stays desk-sized; S(64,.)
 # already exceeds 2**63 and marks the documented end of the domain.
@@ -71,8 +71,9 @@ def stirling_genfunc_residual(k: int, x: float, order: int) -> float:
     return abs(lhs - rhs)
 
 
-def ode_residual(x: float, s: int, tol: float = DEFAULT_TOL) -> float:
-    """Residual sum_{k=1}^{s} S(s,k) x^(k-1) y^(k)(x) - y(x) at y = alpha(., s).
+def ode_residual(x: float, s: int, tol: float | None = None) -> float:
+    """Residual sum_{k=1}^{s} S(s,k) x^(k-1) y^(k)(x) - y(x) at y = alpha(., s),
+    every series summed to tol (None meaning the series' 1e-13).
 
     Zero up to series truncation error; derivative factors come from the
     term-wise derivative series, never finite differences.

@@ -204,6 +204,14 @@ class TestNegativeValues:
         assert out == ""
         assert err == "error: x must be finite, got (-inf+0j)\n"
 
+    def test_a_dash_token_that_is_no_number_stays_an_option(self):
+        # -foo is not joined to --x, so argparse finds --x without a value
+        proc = run_module("eval", "--x", "-foo", "--s", "3")
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert proc.stderr.endswith("alphafn eval: error: argument --x: expected one argument\n")
+        assert "Traceback" not in proc.stderr
+
     def test_table_range(self, capsys):
         code, out, _ = run_cli(capsys, "table", "--x-min", "-1e0", "--x-max", "1e0",
                                "--steps", "3", "--s", "2")

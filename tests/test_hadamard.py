@@ -21,6 +21,7 @@ from alphafn import (
     ImaginaryResidueError,
     InvalidQueryError,
     NonConvergenceError,
+    SeriesResult,
     ToleranceNotReachedError,
     alpha2_integrand,
     alpha2_quadrature,
@@ -28,12 +29,15 @@ from alphafn import (
     alpha3_integrand_real,
     alpha3_quadrature_complex,
     alpha3_quadrature_real,
+    alpha_derivative_series,
     alpha_series,
     alpha_via_hadamard,
+    bessel_i0,
     bessel_identity_check,
     compare_methods,
     evaluate_method,
     hadamard_eval,
+    ode_residual,
     trapezoid_periodic_1d,
 )
 from alphafn import _kernels_py, hadamard, report, verify
@@ -803,8 +807,21 @@ def test_quadrature_routes_refuse_non_real_arguments(route, args, name):
     alpha3_quadrature_complex,
     lambda x, *tol: alpha_via_hadamard(x, 3, *tol),
     lambda x, tol=None: _result(_bessel_level(x, 0.5, tol)),
-], ids=["alpha2", "alpha3_real", "alpha3_complex", "lift", "bessel"])
+    lambda x, *tol: alpha_series(x, 3, *tol),
+    lambda x, *tol: alpha_derivative_series(x, 3, 2, *tol),
+    bessel_i0,
+    lambda x, *tol: ode_residual(x, 3, *tol),
+], ids=["alpha2", "alpha3_real", "alpha3_complex", "lift", "bessel", "series", "derivative",
+        "bessel_i0", "ode_residual"])
 def test_quadrature_routes_take_tol_none_as_their_default(route):
-    # the torus routes refused None with "tol must be positive"
+    # None is each route's own default tol, bit for bit
+    def hexed(result):
+        if isinstance(result, float):
+            return result.hex()
+        if isinstance(result, SeriesResult):
+            return (result.value.real.hex(), result.value.imag.hex(), result.terms_used,
+                    result.tail_bound.hex(), result.rounding_bound.hex())
+        return bits(result)
+
     for x in (-3.0, 0.5, 2.0):
-        assert bits(route(x, None)) == bits(route(x)), x
+        assert hexed(route(x, None)) == hexed(route(x)), x

@@ -279,6 +279,27 @@ def test_a_report_query_is_checked_once(monkeypatch, run):
     assert built == []
 
 
+@pytest.mark.parametrize("x, s, method", [
+    (3.3, 4, "series"),
+    (3.3, 4, "hadamard"),
+    (2.5, 2, "bessel"),
+])
+def test_eval_checks_a_given_tol_once(monkeypatch, x, s, method):
+    # each route's core resolves and checks its own tol with series._tol,
+    # and eval adds no check of its own; the lift's inner series checks
+    # INNER_TOL as well, so only the given tol is counted
+    given, checks = 1e-9, []
+    original = series._tol
+
+    def counted_tol(tol, *args, **kwargs):
+        checks.append(tol)
+        return original(tol, *args, **kwargs)
+
+    _rebind_everywhere(monkeypatch, original, counted_tol)
+    evaluate_method(x, s, method, given)
+    assert checks.count(given) == 1
+
+
 def _refusals():
     """pytest params (report call, public call, same message) for each
     refusal the public routes make on the report path."""

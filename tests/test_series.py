@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import sys
 from fractions import Fraction
 
 import mpmath
@@ -16,6 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from alphafn import _kernels_py
 from alphafn import (
     AlphaQuery,
     InvalidQueryError,
@@ -386,6 +388,17 @@ class TestLargeS:
         with pytest.raises(NonConvergenceError, match="passed the double range"):
             alpha_series(1.7e308, 1024)
 
+    def test_term_past_dbl_max_on_the_log_path(self):
+        # 2^1024 passes DBL_MAX, so the second term is taken through logs;
+        # |x| is DBL_MAX to rounding, so log|x| - 1024 log 2 rounds to 0, the
+        # ratio to 1, and the second term x (x/|x|) to a modulus past DBL_MAX
+        # (abs() would raise on it): the only give-up inside the log path
+        big = sys.float_info.max
+        x = complex(-big, big * 1e-8)
+        assert _kernels_py._term_sum(x, 1024, 0, 1e-13)[1:] == (2, math.inf, big, False)
+        with pytest.raises(NonConvergenceError, match="after 2 terms the series passed"):
+            alpha_series(x, 1024)
+
     @pytest.mark.parametrize("s", [2**1024, 2**1024 + 1, 10**400])
     def test_s_past_double_range_is_invalid(self, s):
         # math.pow cannot take such an s; the value is not 1 + x + ...
@@ -474,6 +487,13 @@ class TestBesselI0:
     def test_rejects_non_finite(self):
         with pytest.raises(InvalidQueryError):
             bessel_i0(math.nan)
+
+    @pytest.mark.parametrize("z", [1e3, 1e154, 1.5e154, 1e160, -1e160])
+    def test_value_past_double_range_names_z(self, z):
+        # I0 passes DBL_MAX near |z| = 714, and z*z/4 itself past 1.34e154
+        with pytest.raises(NonConvergenceError) as refusal:
+            bessel_i0(z)
+        assert str(refusal.value) == f"I0({z!r}) passes the double range"
 
 # float.hex of the real part of alpha^(k)(x, s) at PINNED_XS, from the
 # complex term loop that every x took before real x was summed in floats
