@@ -16,8 +16,7 @@ from __future__ import annotations
 import cmath
 import functools
 import math
-from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Iterable, NamedTuple
 
 from .backend import kernels
 from .errors import (
@@ -185,31 +184,43 @@ def _circle_level(
 _IMAG_LIMIT_EVAL = 1e-10
 
 
-@dataclass(frozen=True)
-class AnalyticFunction:
-    """A real-coefficient power series, given by an evaluator and its radius.
+class _AnalyticFields(NamedTuple):
+    evaluator: Callable[[complex], complex]
+    radius: float
+
+
+class AnalyticFunction(_AnalyticFields):
+    """A real-coefficient power series, given by an evaluator and its radius:
+    an immutable NamedTuple (evaluator, radius).
 
     The evaluator must accept complex arguments; radius may be math.inf.
     Real coefficients mean evaluator(conj(z)) == conj(evaluator(z)), which
     the property suite samples rather than this class enforcing per call.
     """
 
-    evaluator: Callable[[complex], complex]
-    radius: float
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not self.radius > 0:
-            raise InvalidQueryError(f"radius must be positive, got {self.radius!r}")
+    def __new__(cls, evaluator: Callable[[complex], complex], radius: float):
+        if not radius > 0:
+            raise InvalidQueryError(f"radius must be positive, got {radius!r}")
+        return tuple.__new__(cls, (evaluator, radius))
+
+    @classmethod
+    def _make(cls, iterable) -> "AnalyticFunction":
+        # _replace builds through _make, which would skip the radius check
+        return cls(*iterable)
 
     def __call__(self, z: complex) -> complex:
         return self.evaluator(z)
 
     @classmethod
-    def from_coefficients(cls, coefficients: list[float]) -> "AnalyticFunction":
-        """Polynomial with the given real coefficients (radius infinite)."""
-        # leading coefficient first; no coefficients is the zero polynomial
-        leading_first = [float(c) for c in coefficients][::-1] or [0.0]
-        lead, rest = complex(leading_first[0]), leading_first[1:]
+    def from_coefficients(cls, coefficients: Iterable[float]) -> "AnalyticFunction":
+        """Polynomial with the given real coefficients, constant term first
+        (radius infinite), evaluated by Horner's rule from the leading one."""
+        # no coefficients is the zero polynomial
+        rest = list(map(float, coefficients))
+        lead = complex(rest.pop()) if rest else 0j
+        rest.reverse()
 
         def evaluate(z: complex) -> complex:
             acc = lead
@@ -217,7 +228,8 @@ class AnalyticFunction:
                 acc = acc * z + c
             return acc
 
-        return cls(evaluate, math.inf)
+        # an infinite radius needs no check
+        return tuple.__new__(cls, (evaluate, math.inf))
 
 
 EXP = AnalyticFunction(cmath.exp, math.inf)

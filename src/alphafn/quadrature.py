@@ -20,8 +20,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from .errors import InvalidQueryError, ToleranceNotReachedError
 
@@ -35,9 +34,9 @@ CIRCLE_LADDER = (16, 1024, 1e-12)
 TORUS_LADDER = (16, 512, 1e-10)
 
 
-@dataclass(frozen=True)
-class QuadratureResult:
-    """A node average over `nodes` nodes per dimension and its error.
+class QuadratureResult(NamedTuple):
+    """A node average over `nodes` nodes per dimension and its error, an
+    immutable NamedTuple.
 
     From the doubling ladder (`converge`: `trapezoid_periodic_1d`,
     `hadamard_eval` and compare's s = 3 torus ladder), est_error is

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 
-from .series import alpha_derivative_series, alpha_series
+from .series import DEFAULT_TOL, _check_query, _summed, _tol
 
 # Exact-integer contract is capped so the table stays desk-sized; S(64,.)
 # already exceeds 2**63 and marks the documented end of the domain.
@@ -76,10 +76,15 @@ def ode_residual(x: float, s: int, tol: float | None = None) -> float:
     every series summed to tol (None meaning the series' 1e-13).
 
     Zero up to series truncation error; derivative factors come from the
-    term-wise derivative series, never finite differences.
+    term-wise derivative series, never finite differences.  x, s and tol
+    are checked once, at entry, by the series' rules, and the s + 1 sums
+    are series._summed's, the values and refusals of alpha_series and
+    alpha_derivative_series without a SeriesResult each.
     """
+    z = _check_query(x, s)
+    tol = _tol(tol, DEFAULT_TOL)
     total = 0.0
     for k in range(1, s + 1):
-        deriv = alpha_derivative_series(x, s, k, tol).value.real
+        deriv = _summed(z, s, k, tol)[0].real
         total += stirling2(s, k) * x ** (k - 1) * deriv
-    return total - alpha_series(x, s, tol).value.real
+    return total - _summed(z, s, 0, tol)[0].real

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import dataclasses
 import json
 import math
 import os
@@ -356,7 +355,7 @@ class TestCompare:
         # the lift's error, widened to 1e-5
         def shifted_ladder(route, x, kernel_name):
             res = _ladder(route, x, kernel_name)
-            return dataclasses.replace(res, value=res.value + 1e-6)
+            return res._replace(value=res.value + 1e-6)
 
         def widened_lift(x, s, tol):
             value, n, _, _ = _lift_level(x, s, tol)

@@ -55,8 +55,27 @@ ALPHA_1_4 = float(sum(Fraction(1, math.factorial(n) ** 4) for n in range(20)))
 
 class TestAnalyticFunction:
     def test_rejects_nonpositive_radius(self):
-        with pytest.raises(InvalidQueryError):
-            AnalyticFunction(cmath.exp, 0.0)
+        for radius in (0.0, -1.0, math.nan):
+            with pytest.raises(InvalidQueryError):
+                AnalyticFunction(cmath.exp, radius)
+            with pytest.raises(InvalidQueryError):
+                EXP._replace(radius=radius)
+
+    def test_is_immutable(self):
+        with pytest.raises(AttributeError):
+            EXP.radius = 1.0
+        assert EXP.radius == math.inf
+
+    def test_from_coefficients_takes_any_iterable(self):
+        # Horner's rule from the leading coefficient, bit for bit
+        coeffs = [0.5, -1.0, 0.25, 2.0]
+        z = 0.3 - 0.7j
+        expected = complex(coeffs[-1])
+        for c in reversed(coeffs[:-1]):
+            expected = expected * z + c
+        for given in (coeffs, tuple(coeffs), (c for c in coeffs)):
+            assert AnalyticFunction.from_coefficients(given)(z) == expected
+        assert AnalyticFunction.from_coefficients(c for c in ())(z) == 0j
 
     def test_polynomial_matches_power_sum(self):
         coeffs = [0.5, -1.0, 0.25, 2.0]
@@ -202,19 +221,35 @@ class TestExactPolynomialLevel:
         assert math.isclose(exact_level.value.real, exact, rel_tol=1e-14)
 
     def test_theorem1_runs_one_level_per_pair(self, monkeypatch):
-        seen = []
+        polys, seen = [], []
+        build = AnalyticFunction.from_coefficients
+
+        def recording_build(cls, coefficients):
+            polys.append(list(coefficients))
+            return build(polys[-1])
 
         def recording(f, g, u, v, nodes=None):
             res = hadamard_eval(f, g, u, v, nodes)
-            seen.append(res)
+            seen.append((u, v, nodes, res))
             return res
 
+        monkeypatch.setattr(AnalyticFunction, "from_coefficients", classmethod(recording_build))
         monkeypatch.setattr(verify, "hadamard_eval", recording)
-        cases = verify.suite_theorem1(seed=4)
-        assert all(case.passed for case in cases)
-        assert len(seen) == 200
-        # degrees <= 8, so at most 9 nodes; the ladder would report 32
-        assert all(4 <= res.nodes <= 9 and res.est_error == 0.0 for res in seen)
+        degrees = set()
+        for seed in range(10):
+            polys.clear()
+            seen.clear()
+            cases = verify.suite_theorem1(seed=seed)
+            assert all(case.passed for case in cases)
+            assert len(seen) == 200 and len(polys) == 400
+            for (u, v, nodes, res), ca, cb in zip(seen, polys[::2], polys[1::2]):
+                degrees.update((len(ca) - 1, len(cb) - 1))
+                assert 1 <= len(ca) <= 9 and 1 <= len(cb) <= 9
+                assert all(-1.0 <= c < 1.0 for c in ca + cb + [u, v])
+                # one exact level of max(4, deg + 1) nodes; the ladder would report 32
+                assert nodes == max(4, len(ca), len(cb))
+                assert res.nodes == nodes and res.est_error == 0.0
+        assert degrees == set(range(9))
 
     # the tolerance is fixed from the rounding of two Horner evaluations
     # and a 25-node mean, each a few ulps of the absolute-value sums; below

@@ -18,6 +18,7 @@ from alphafn import (
     QuadratureResult,
     SeriesResult,
     alpha_series,
+    ode_residual,
 )
 from alphafn.hadamard import (
     _bessel_level,
@@ -255,11 +256,13 @@ def _rebind_everywhere(monkeypatch, original, replacement):
     lambda: evaluate_method(3.3, 4, "hadamard"),
     lambda: evaluate_method(3.3, 4, "series", 1e-10),
     lambda: evaluate_method(2.5, 2, "bessel"),
-], ids=["compare-4", "compare-1", "compare-2", "eval-hadamard", "eval-series", "eval-bessel"])
+    lambda: ode_residual(1.5, 4),
+], ids=["compare-4", "compare-1", "compare-2", "eval-hadamard", "eval-series", "eval-bessel",
+        "ode"])
 def test_a_report_query_is_checked_once(monkeypatch, run):
     # compare checks the query in AlphaQuery, eval after its route
-    # refusals; the routes' cores neither check it again nor build the
-    # public routes' result types
+    # refusals and ode_residual at entry; the routes' cores neither check
+    # it again nor build the public routes' result types
     checks, built = [], []
     original = series._check_query
 
@@ -268,15 +271,33 @@ def test_a_report_query_is_checked_once(monkeypatch, run):
         return original(x, s)
 
     _rebind_everywhere(monkeypatch, original, counted_check)
-    for result_type in (SeriesResult, QuadratureResult):
-        def counted_init(self, *args, init=result_type.__init__, **kwargs):
-            built.append(type(self).__name__)
-            init(self, *args, **kwargs)
-
-        monkeypatch.setattr(result_type, "__init__", counted_init)
+    _count_results(monkeypatch, built)
     run()
     assert len(checks) == 1
     assert built == []
+
+
+def _count_results(monkeypatch, built):
+    """Append the type's name to built at each SeriesResult or
+    QuadratureResult built: a NamedTuple is built in __new__, a dataclass
+    in __init__."""
+    for result_type in (SeriesResult, QuadratureResult):
+        slot = "__new__" if issubclass(result_type, tuple) else "__init__"
+
+        def counted(*args, build=getattr(result_type, slot), name=result_type.__name__,
+                    **kwargs):
+            built.append(name)
+            return build(*args, **kwargs)
+
+        monkeypatch.setattr(result_type, slot, counted)
+
+
+def test_result_counting_sees_each_type(monkeypatch):
+    built = []
+    _count_results(monkeypatch, built)
+    alpha_series(1.0, 2)
+    alpha_via_hadamard(1.0, 4)
+    assert built == ["SeriesResult", "QuadratureResult"]
 
 
 @pytest.mark.parametrize("x, s, method", [

@@ -8,6 +8,7 @@ import pytest
 
 from alphafn import (
     MAX_N,
+    alpha_derivative_series,
     alpha_series,
     ode_residual,
     stirling2,
@@ -160,6 +161,28 @@ class TestOdeResidual:
             for x in (-2.0, -0.5, 0.0, 0.5, 1.0, 2.0):
                 bound = 100.0 * tol * alpha_series(abs(x), 1).value.real
                 assert abs(ode_residual(x, s, tol)) <= bound, (s, x)
+
+    @pytest.mark.parametrize("tol", [None, -1])
+    @pytest.mark.parametrize("x", [math.nan, 1.5, 0.5 + 1j])
+    @pytest.mark.parametrize("s", [0, 1, 4, 65])
+    def test_outcome_matches_the_public_routes(self, s, x, tol):
+        # the value's bits, or the refusal's type and message, of the
+        # residual summed through the public series routes
+        def reference():
+            total = 0.0
+            for k in range(1, s + 1):
+                deriv = alpha_derivative_series(x, s, k, tol).value.real
+                total += stirling2(s, k) * x ** (k - 1) * deriv
+            return total - alpha_series(x, s, tol).value.real
+
+        def outcome(residual):
+            try:
+                value = residual()
+            except Exception as exc:
+                return type(exc), str(exc)
+            return type(value), repr(value)
+
+        assert outcome(lambda: ode_residual(x, s, tol)) == outcome(reference)
 
 
 class TestPartitionWalk:
