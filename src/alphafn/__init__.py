@@ -32,7 +32,6 @@ from .quadrature import QuadratureResult, trapezoid_periodic_1d
 from .report import ComparisonReport, MethodValue, compare_methods, evaluate_method
 from .series import (
     DEFAULT_TOL,
-    AlphaQuery,
     SeriesResult,
     alpha_derivative_series,
     alpha_series,
@@ -50,7 +49,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AlphaFnError",
-    "AlphaQuery",
     "AnalyticFunction",
     "CaseResult",
     "ComparisonReport",

@@ -35,7 +35,7 @@ from .quadrature import (
     # not called here: bound so that perfbench/tracing.py can wrap it here
     trapezoid_periodic_1d,  # noqa: F401
 )
-from .series import _UNIT_ROUNDOFF, _check_s_fits, _real, _summed, _tol, bessel_i0
+from .series import _UNIT_ROUNDOFF, _check_query, _real, _summed, _tol, bessel_i0
 
 # exp overflows doubles just above 709; the closed-form integrands peak at
 # exp of the values guarded here, so reject inputs past this point with a
@@ -254,7 +254,9 @@ def hadamard_eval(
 
     u and v must lie strictly inside the respective radii.  nodes None runs
     the doubling ladder (converge with CIRCLE_LADDER), an int the one level
-    of that many nodes (one_level), for example one known to be exact.
+    of that many nodes (one_level), whose est_error 0.0 only repeats the
+    caller's claim that it is exact: nodes=4 at f = g = EXP, u = v = 1
+    returns 2.3810978455418152 for I0(2) = 2.2795853023360673.
     Each level's mean sums F(t_j) = f(u e^{i t_j}) g(v e^{-i t_j}) in
     ascending j over the node points of the kernels' shared table,
     kernels._nodes(n), and divides by n: the same doubles as
@@ -575,11 +577,13 @@ def alpha_via_hadamard(x: float, s: int, tol: float | None = None) -> Quadrature
     bound per node value.  est_error = alias_bound + rounding_bound bounds
     the error.  The exact value is real, so an imaginary residue above
     est_error would prove the bound wrong and raises ImaginaryResidueError.
+    x is checked real, then s by _lift_refusal, then both by _check_query.
     """
+    x = _real(x)
     if (reason := _lift_refusal(s)) is not None:
         raise InvalidQueryError(reason)
-    _check_s_fits(s)
-    return _result(_lift_level(_real(x), s, tol))
+    _check_query(x, s)
+    return _result(_lift_level(x, s, tol))
 
 
 def _lift_refusal(s: int) -> str | None:
@@ -588,12 +592,10 @@ def _lift_refusal(s: int) -> str | None:
 
 
 def _lift_level(x: float, s: int, tol: float | None) -> _Level:
-    """alpha_via_hadamard's level for a real x and an s it accepts: the
-    radius split, _circle_level and the imaginary-residue check."""
+    """alpha_via_hadamard's level for a checked real x and an s it accepts:
+    the radius split, _circle_level and the imaginary-residue check."""
     ax, q = abs(x), min(s - 1, 64)
-    k = 0  # a non-finite x keeps rv = 1 and is refused by the peak guard
-    if 0.0 < ax < math.inf:
-        k = min(6, max(0, round(q / (q + 1) * math.log2(ax) + (q - 1) / 2)))
+    k = min(6, max(0, round(q / (q + 1) * math.log2(ax) + (q - 1) / 2))) if ax else 0
     rv = 2.0**k
     # the kernel is read at call time, so that a tracer rebinding it reaches it
     value, n, alias, rounding = _circle_level(

@@ -42,10 +42,11 @@ class QuadratureResult(NamedTuple):
     `hadamard_eval` and compare's s = 3 torus ladder), est_error is
     |value_N - value_{N/2}| of the final doubling, an estimate, and the two
     bounds are None.  From one level asked for by its node count
-    (`nodes=n`, for a level known to be exact), est_error is 0.0 and the
-    bounds are None.  The quadrature routes (`alpha2_quadrature`, the
-    Bessel route, `alpha_via_hadamard` and both `alpha3_quadrature_*`) take
-    a tol and run one level certified by an aliasing bound: there
+    (`nodes=n`), est_error is 0.0 and the bounds are None: the 0.0 only
+    repeats the caller's claim that the level is exact and bounds nothing.
+    The quadrature routes (`alpha2_quadrature`, the Bessel route,
+    `alpha_via_hadamard` and both `alpha3_quadrature_*`) take a tol and
+    run one level certified by an aliasing bound: there
     est_error = alias_bound + rounding_bound is a bound on |value - exact|,
     also where it is not below |value|: `eval` and `compare` refuse such a
     value, the library returns it.
@@ -77,7 +78,8 @@ def _level(node_mean: Callable[[int], complex], n: int, route: str = "") -> comp
 
 
 def one_level(node_mean: Callable[[int], complex], nodes: int) -> QuadratureResult:
-    """The one level of `nodes` nodes, an int >= 4, with est_error 0.0."""
+    """The one level of `nodes` nodes, an int >= 4, with est_error 0.0, which
+    repeats the caller's claim that the level is exact and bounds nothing."""
     if not (isinstance(nodes, int) and nodes >= 4):
         raise InvalidQueryError(f"nodes must be an integer >= 4, got {nodes!r}")
     return QuadratureResult(_level(node_mean, nodes), nodes, 0.0)
@@ -116,7 +118,8 @@ def trapezoid_periodic_1d(
     """Normalized circle integral (1/2pi) int_0^{2pi} f(theta) dtheta.
 
     Equal weights 1/N at theta_j = 2*pi*j/N, summed in ascending j; nodes
-    None runs CIRCLE_LADDER, an int runs that one level.
+    None runs CIRCLE_LADDER, an int runs that one level, whose est_error
+    0.0 bounds nothing (one_level).
     """
 
     def mean(n: int) -> complex:

@@ -12,7 +12,7 @@ from typing import Callable, NamedTuple
 from .backend import kernels
 from .errors import InvalidQueryError, NonConvergenceError
 from .hadamard import _alpha2_level, _bessel_level, _ladder, _lift_level, _lift_refusal
-from .series import AlphaQuery, _check_query, _real, _summed, _tol
+from .series import _check_query, _real, _summed, _tol
 
 # The often-quoted value for sum 1/(n!)^3 = 0F2(;1,1;1); it matches only
 # the fractional digits of the actual sum (n=0 alone contributes 1).
@@ -39,9 +39,11 @@ class MethodValue:
 
 @dataclass(frozen=True)
 class ComparisonReport:
-    """Per-method values for one query plus the pairwise agreement verdict."""
+    """Per-method values for one query, its x and s as compare_methods
+    checked them, plus the pairwise agreement verdict."""
 
-    query: AlphaQuery
+    x: float
+    s: int
     method_values: list[MethodValue]
     max_pairwise_delta: float
     tolerance: float
@@ -50,7 +52,7 @@ class ComparisonReport:
 
     def to_json_dict(self) -> dict:
         return {
-            "query": {"x": self.query.x.real, "s": self.query.s},
+            "query": {"x": self.x, "s": self.s},
             "methods": [
                 {"name": m.name, "value": m.value, "error": m.error}
                 for m in self.method_values
@@ -158,11 +160,10 @@ def evaluate_method(x: float, s: int, method: str, tol: float | None = None) -> 
     """Evaluate alpha(x, s) by the route named method in `eval`;
     NonConvergenceError where the route's error is not below |value|.
 
-    After the route's refusals, the query is checked once, as the series
-    checks it, except that a non-finite x is left to the circle routes'
-    integrand peak guard, whose refusal names the route.  tol is the
-    route's own: its core resolves and checks it, once (None meaning the
-    series' 1e-13 or the circle routes' 1e-12)."""
+    x is checked real, then by the route's refuse_s and refuse_x, then
+    (x, s) by series._check_query.  tol is the route's own: its core
+    resolves and checks it, once (None meaning the series' 1e-13 or the
+    circle routes' 1e-12)."""
     route = METHODS.get(method)
     if route is None:
         raise InvalidQueryError(f"unknown method {method!r}")
@@ -172,8 +173,7 @@ def evaluate_method(x: float, s: int, method: str, tol: float | None = None) -> 
         reason = route.refuse_x(x)
     if reason is not None:
         raise InvalidQueryError(reason)
-    if math.isfinite(x) or route.run is _series:
-        _check_query(x, s)
+    _check_query(x, s)
     return _certified(route, x, s, tol)
 
 
@@ -187,11 +187,11 @@ def compare_methods(x: float, s: int, tolerance: float | None = None) -> Compari
     Two routes whose error intervals overlap agree, however far apart
     their values.  tolerance None means 1e-8.  A route that certifies no digit
     raises, as in evaluate_method.  max_pairwise_delta is max - min of the
-    values.
+    values.  x is checked real, then (x, s) by series._check_query.
     """
-    query = AlphaQuery(complex(x), s)
-    tolerance = _tol(tolerance, 1e-8, "tolerance")
     x = _real(x)
+    _check_query(x, s)
+    tolerance = _tol(tolerance, 1e-8, "tolerance")
     methods = [_certified(r, x, s, None) for r in _serving(s)
                if r.refuse_x is None or r.refuse_x(x) is None]
     notes = [
@@ -212,4 +212,4 @@ def compare_methods(x: float, s: int, tolerance: float | None = None) -> Compari
     slack = tolerance * max(1.0, -low, high)
     passed = all(abs(a.value - b.value) <= a.error + b.error + slack
                  for a, b in itertools.combinations(methods, 2))
-    return ComparisonReport(query, methods, high - low, tolerance, passed, notes)
+    return ComparisonReport(x, s, methods, high - low, tolerance, passed, notes)

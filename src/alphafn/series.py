@@ -20,14 +20,6 @@ DEFAULT_TOL = 1e-13
 _UNIT_ROUNDOFF = 2.0**-53
 
 
-def _check_s_fits(s: int) -> None:
-    """The kernels take (n+1)**s with math.pow, which needs s as a double."""
-    if s > sys.float_info.max:
-        raise InvalidQueryError(
-            f"s must fit a double, got an integer of {s.bit_length()} bits"
-        )
-
-
 def _tol(tol, default: float | None = None, name: str = "tol") -> float | None:
     """The one tolerance rule: None means default, the caller's own; any
     other tol must be a positive real number, InvalidQueryError (not a
@@ -48,28 +40,23 @@ def _real(x, name: str = "x") -> float:
 
 
 def _check_query(x: complex, s: int) -> complex:
+    """x as a complex after the one (x, s) check of every entry point: s an
+    integer >= 1, not a bool, that fits a double (the kernels' math.pow
+    needs it), and x finite with |x| a double.  The order is: x real
+    (_real, where the route needs it), the route's own refusal, this
+    check, then tol in the route's core."""
     if not isinstance(s, int) or isinstance(s, bool):
         raise InvalidQueryError(f"s must be an integer >= 1, got {s!r}")
     if s < 1:
         raise InvalidQueryError(f"s must be >= 1, got {s}")
-    _check_s_fits(s)
+    if s > sys.float_info.max:
+        raise InvalidQueryError(f"s must fit a double, got an integer of {s.bit_length()} bits")
     x = complex(x)
     if not cmath.isfinite(x):
         raise InvalidQueryError(f"x must be finite, got {x!r}")
     if x.imag and math.hypot(x.real, x.imag) > sys.float_info.max:  # abs(x) would raise
         raise InvalidQueryError(f"|x| must fit a double, got {x!r}")
     return x
-
-
-@dataclass(frozen=True)
-class AlphaQuery:
-    """An evaluation request: argument x (complex allowed) and power s >= 1."""
-
-    x: complex
-    s: int
-
-    def __post_init__(self):
-        object.__setattr__(self, "x", _check_query(self.x, self.s))
 
 
 @dataclass(frozen=True)
@@ -135,7 +122,7 @@ def _summed(x: complex, s: int, k: int, tol: float | None) -> tuple[complex, int
 def _checked_sum(x, s: int, k: int, tol: float | None) -> SeriesResult:
     """_summed's numbers as a SeriesResult, after the query and k checks."""
     x = _check_query(x, s)
-    if not isinstance(k, int) or k < 0:
+    if not isinstance(k, int) or isinstance(k, bool) or k < 0:
         raise InvalidQueryError(f"k must be an integer >= 0, got {k!r}")
     return SeriesResult(*_summed(x, s, k, tol))
 

@@ -71,7 +71,7 @@ def stirling_genfunc_residual(k: int, x: float, order: int) -> float:
     return abs(lhs - rhs)
 
 
-def ode_residual(x: float, s: int, tol: float | None = None) -> float:
+def ode_residual(x: complex, s: int, tol: float | None = None) -> complex:
     """Residual sum_{k=1}^{s} S(s,k) x^(k-1) y^(k)(x) - y(x) at y = alpha(., s),
     every series summed to tol (None meaning the series' 1e-13).
 
@@ -79,12 +79,14 @@ def ode_residual(x: float, s: int, tol: float | None = None) -> float:
     term-wise derivative series, never finite differences.  x, s and tol
     are checked once, at entry, by the series' rules, and the s + 1 sums
     are series._summed's, the values and refusals of alpha_series and
-    alpha_derivative_series without a SeriesResult each.
+    alpha_derivative_series without a SeriesResult each.  At a real x the
+    residual sums the values' real parts, a float for a float x; at a
+    non-real x it sums the complex values and is complex.
     """
     z = _check_query(x, s)
     tol = _tol(tol, DEFAULT_TOL)
+    part = (lambda value: value) if z.imag else (lambda value: value.real)
     total = 0.0
     for k in range(1, s + 1):
-        deriv = _summed(z, s, k, tol)[0].real
-        total += stirling2(s, k) * x ** (k - 1) * deriv
-    return total - _summed(z, s, 0, tol)[0].real
+        total += stirling2(s, k) * x ** (k - 1) * part(_summed(z, s, k, tol)[0])
+    return total - part(_summed(z, s, 0, tol)[0])

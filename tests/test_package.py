@@ -15,6 +15,6 @@ def test_star_import_binds_every_exported_name():
 
 def test_exports_are_unique_and_dropped_wrappers_gone():
     assert len(set(alphafn.__all__)) == len(alphafn.__all__)
-    for name in ("HadamardProduct", "StirlingTable", "backend_name"):
+    for name in ("AlphaQuery", "HadamardProduct", "StirlingTable", "backend_name"):
         assert name not in alphafn.__all__
         assert not hasattr(alphafn, name)

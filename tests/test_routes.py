@@ -23,6 +23,7 @@ from alphafn import (
 from alphafn.hadamard import (
     _bessel_level,
     _ladder,
+    _lift_refusal,
     _result,
     alpha2_quadrature,
     alpha3_quadrature_complex,
@@ -260,9 +261,9 @@ def _rebind_everywhere(monkeypatch, original, replacement):
 ], ids=["compare-4", "compare-1", "compare-2", "eval-hadamard", "eval-series", "eval-bessel",
         "ode"])
 def test_a_report_query_is_checked_once(monkeypatch, run):
-    # compare checks the query in AlphaQuery, eval after its route
-    # refusals and ode_residual at entry; the routes' cores neither check
-    # it again nor build the public routes' result types
+    # compare, eval and ode_residual each run series._check_query once, at
+    # entry (eval after its route's refusals); the routes' cores neither
+    # check it again nor build the public routes' result types
     checks, built = [], []
     original = series._check_query
 
@@ -345,7 +346,7 @@ def _refusals():
              lambda x=x: alpha_via_hadamard(x, 4))
     for x in (math.nan, math.inf):  # eval's Bessel route refuses -inf as x < 0
         case(f"bessel-x={x!r}", lambda x=x: evaluate_method(x, 2, "bessel"),
-             lambda x=x: _bessel_level(2.0 * math.sqrt(x), 0.0, None))
+             lambda x=x: alpha_series(x, 2))
     for tol in (0, -1, True, "1e-3"):
         # compare's tolerance is its verdict's, and its message says so
         case(f"compare-tol={tol!r}", lambda tol=tol: compare_methods(1.0, 4, tol),
@@ -370,6 +371,40 @@ def test_report_refuses_what_the_public_routes_refuse(report_call, public_call, 
     assert type(got.value) is type(public.value)
     if same_message:
         assert str(got.value) == str(public.value)
+
+
+LIFT_ENTRIES = {"eval-hadamard", "lift"}
+
+
+@pytest.mark.parametrize("x, s, serving", [
+    *((x, 3, LIFT_ENTRIES) for x in (math.nan, math.inf, -math.inf)),
+    (math.nan, 2, LIFT_ENTRIES | {"eval-bessel"}),
+    (math.inf, 2, LIFT_ENTRIES | {"eval-bessel"}),
+    (-math.inf, 2, LIFT_ENTRIES),  # the Bessel route's own x < 0 refusal comes first
+    (1.0, 0, set()),
+    (1.0, True, set()),
+    (1.0, 2.5, set()),
+    (1.0, 2**1100, LIFT_ENTRIES),
+], ids=["nan-3", "inf-3", "-inf-3", "nan-2", "inf-2", "-inf-2", "s=0", "s=True", "s=2.5",
+        "s=2**1100"])
+def test_every_entry_point_refuses_a_bad_query_alike(x, s, serving):
+    # each entry point that takes (x, s) and whose own refusal lets the
+    # query through refuses it with series._check_query's class and message
+    calls = {"compare": lambda: compare_methods(x, s), "series": lambda: alpha_series(x, s),
+             "ode": lambda: ode_residual(x, s)}
+    for method, route in METHODS.items():
+        if route.refuse_s(s) is None and (route.refuse_x is None or route.refuse_x(x) is None):
+            calls[f"eval-{method}"] = lambda method=method: evaluate_method(x, s, method)
+    if _lift_refusal(s) is None:
+        calls["lift"] = lambda: alpha_via_hadamard(x, s)
+    assert set(calls) == {"compare", "series", "ode", "eval-series"} | serving
+    outcomes = {}
+    for name, call in calls.items():
+        with pytest.raises(AlphaFnError) as excinfo:
+            call()
+        outcomes[name] = (type(excinfo.value), str(excinfo.value))
+    assert len(set(outcomes.values())) == 1, outcomes
+    assert outcomes["series"][0] is InvalidQueryError
 
 
 def test_eval_and_verify_refuse_an_unknown_name():

@@ -19,7 +19,6 @@ from hypothesis import strategies as st
 
 from alphafn import _kernels_py
 from alphafn import (
-    AlphaQuery,
     InvalidQueryError,
     NonConvergenceError,
     alpha_derivative_series,
@@ -66,29 +65,45 @@ class TestComplexArithmetic:
 
 
 class TestAlphaQuery:
+    """The (x, s) query check, series._check_query, as compare_methods and
+    alpha_series run it."""
+
     def test_accepts_real_and_complex(self):
-        assert AlphaQuery(1.0, 2).x == 1 + 0j
-        assert AlphaQuery(1 + 2j, 1).x == 1 + 2j
+        report = compare_methods(1.0, 2)
+        assert (report.x, report.s) == (1.0, 2)
+        assert type(report.x) is float
+        assert alpha_series(1 + 2j, 1).value == pytest.approx(cmath.exp(1 + 2j), rel=1e-15)
 
     def test_rejects_s_below_one(self):
-        with pytest.raises(InvalidQueryError):
-            AlphaQuery(1.0, 0)
+        for run in (compare_methods, alpha_series):
+            with pytest.raises(InvalidQueryError, match=r"^s must be >= 1, got 0$"):
+                run(1.0, 0)
 
     def test_rejects_non_integer_s(self):
-        with pytest.raises(InvalidQueryError):
-            AlphaQuery(1.0, 2.5)
+        for run in (compare_methods, alpha_series):
+            with pytest.raises(InvalidQueryError, match=r"^s must be an integer >= 1, got 2\.5$"):
+                run(1.0, 2.5)
 
     def test_rejects_non_finite_x(self):
-        with pytest.raises(InvalidQueryError):
-            AlphaQuery(math.inf, 2)
+        for run in (compare_methods, alpha_series):
+            with pytest.raises(InvalidQueryError, match=r"^x must be finite, got \(inf\+0j\)$"):
+                run(math.inf, 2)
 
     def test_rejects_modulus_past_double_range(self):
-        # both parts are doubles, but abs() of it raises OverflowError
+        # both parts are doubles, but abs() of it raises OverflowError;
+        # compare takes a real x only, and says so first
         x = complex(1.5e308, 1.5e308)
         with pytest.raises(InvalidQueryError, match="fit a double"):
             alpha_series(x, 3)
         with pytest.raises(InvalidQueryError, match="fit a double"):
             alpha_derivative_series(x, 3, 1)
+        with pytest.raises(InvalidQueryError, match=r"^x must be real, got "):
+            compare_methods(x, 3)
+
+    def test_derivative_order_is_an_integer_not_a_bool(self):
+        with pytest.raises(InvalidQueryError) as excinfo:
+            alpha_derivative_series(1.0, 3, True)
+        assert str(excinfo.value) == "k must be an integer >= 0, got True"
 
 
 class TestAlphaSeries:

@@ -162,18 +162,30 @@ class TestOdeResidual:
                 bound = 100.0 * tol * alpha_series(abs(x), 1).value.real
                 assert abs(ode_residual(x, s, tol)) <= bound, (s, x)
 
+    @pytest.mark.parametrize("x", [0.5 + 1j, -1.5 + 0.5j, 2j])
+    @pytest.mark.parametrize("s", [1, 2, 3, 4])
+    def test_complex_x_residual_is_small(self, s, x):
+        # at a non-real x the series values are summed as complex numbers
+        residual = ode_residual(x, s)
+        assert type(residual) is complex
+        assert abs(residual) <= 1e-10 * (1.0 + math.exp(abs(x)))
+
     @pytest.mark.parametrize("tol", [None, -1])
     @pytest.mark.parametrize("x", [math.nan, 1.5, 0.5 + 1j])
     @pytest.mark.parametrize("s", [0, 1, 4, 65])
     def test_outcome_matches_the_public_routes(self, s, x, tol):
         # the value's bits, or the refusal's type and message, of the
-        # residual summed through the public series routes
+        # residual summed through the public series routes, their real
+        # parts at a real x and the complex values at a non-real one
+        def part(result):
+            return result.value if complex(x).imag else result.value.real
+
         def reference():
             total = 0.0
             for k in range(1, s + 1):
-                deriv = alpha_derivative_series(x, s, k, tol).value.real
+                deriv = part(alpha_derivative_series(x, s, k, tol))
                 total += stirling2(s, k) * x ** (k - 1) * deriv
-            return total - alpha_series(x, s, tol).value.real
+            return total - part(alpha_series(x, s, tol))
 
         def outcome(residual):
             try:
