@@ -11,8 +11,9 @@ one term loop, `_term_sum`; a tracer wrapping both counts each call once.
 Mean kernels return the equal-weight average of an integrand over ``n``
 uniformly spaced circle (or torus) nodes ``t_k = (TWO_PI * k) / n``.  Every
 mean reads its nodes from one bounded lru_cache table, `_nodes(n)`: cos t_k,
-sin t_k and the points e^{+-i t_k}, which `hadamard.hadamard_eval` reads
-too.  There are three contracts:
+sin t_k and the points e^{+-i t_k}, which `hadamard.hadamard_eval` and
+`verify.suite_expansion_s3`'s 16 x 16 pointwise grid read too.  There are
+three contracts:
 
 - the circle kernels `alpha2_mean`, `bessel_mean` and `exp_alpha_mean`
   take ``(params..., n)`` (`exp_alpha_mean` ``(x, s, n, rv)``) and average

@@ -16,7 +16,7 @@ from __future__ import annotations
 import cmath
 import functools
 import math
-from typing import Callable, Iterable, NamedTuple
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 from .backend import kernels
 from .errors import (
@@ -44,12 +44,9 @@ _EXP_PEAK_LIMIT = 700.0
 
 
 def _guard_exp_peak(peak: float, route: str) -> None:
-    if not math.isfinite(peak):
-        raise InvalidQueryError(
-            f"{route}: integrand peak exp({peak!r}) is not finite; "
-            "the arguments must be finite"
-        )
-    if peak > _EXP_PEAK_LIMIT:
+    # every caller checks its arguments finite first; a NaN peak is refused
+    # here all the same, since _torus_search would never end on one
+    if not peak <= _EXP_PEAK_LIMIT:
         raise InvalidQueryError(
             f"{route}: integrand peak exp({peak:.1f}) exceeds the "
             "double-precision range; use alpha_series instead"
@@ -308,7 +305,9 @@ def alpha2_quadrature(x: float, tol: float | None = None) -> QuadratureResult:
     meaning 1e-12: the result's est_error = alias_bound + rounding_bound
     bounds its error.
     """
-    return _result(_alpha2_level(_real(x), tol))
+    x = _real(x)
+    _check_query(x, 2)
+    return _result(_alpha2_level(x, tol))
 
 
 def _alpha2_level(x: float, tol: float | None) -> _Level:
@@ -324,9 +323,12 @@ def bessel_identity_check(
 
     Returns (quadrature lhs, series rhs); the window [0, 2pi) replaces the
     symmetric one by periodicity.  The lhs is _bessel_level's one level
-    certified to tol, None meaning 1e-12.
+    certified to tol, None meaning 1e-12.  a and b must be real and finite.
     """
     a, b = _real(a, "a"), _real(b, "b")
+    for name, value in (("a", a), ("b", b)):
+        if not math.isfinite(value):
+            raise InvalidQueryError(f"{name} must be finite, got {value!r}")
     lhs = _bessel_level(a, b, tol)[0]
     rhs = bessel_i0(math.hypot(a, b))
     return lhs.real, rhs.value.real
@@ -344,40 +346,61 @@ def _bessel_level(a: float, b: float, tol: float | None) -> _Level:
     return _circle_level("bessel", r, _exp_factor(r), tol, kernels.bessel_mean, a, b)
 
 
+def _alpha3_complex_row(
+    x: float, point: complex, conj_point: complex, cos_t: Sequence[float], sin_t: Sequence[float]
+) -> list[complex]:
+    """alpha3_integrand_complex along the row theta with e^{i theta} = point
+    and e^{-i theta} = conj_point, at the columns t given by their cos and
+    sin: exp(x e^{i theta}) and e^{-i theta} +- 1 are formed once per row."""
+    row = cmath.exp(x * point)
+    conj_p1 = conj_point + 1.0
+    conj_m1 = conj_point - 1.0
+    return [row * cmath.exp(conj_p1 * ct) * cmath.cos(conj_m1 * st)
+            for ct, st in zip(cos_t, sin_t)]
+
+
+def _alpha3_real_row(
+    x: float, cth: float, sth: float, cos_t: Sequence[float], sin_t: Sequence[float]
+) -> list[float]:
+    """alpha3_integrand_real along the row theta with cos theta = cth and
+    sin theta = sth, at the columns t given by their cos and sin: x cos th
+    and x sin th are formed once per row."""
+    x_cth = x * cth
+    x_sth = x * sth
+    values = []
+    for ct, st in zip(cos_t, sin_t):
+        common = math.exp(x_cth + cth * ct + ct)
+        a1 = x_sth - sth * ct
+        a2 = cth * st - st
+        a3 = sth * st
+        values.append(common * (
+            math.cos(a1) * math.cos(a2) * math.cosh(a3)
+            - math.sin(a1) * math.sin(a2) * math.sinh(a3)
+        ))
+    return values
+
+
 def alpha3_integrand_complex(x: float, theta: float, t: float) -> complex:
     """exp(x e^{i theta}) exp((e^{-i theta}+1)cos t) cos((e^{-i theta}-1)sin t).
 
     All three factors are complex; the cosine takes a complex argument,
     cos(a+bi) = cos a cosh b - i sin a sinh b.  The torus mean of this
-    integrand is alpha(x, 3).
+    integrand is alpha(x, 3).  It is _alpha3_complex_row at the one column
+    t, with e^{i theta} = cmath.exp(1j * theta).
     """
     point = cmath.exp(1j * theta)
-    conj_point = point.conjugate()
-    return (
-        cmath.exp(x * point)
-        * cmath.exp((conj_point + 1.0) * math.cos(t))
-        * cmath.cos((conj_point - 1.0) * math.sin(t))
-    )
+    return _alpha3_complex_row(x, point, point.conjugate(), (math.cos(t),), (math.sin(t),))[0]
 
 
 def alpha3_integrand_real(x: float, theta: float, t: float) -> float:
     """Fully expanded real form of alpha3_integrand_complex's real part.
 
     Two products share the common factor exp(x cos th + cos th cos t + cos t);
-    the hyperbolic factors come from the complex cosine expansion.
+    the hyperbolic factors come from the complex cosine expansion.  It is
+    _alpha3_real_row at the one column t.
     """
-    cth = math.cos(theta)
-    sth = math.sin(theta)
-    ct = math.cos(t)
-    st = math.sin(t)
-    common = math.exp(x * cth + cth * ct + ct)
-    a1 = x * sth - sth * ct
-    a2 = cth * st - st
-    a3 = sth * st
-    return common * (
-        math.cos(a1) * math.cos(a2) * math.cosh(a3)
-        - math.sin(a1) * math.sin(a2) * math.sinh(a3)
-    )
+    return _alpha3_real_row(
+        x, math.cos(theta), math.sin(theta), (math.cos(t),), (math.sin(t),))[0]
 
 
 def alpha3_quadrature_real(x: float, tol: float | None = None) -> QuadratureResult:
@@ -391,8 +414,10 @@ def alpha3_quadrature_real(x: float, tol: float | None = None) -> QuadratureResu
     sin(x sin th).  It differs from the node-by-node sum by rounding only,
     and _torus_level shows that rounding_bound covers this order.
     """
+    x = _real(x)
+    _check_query(x, 3)
     return _result(_torus_level(
-        "alpha3_quadrature_real", _real(x), tol, kernels.alpha3_real_row_mean))
+        "alpha3_quadrature_real", x, tol, kernels.alpha3_real_row_mean))
 
 
 def alpha3_quadrature_complex(x: float, tol: float | None = None) -> QuadratureResult:
@@ -405,8 +430,10 @@ def alpha3_quadrature_complex(x: float, tol: float | None = None) -> QuadratureR
     The imaginary part of the returned value is the torus average of the
     integrand's imaginary component and is reported, not dropped.
     """
+    x = _real(x)
+    _check_query(x, 3)
     return _result(_torus_level(
-        "alpha3_quadrature_complex", _real(x), tol, kernels.alpha3_complex_row_mean))
+        "alpha3_quadrature_complex", x, tol, kernels.alpha3_complex_row_mean))
 
 
 def _torus_alias_sum(wx: list[float], w1: list[float], n: int) -> float:
@@ -429,8 +456,8 @@ def _torus_level(
     route: str, x: float, tol: float | None, kernel: Callable[..., complex]
 ) -> _Level:
     """kernel(x, n), the mean of either paper integrand over the smallest
-    certified n x n torus grid, at a real x (the public routes check it
-    with _real): the torus routes' core, which returns (value, n,
+    certified n x n torus grid, at a real, finite x (the public routes
+    check it with _real and _check_query): the torus routes' core, which returns (value, n,
     alias_bound, rounding_bound), also where their sum is not below |value|
     (report._certified refuses that).  It resolves and checks tol once
     (series._tol: None means TORUS_LADDER's 1e-10, anything but a positive

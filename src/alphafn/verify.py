@@ -12,16 +12,16 @@ import math
 import random
 from dataclasses import dataclass
 
+from .backend import kernels
 from .hadamard import (
     AnalyticFunction,
-    alpha3_integrand_complex,
-    alpha3_integrand_real,
+    _alpha3_complex_row,
+    _alpha3_real_row,
     alpha3_quadrature_complex,
     alpha3_quadrature_real,
     bessel_identity_check,
     hadamard_eval,
 )
-from .quadrature import TWO_PI
 from .series import alpha_series
 from .stirling import ode_residual, stirling2, stirling_genfunc_residual
 
@@ -168,21 +168,27 @@ def suite_expansion_s3(seed: int = 0) -> list[CaseResult]:
     """Real expansion vs complex product for the s=3 torus integrand.
 
     Pointwise on a 16 x 16 grid at five x drawn from the seed in [-1, 2],
-    then both torus routes against the series at the fixed x -1, 0, 0.5, 1
-    and 2, each at its one level certified to alias by at most 1e-10 (fixed,
-    so that the routes' level search stays cached).  Each route's real part
-    is held to 1e-9 and to its own bound: the level's est_error plus the
-    series' tail and rounding bounds.
+    both forms evaluated a row at a time by hadamard's row cores over the
+    node table kernels._nodes(16), whose angles are (TWO_PI * i)/16 and
+    whose points are cmath.exp(1j * angle) bit for bit: the same doubles as
+    the public alpha3_integrand_* at each grid point.  Then both torus
+    routes against the series at the fixed x -1, 0, 0.5, 1 and 2, each at
+    its one level certified to alias by at most 1e-10 (fixed, so that the
+    routes' level search stays cached).  Each route's real part is held to
+    1e-9 and to its own bound: the level's est_error plus the series' tail
+    and rounding bounds.
     """
     cases = []
     rng = random.Random(seed)
-    angles = [(TWO_PI * i) / 16 for i in range(16)]
+    cos_t, sin_t, points = kernels._nodes(16)
     for x in [rng.uniform(-1.0, 2.0) for _ in range(5)]:
-        worst = worst_delta(
-            abs(alpha3_integrand_complex(x, theta, t).real - alpha3_integrand_real(x, theta, t))
-            for theta in angles
-            for t in angles
-        )
+        deltas = []
+        for cth, sth, (point, conj_point) in zip(cos_t, sin_t, points):
+            deltas += [abs(c.real - r) for c, r in zip(
+                _alpha3_complex_row(x, point, conj_point, cos_t, sin_t),
+                _alpha3_real_row(x, cth, sth, cos_t, sin_t),
+            )]
+        worst = worst_delta(deltas)
         bound = 1e-12 * (1.0 + math.exp(abs(x) + 2.0))
         cases.append(_case("expansion_s3", f"pointwise-x={x:g}", worst, bound))
     for x in (-1.0, 0.0, 0.5, 1.0, 2.0):

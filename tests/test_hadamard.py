@@ -439,6 +439,63 @@ class TestAlpha3Integrands:
                     assert diff <= bound, (x, theta, t)
 
 
+    @staticmethod
+    def _reference_complex(x, theta, t):
+        # the public integrand's expressions before the row cores
+        point = cmath.exp(1j * theta)
+        conj_point = point.conjugate()
+        return (
+            cmath.exp(x * point)
+            * cmath.exp((conj_point + 1.0) * math.cos(t))
+            * cmath.cos((conj_point - 1.0) * math.sin(t))
+        )
+
+    @staticmethod
+    def _reference_real(x, theta, t):
+        cth = math.cos(theta)
+        sth = math.sin(theta)
+        ct = math.cos(t)
+        st = math.sin(t)
+        common = math.exp(x * cth + cth * ct + ct)
+        a1 = x * sth - sth * ct
+        a2 = cth * st - st
+        a3 = sth * st
+        return common * (
+            math.cos(a1) * math.cos(a2) * math.cosh(a3)
+            - math.sin(a1) * math.sin(a2) * math.sinh(a3)
+        )
+
+    @pytest.mark.parametrize("x", [-7.5, -1.0, 0.0, 0.3, 2.0, 7.25])
+    def test_public_integrands_keep_their_doubles(self, x):
+        # each is its row core at one column, bit-equal to the reference
+        angles = [(TWO_PI * i) / 32 for i in range(32)]
+        for theta in angles:
+            for t in angles:
+                z = alpha3_integrand_complex(x, theta, t)
+                ref = self._reference_complex(x, theta, t)
+                assert (z.real.hex(), z.imag.hex()) == (ref.real.hex(), ref.imag.hex())
+                assert (alpha3_integrand_real(x, theta, t).hex()
+                        == self._reference_real(x, theta, t).hex())
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_expansion_s3_grid_matches_the_public_integrands(self, seed):
+        # the suite's row-at-a-time grid gives the deltas of the public
+        # integrands evaluated point by point at the angles (TWO_PI * i)/16
+        rng = random.Random(seed)
+        angles = [(TWO_PI * i) / 16 for i in range(16)]
+        expected = [
+            verify.worst_delta(
+                abs(alpha3_integrand_complex(x, theta, t).real - alpha3_integrand_real(x, theta, t))
+                for theta in angles
+                for t in angles
+            )
+            for x in [rng.uniform(-1.0, 2.0) for _ in range(5)]
+        ]
+        got = [case.delta for case in verify.suite_expansion_s3(seed)
+               if case.name.startswith("pointwise-")]
+        assert list(map(float.hex, got)) == list(map(float.hex, expected))
+
+
 class TestAlpha3Quadrature:
     def test_real_form_matches_series(self):
         for x in (-1.0, 0.0, 0.5, 1.0, 2.0):
@@ -517,15 +574,21 @@ class TestAlpha3TorusLevel:
     def test_expansion_s3_fails_a_nan_on_the_pointwise_grid(self, monkeypatch):
         # max(0.0, nan) is 0.0, so a running max would pass this node; the
         # third pointwise x of seed 7 is drawn as the suite draws it
+        # the grid reads its rows from the real row core: row 3, column 11
+        # of that x turns NaN
         rng = random.Random(7)
         x = [rng.uniform(-1.0, 2.0) for _ in range(3)][-1]
-        real = verify.alpha3_integrand_real
-        bad = (x, (TWO_PI * 3) / 16, (TWO_PI * 11) / 16)
+        real_row = verify._alpha3_real_row
+        theta = (TWO_PI * 3) / 16
+        bad = (x, math.cos(theta), math.sin(theta))
 
-        def patched(x, theta, t):
-            return math.nan if (x, theta, t) == bad else real(x, theta, t)
+        def patched(x, cth, sth, cos_t, sin_t):
+            values = real_row(x, cth, sth, cos_t, sin_t)
+            if (x, cth, sth) == bad:
+                values[11] = math.nan
+            return values
 
-        monkeypatch.setattr(verify, "alpha3_integrand_real", patched)
+        monkeypatch.setattr(verify, "_alpha3_real_row", patched)
         failed = [case for case in verify.suite_expansion_s3(7) if not case.passed]
         assert [case.name for case in failed] == [f"pointwise-x={x:g}"]
         assert math.isnan(failed[0].delta)
@@ -606,7 +669,7 @@ class TestAlpha3TorusLevel:
         for route in TORUS_ROUTES.values():
             with pytest.raises(InvalidQueryError, match="tol must be positive"):
                 route(1.0, 0.0)
-            with pytest.raises(InvalidQueryError, match="not finite"):
+            with pytest.raises(InvalidQueryError, match=r"^x must be finite, got \(nan\+0j\)$"):
                 route(math.nan)
             with pytest.raises(InvalidQueryError):
                 route(720.0)
@@ -814,11 +877,30 @@ class TestExpRangeGuards:
 
     @pytest.mark.parametrize("x", [math.nan, math.inf, -math.inf])
     def test_non_finite_x(self, x):
-        for route in (alpha2_quadrature, alpha3_quadrature_real, alpha3_quadrature_complex):
-            with pytest.raises(InvalidQueryError, match="not finite"):
+        # the routes that take x alone refuse it with the series' query
+        # check and its message; the Bessel check names the argument
+        for route, s in ((alpha2_quadrature, 2), (alpha3_quadrature_real, 3),
+                         (alpha3_quadrature_complex, 3)):
+            with pytest.raises(InvalidQueryError) as series:
+                alpha_series(x, s)
+            with pytest.raises(InvalidQueryError) as got:
                 route(x)
-        with pytest.raises(InvalidQueryError, match="not finite"):
-            bessel_identity_check(x, 0.0)
+            assert str(got.value) == str(series.value) == f"x must be finite, got {complex(x)!r}"
+        for name, args in (("a", (x, 0.0)), ("b", (0.0, x)), ("a", (x, x))):
+            with pytest.raises(InvalidQueryError) as got:
+                bessel_identity_check(*args)
+            assert str(got.value) == f"{name} must be finite, got {x!r}"
+
+    def test_a_nan_peak_is_refused(self):
+        # the routes check their arguments finite first; a NaN peak that got
+        # past them would never end _torus_search, so the guard refuses it
+        with pytest.raises(InvalidQueryError, match=r"^r: integrand peak exp\(nan\)"):
+            hadamard._guard_exp_peak(math.nan, "r")
+
+    def test_an_overflowing_bessel_radius_is_refused(self):
+        # finite a and b whose hypot passes DBL_MAX give the peak exp(inf)
+        with pytest.raises(InvalidQueryError, match=r"^bessel: integrand peak exp\(inf\)"):
+            bessel_identity_check(1.5e308, 1.5e308)
 
 
 
